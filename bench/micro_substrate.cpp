@@ -114,7 +114,7 @@ void BM_StoreMergeWriteWide(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_StoreMergeWriteWide)->Arg(64)->Arg(256);
+BENCHMARK(BM_StoreMergeWriteWide)->Arg(64)->Arg(256)->Arg(2000);
 
 // ------------------------------------------------------------- log codec
 

@@ -85,6 +85,21 @@ Result<AttrView> MultiVersionStore::ReadAttrView(std::string_view key,
   return AttrView{v->attributes, attr->second};
 }
 
+bool MultiVersionStore::HasAttr(std::string_view key, std::string_view attribute,
+                                AttrView* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (sim::race::Active()) {
+    sim::race::Record(sim::race::AccessKind::kRead, {"kv", instance_id_, key});
+  }
+  auto it = rows_.find(key);
+  if (it == rows_.end() || it->second.empty()) return false;
+  const AttributeMapPtr& attrs = it->second.back().attributes;
+  auto attr = attrs->find(attribute);
+  if (attr == attrs->end()) return false;
+  if (out != nullptr) *out = AttrView{attrs, attr->second};
+  return true;
+}
+
 Status MultiVersionStore::Write(std::string_view key, AttributeMap attributes,
                                 Timestamp timestamp) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -158,9 +173,11 @@ Status MultiVersionStore::MergeWrite(std::string_view key,
   } else if (updates.empty()) {
     merged = chain.back().attributes;  // pure share: no copy at all
   } else {
-    // Structural clone of the base (std::map's copy constructor rebuilds
-    // the tree with no comparisons or rebalancing — measurably faster than
-    // element-wise merged construction), then overlay the few updates.
+    // Copy the base (chunk handles only), then overlay the updates: each
+    // clones the one chunk it lands in. The base stays in the chain while
+    // mu_ is held, so every chunk the copy inherits counts at least 2 and
+    // is cloned before a write; only chunks cloned here, which no other
+    // thread has seen, are written in place.
     auto out = std::make_shared<AttributeMap>(*chain.back().attributes);
     for (const auto& [attr, value] : updates) {
       out->insert_or_assign(attr, value);

@@ -15,11 +15,15 @@
 //
 // Rows are maps from attribute (column) name to value; each write stores a
 // complete row snapshot, mirroring the paper's "new version of the row".
-// Version payloads are copy-on-write (docs/ARCHITECTURE.md, design note
-// D5): a version holds a shared_ptr<const AttributeMap>, so Read hands out
-// a reference to the immutable snapshot instead of deep-copying it, and a
-// snapshot stays valid (and bit-identical) for as long as the caller holds
-// it — even across later writes or garbage collection of the chain.
+// Version payloads are copy-on-write at two levels (docs/ARCHITECTURE.md,
+// design note D5). A version holds a shared_ptr<const AttributeMap>, so
+// Read hands out a reference to the immutable snapshot instead of
+// deep-copying it, and a snapshot stays valid (and bit-identical) for as
+// long as the caller holds it — even across later writes or garbage
+// collection of the chain. Inside the map, a wide row is a vector of shared
+// chunks (kvstore/attribute_map.h), so a version derived by MergeWrite
+// shares every chunk its updates do not touch with the version it was
+// derived from.
 // All operations are atomic with respect to one another (single mutex; the
 // simulator is single-threaded but the store is independently thread-safe
 // so it can be exercised standalone).
@@ -35,14 +39,10 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "kvstore/attribute_map.h"
 #include "sim/race_hooks.h"
 
 namespace paxoscp::kvstore {
-
-/// Attribute (column) name → value. The transparent comparator enables
-/// heterogeneous lookup, so hot callers probe with string_views instead of
-/// constructing temporary std::string keys.
-using AttributeMap = std::map<std::string, std::string, std::less<>>;
 
 /// Immutable shared snapshot of a row version's attributes.
 using AttributeMapPtr = std::shared_ptr<const AttributeMap>;
@@ -92,6 +92,13 @@ class MultiVersionStore {
                                 std::string_view attribute,
                                 Timestamp timestamp = kLatestTimestamp) const;
 
+  /// Existence probe for hot "is it there yet?" loops: true iff
+  /// ReadAttrView(key, attribute) would succeed, in which case `*out` (if
+  /// given) receives what it would return. Builds no Status, so a miss
+  /// allocates nothing.
+  bool HasAttr(std::string_view key, std::string_view attribute,
+               AttrView* out = nullptr) const;
+
   /// Creates a new version of `key`. With an explicit timestamp, fails with
   /// Conflict if any version with a timestamp >= `timestamp` exists (the
   /// paper: "If a version with greater timestamp exists, an error is
@@ -106,11 +113,12 @@ class MultiVersionStore {
   Status CheckAndWrite(std::string_view key, std::string_view test_attribute,
                        std::string_view test_value, AttributeMap attributes);
 
-  /// Merge-write convenience used by the log applier: reads the latest
-  /// version <= `timestamp`, overlays `updates`, writes at `timestamp`.
-  /// The merged map is a structural clone of the base with the updates
-  /// overlaid; with empty `updates` the new version shares the previous
-  /// snapshot outright (no copy).
+  /// Merge-write convenience used by the log applier: overlays `updates`
+  /// on the latest version and writes the result at `timestamp`. The
+  /// merged map is a copy of the base that shares every chunk the updates
+  /// do not touch, so its cost scales with the number of chunks and
+  /// updates, not with the row width; with empty `updates` the new version
+  /// shares the previous snapshot outright.
   Status MergeWrite(std::string_view key, const AttributeMap& updates,
                     Timestamp timestamp);
 

@@ -100,10 +100,9 @@ Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
                       {"wal", store_->instance_id(), group_, "entry", pos});
   }
   const std::string encoded = entry.Encode();
-  Result<kvstore::AttrView> existing =
-      store_->ReadAttrView(EntryKey(pos), kEntryAttr);
-  if (existing.ok()) {
-    if (existing->value != encoded) {
+  if (kvstore::AttrView existing;
+      store_->HasAttr(EntryKey(pos), kEntryAttr, &existing)) {
+    if (existing.value != encoded) {
       return Status::Corruption(
           "R1 violation: conflicting values decided for " + group_ + "[" +
           std::to_string(pos) + "]");
@@ -337,7 +336,7 @@ bool WriteAheadLog::HasEntry(LogPos pos) const {
     sim::race::Record(sim::race::AccessKind::kRead,
                       {"wal", store_->instance_id(), group_, "entry", pos});
   }
-  return store_->ReadAttrView(EntryKey(pos), kEntryAttr).ok();
+  return store_->HasAttr(EntryKey(pos), kEntryAttr);
 }
 
 LogPos WriteAheadLog::MaxDecided() const {

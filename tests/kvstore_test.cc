@@ -2,11 +2,17 @@
 // contract: atomic read/write/checkAndWrite over multi-version rows —
 // plus the copy-on-write representation guarantees of design note D5
 // (docs/ARCHITECTURE.md): shared snapshots are immutable and survive both
-// later writes and garbage collection.
+// later writes and garbage collection, and a merge-write shares every
+// chunk of the row it does not touch. AttributeMap itself is checked
+// against std::map as a reference model.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "kvstore/store.h"
@@ -25,6 +31,115 @@ std::string Cat(const char* prefix, N n) {
   s += std::to_string(n);
   return s;
 }
+
+/// Reference model for AttributeMap: a plain ordered std::map.
+using Model = std::map<std::string, std::string>;
+
+Model ToModel(const AttrMap& map) {
+  Model out;
+  for (const auto& [name, value] : map) out.emplace(name, value);
+  return out;
+}
+
+/// Contents, order and size of `map` equal `model`'s.
+void ExpectMatches(const AttrMap& map, const Model& model) {
+  ASSERT_EQ(map.size(), model.size());
+  EXPECT_EQ(map.empty(), model.empty());
+  auto it = map.begin();
+  for (const auto& [name, value] : model) {
+    ASSERT_NE(it, map.end());
+    EXPECT_EQ(it->first, name);
+    EXPECT_EQ(it->second, value);
+    ++it;
+  }
+  EXPECT_EQ(it, map.end());
+}
+
+// ------------------------------------------------------------ AttributeMap
+
+TEST(AttributeMapTest, MatchesStdMapUnderRandomOps) {
+  // Seeded random inserts, assignments, erases and copy-then-mutate over
+  // 0-1000 keys. Phases alternate between insert-heavy (toward ~770
+  // entries) and erase-heavy (toward ~20, then drained to empty), so the
+  // map crosses the one-chunk boundary both ways, chunks split and chunks
+  // empty out.
+  Rng rng(20261016);
+  AttrMap map;
+  Model model;
+  std::vector<std::pair<AttrMap, Model>> copies;  // must never change
+  for (int op = 0; op < 20000; ++op) {
+    const bool growing = (op / 2500) % 2 == 0;
+    const std::string key = Cat("k", rng.Uniform(1000));
+    const std::string value = Cat("heap-allocated-value-", op);
+    const uint64_t roll = rng.Uniform(100);
+    if (roll < (growing ? 45u : 1u)) {
+      map[key] = value;
+      model[key] = value;
+    } else if (roll < (growing ? 75u : 2u)) {
+      map.insert_or_assign(key, value);
+      model.insert_or_assign(key, value);
+    } else if (roll < 97) {
+      EXPECT_EQ(map.erase(key), model.erase(key));
+    } else {
+      // Copy, then mutate the copy: the original must not see it.
+      AttrMap copy = map;
+      Model copy_model = model;
+      const std::string other = Cat("k", rng.Uniform(1000));
+      copy[key] = value;
+      copy_model[key] = value;
+      EXPECT_EQ(copy.erase(other), copy_model.erase(other));
+      ExpectMatches(copy, copy_model);
+      ExpectMatches(map, model);
+      copies.emplace_back(std::move(copy), std::move(copy_model));
+      if (copies.size() > 8) copies.erase(copies.begin());
+    }
+    // Point lookups agree, hits and misses alike.
+    const std::string probe = Cat("k", rng.Uniform(1000));
+    auto expected = model.find(probe);
+    EXPECT_EQ(map.count(probe), expected == model.end() ? 0u : 1u);
+    if (expected == model.end()) {
+      EXPECT_EQ(map.find(probe), map.end());
+      EXPECT_THROW((void)map.at(probe), std::out_of_range);
+    } else {
+      EXPECT_EQ(map.at(probe), expected->second);
+      EXPECT_EQ(map.find(probe)->second, expected->second);
+    }
+    if (op % 5000 == 4999) {  // end of an erase-heavy phase: drain
+      for (const auto& [name, unused] : Model(model)) {
+        EXPECT_EQ(map.erase(name), 1u);
+        model.erase(name);
+      }
+      EXPECT_TRUE(map.empty());
+      EXPECT_EQ(map.begin(), map.end());
+    }
+    if (op % 250 == 0) {
+      ExpectMatches(map, model);
+      for (const auto& [copy, copy_model] : copies) {
+        ExpectMatches(copy, copy_model);
+      }
+    }
+  }
+  ExpectMatches(map, model);
+}
+
+TEST(AttributeMapTest, EqualityIgnoresChunkLayout) {
+  // The same contents reached by different insertion orders (different
+  // chunk boundaries) compare equal; one changed value does not.
+  AttrMap ascending;
+  AttrMap descending;
+  for (int i = 0; i < 500; ++i) ascending[Cat("k", i)] = Cat("v", i);
+  for (int i = 499; i >= 0; --i) descending[Cat("k", i)] = Cat("v", i);
+  EXPECT_TRUE(ascending == descending);
+  descending["k250"] = "other";
+  EXPECT_FALSE(ascending == descending);
+  EXPECT_FALSE(ascending == AttrMap{});
+  // The first of two duplicate keys wins, as with std::map.
+  const AttrMap dup{{"a", "first"}, {"a", "second"}};
+  EXPECT_EQ(dup.size(), 1u);
+  EXPECT_EQ(dup.at("a"), "first");
+}
+
+// --------------------------------------------------------------- the store
 
 TEST(StoreTest, ReadMissingKeyIsNotFound) {
   MultiVersionStore store;
@@ -207,22 +322,36 @@ TEST(StoreTest, SnapshotsAreImmutableAcrossLaterWrites) {
 
 TEST(StoreTest, CowReadsMatchDeepCopySemantics) {
   // Property test: run a random op sequence against the COW store and an
-  // eager deep-copy reference model; every snapshot read must observe
-  // identical bytes.
+  // eager deep-copy reference model (plain std::maps); every snapshot read
+  // must observe identical bytes. Rows span several chunks, so merges and
+  // copy-then-mutate rewrites share chunks between versions.
   Rng rng(20260730);
   MultiVersionStore store;
-  std::map<Timestamp, AttrMap> model;  // reference: full copy per version
-  AttrMap latest;
-  Timestamp ts = 0;
+  std::map<Timestamp, Model> model;  // reference: full copy per version
+  Model latest;
+  AttrMap initial;
+  for (int a = 0; a < 200; ++a) {
+    initial[Cat("a", a)] = Cat("initial-", a);
+    latest[Cat("a", a)] = Cat("initial-", a);
+  }
+  ASSERT_TRUE(store.Write("k", std::move(initial), 1).ok());
+  model[1] = latest;
+  Timestamp ts = 1;
   for (int op = 0; op < 500; ++op) {
     const int kind = static_cast<int>(rng.Uniform(3));
-    const std::string attr = Cat("a", rng.Uniform(8));
-    const std::string value = Cat("v", rng.Uniform(1000));
+    const std::string attr = Cat("a", rng.Uniform(250));
+    const std::string value = Cat("value-", rng.Uniform(1000));
     ++ts;
     if (kind == 0) {
-      AttrMap row{{attr, value}};
-      ASSERT_TRUE(store.Write("k", row, ts).ok());
-      latest = row;
+      // Whole-row write of a mutated copy of the latest snapshot (the WAL's
+      // side-table pattern): the copy shares chunks with the snapshot.
+      const std::string gone = Cat("a", rng.Uniform(250));
+      AttrMap row = *store.Read("k")->attributes;
+      row[attr] = value;
+      row.erase(gone);
+      ASSERT_TRUE(store.Write("k", std::move(row), ts).ok());
+      latest[attr] = value;
+      latest.erase(gone);
     } else if (kind == 1) {
       ASSERT_TRUE(store.MergeWrite("k", AttrMap{{attr, value}}, ts).ok());
       latest[attr] = value;
@@ -242,8 +371,51 @@ TEST(StoreTest, CowReadsMatchDeepCopySemantics) {
     auto it = model.upper_bound(probe);
     ASSERT_NE(it, model.begin());
     --it;
-    EXPECT_EQ(*row->attributes, it->second) << "probe ts=" << probe;
+    EXPECT_EQ(ToModel(*row->attributes), it->second) << "probe ts=" << probe;
   }
+}
+
+TEST(StoreTest, MergeWriteSharesUntouchedChunks) {
+  // D5 invariant 1 at chunk level: a one-attribute merge onto a
+  // 2000-attribute row copies only the chunk it touches. Untouched values
+  // are the very same objects in both versions, and the old version keeps
+  // its bytes after the merge and after GC drops it from the chain.
+  MultiVersionStore store;
+  AttrMap row;
+  for (int a = 0; a < 2000; ++a) row[Cat("a", a)] = Cat("initial-value-", a);
+  const Model before = ToModel(row);
+  ASSERT_TRUE(store.Write("k", std::move(row), 1).ok());
+  Result<RowVersion> v1 = store.Read("k", 1);
+  ASSERT_TRUE(v1.ok());
+  const std::string_view old_a0 = v1->attributes->at("a0");
+
+  ASSERT_TRUE(store.MergeWrite("k", AttrMap{{"a0", "merged"}}, 2).ok());
+  Result<RowVersion> v2 = store.Read("k", 2);
+  ASSERT_TRUE(v2.ok());
+  EXPECT_EQ(&v1->attributes->find("a1999")->second,
+            &v2->attributes->find("a1999")->second);
+  EXPECT_NE(&v1->attributes->find("a0")->second,
+            &v2->attributes->find("a0")->second);
+  EXPECT_EQ(v2->attributes->at("a0"), "merged");
+  EXPECT_EQ(old_a0, "initial-value-0");
+  ExpectMatches(*v1->attributes, before);
+
+  EXPECT_EQ(store.TruncateVersions("k", 2), 1u);
+  EXPECT_TRUE(store.Read("k", 1).status().IsNotFound());
+  EXPECT_EQ(old_a0, "initial-value-0");
+  ExpectMatches(*v1->attributes, before);
+}
+
+TEST(StoreTest, HasAttrProbesLikeReadAttrView) {
+  MultiVersionStore store;
+  ASSERT_TRUE(store.Write("k", AttrMap{{"a", "payload"}}).ok());
+  EXPECT_FALSE(store.HasAttr("nope", "a"));
+  EXPECT_FALSE(store.HasAttr("k", "b"));
+  EXPECT_TRUE(store.HasAttr("k", "a"));
+  AttrView view;
+  ASSERT_TRUE(store.HasAttr("k", "a", &view));
+  EXPECT_EQ(view.value, "payload");
+  EXPECT_EQ(view.value.data(), store.ReadAttrView("k", "a")->value.data());
 }
 
 // ----------------------------------------------------- GC vs. snapshots
@@ -372,6 +544,62 @@ TEST(StoreTest, ConcurrentWritersKeepVersionOrder) {
     EXPECT_GT(row->timestamp, prev);
     prev = row->timestamp;
   }
+}
+
+TEST(StoreTest, ConcurrentMergeWritesNeverTouchHeldSnapshots) {
+  // One thread merge-writes a wide row while another iterates snapshots it
+  // holds; every merged version shares chunks with the held ones, so a
+  // write into a shared chunk would show up as a changed value here (and
+  // as a data race under TSan). MergeWrite's copy-on-write check may let it
+  // write a chunk in place only when the chunk's count is 1. That is safe
+  // under the store's mutex: the base version stays in the chain while
+  // MergeWrite holds the mutex, so every chunk the merged copy inherits
+  // counts at least 2 and is cloned; only a chunk cloned within the same
+  // call, which no other thread has seen, is written in place. A reader
+  // dropping a snapshot only lowers counts, which at worst costs a clone.
+  constexpr int kWidth = 300;
+  constexpr Timestamp kMerges = 400;
+  MultiVersionStore store;
+  const std::string initial = "0";
+  AttrMap row;
+  for (int a = 0; a < kWidth; ++a) row[Cat("a", a)] = initial;
+  ASSERT_TRUE(store.Write("k", std::move(row), 1).ok());
+  // The merge at ts t sets a<t % kWidth> to t, so a version's content
+  // follows from its timestamp: a<i> holds the newest such t <= ts.
+  auto expected = [](Timestamp ts, int a) {
+    const Timestamp t = ts - (ts % kWidth - a + kWidth) % kWidth;
+    return t >= 2 ? std::to_string(t) : std::string(1, '0');
+  };
+  std::atomic<bool> done{false};
+  std::thread writer([&store, &done] {
+    for (Timestamp ts = 2; ts <= kMerges; ++ts) {
+      (void)store.MergeWrite(
+          "k", AttrMap{{Cat("a", ts % kWidth), std::to_string(ts)}}, ts);
+      if (ts % 64 == 0) (void)store.TruncateVersions("k", ts - 8);
+    }
+    done.store(true);
+  });
+  std::vector<RowVersion> held;
+  int mismatches = 0;
+  int checked = 0;
+  while (!done.load() || checked == 0) {
+    Result<RowVersion> latest = store.Read("k");
+    if (latest.ok()) held.push_back(*latest);
+    if (held.size() > 16) held.erase(held.begin());
+    for (const RowVersion& v : held) {
+      int n = 0;
+      for (const auto& [name, value] : *v.attributes) {
+        const int a = std::stoi(name.substr(1));
+        if (value != expected(v.timestamp, a)) ++mismatches;
+        ++n;
+      }
+      if (n != kWidth) ++mismatches;
+      ++checked;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace
