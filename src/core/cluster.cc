@@ -14,7 +14,7 @@ Cluster::Cluster(ClusterConfig config)
   net_options.latency_jitter = config_.latency_jitter;
   net_options.default_timeout = config_.message_timeout;
   net_options.seed = NextSeed();
-  network_ = std::make_unique<net::Network>(&simulator_, config_.RttMatrix(),
+  network_ = std::make_unique<txn::Network>(&simulator_, config_.RttMatrix(),
                                             net_options);
   const int d = config_.num_datacenters();
   stores_.reserve(d);
@@ -49,7 +49,7 @@ void Cluster::RestartService(DcId dc) {
       NextSeed());
   txn::TransactionService* service = services_[dc].get();
   network_->RegisterEndpoint(
-      dc, [service](DcId from, const std::any* request) {
+      dc, [service](DcId from, const txn::ServiceRequest* request) {
         return service->Handle(from, request);
       });
   for (const std::string& group : known_groups) service->GroupLog(group);

@@ -33,7 +33,7 @@ class Cluster {
   int num_datacenters() const { return config_.num_datacenters(); }
 
   sim::Simulator* simulator() { return &simulator_; }
-  net::Network* network() { return network_.get(); }
+  txn::Network* network() { return network_.get(); }
   kvstore::MultiVersionStore* store(DcId dc) { return stores_[dc].get(); }
   txn::TransactionService* service(DcId dc) { return services_[dc].get(); }
 
@@ -90,7 +90,7 @@ class Cluster {
   ClusterConfig config_;
   sim::Simulator simulator_;
   Rng seed_rng_;
-  std::unique_ptr<net::Network> network_;
+  std::unique_ptr<txn::Network> network_;
   std::vector<std::unique_ptr<kvstore::MultiVersionStore>> stores_;
   std::vector<std::unique_ptr<txn::TransactionService>> services_;
   /// Replaced service instances, kept alive because in-flight handler

@@ -4,7 +4,7 @@
 
 namespace paxoscp::fault {
 
-FaultInjector::FaultInjector(net::Network* network,
+FaultInjector::FaultInjector(net::NetworkBase* network,
                              std::function<void(DcId)> restart_service)
     : network_(network),
       restart_service_(std::move(restart_service)),

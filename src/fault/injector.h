@@ -16,9 +16,9 @@ namespace paxoscp::fault {
 class FaultInjector {
  public:
   /// `restart_service(dc)` is invoked for kServiceRestart events; leave it
-  /// empty to treat restarts as no-ops (e.g. when driving a bare Network).
+  /// empty to treat restarts as no-ops (e.g. when driving a bare NetworkBase).
   /// core::Cluster::ApplyFaultPlan wires it to Cluster::RestartService.
-  explicit FaultInjector(net::Network* network,
+  explicit FaultInjector(net::NetworkBase* network,
                          std::function<void(DcId)> restart_service = {});
 
   /// Schedules every event of `plan` at Now() + event.at. May be called
@@ -39,7 +39,7 @@ class FaultInjector {
  private:
   void Apply(const FaultEvent& event);
 
-  net::Network* network_;
+  net::NetworkBase* network_;
   std::function<void(DcId)> restart_service_;
   // Baselines captured at construction: a later Arm() may land mid-burst,
   // and every *Restore event must return to the true baseline.

@@ -1,47 +1,12 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cassert>
-
-#include "common/logging.h"
-#include "sim/race_hooks.h"
 
 namespace paxoscp::net {
 
-namespace {
-
-/// Everything a handler invocation needs, heap-owned so the coroutine only
-/// carries a trivially-destructible pointer parameter (GCC 12 miscompiles
-/// frame copies of std::any / std::variant parameters; see sim/coro.h).
-struct HandlerContext {
-  ServiceHandler handler;
-  DcId from = kNoDc;
-  std::any request;
-  std::function<void(std::any)> done;
-};
-
-/// Glue: runs a handler coroutine to completion, then hands the response to
-/// `done`. Task is eager, so calling this starts the handler immediately.
-/// Takes ownership of `raw_context`.
-sim::Task RunHandler(HandlerContext* raw_context) {
-  std::unique_ptr<HandlerContext> context(raw_context);
-  std::any response =
-      co_await context->handler(context->from, &context->request);
-  context->done(std::move(response));
-}
-
-struct BroadcastAggregator {
-  std::vector<TargetResult> results;
-  int resolved = 0;
-  int successes = 0;
-  bool grace_scheduled = false;
-};
-
-}  // namespace
-
-Network::Network(sim::Simulator* sim,
-                 std::vector<std::vector<TimeMicros>> rtt_matrix,
-                 NetworkOptions options)
+NetworkBase::NetworkBase(sim::Simulator* sim,
+                         std::vector<std::vector<TimeMicros>> rtt_matrix,
+                         NetworkOptions options)
     : sim_(sim),
       rtt_(std::move(rtt_matrix)),
       options_(options),
@@ -52,22 +17,13 @@ Network::Network(sim::Simulator* sim,
     assert(row.size() == n && "rtt matrix must be square");
     (void)row;
   }
-  handlers_.resize(n);
   dc_down_.assign(n, false);
   link_down_.assign(n, std::vector<bool>(n, false));
   dc_epoch_.assign(n, 0);
   link_epoch_.assign(n, std::vector<uint64_t>(n, 0));
 }
 
-void Network::RegisterEndpoint(DcId dc, ServiceHandler handler) {
-  assert(dc >= 0 && dc < num_datacenters());
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kWrite, {"net", "endpoint", dc});
-  }
-  handlers_[dc] = std::move(handler);
-}
-
-TimeMicros Network::SampleDelayFrom(Rng* rng, DcId from, DcId to) {
+TimeMicros NetworkBase::SampleDelay(Rng* rng, DcId from, DcId to) {
   const TimeMicros one_way = rtt_[from][to] / 2;
   if (options_.latency_jitter <= 0 || one_way == 0) {
     return std::max<TimeMicros>(one_way, 1);
@@ -84,7 +40,7 @@ TimeMicros Network::SampleDelayFrom(Rng* rng, DcId from, DcId to) {
   return std::max<TimeMicros>(delayed, 1);
 }
 
-bool Network::ShouldDropFrom(Rng* rng, DcId from, DcId to) {
+bool NetworkBase::ShouldDrop(Rng* rng, DcId from, DcId to) {
   if (sim::race::Active()) {
     sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", from});
     sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
@@ -104,245 +60,59 @@ bool Network::ShouldDropFrom(Rng* rng, DcId from, DcId to) {
   return false;
 }
 
-TimeMicros Network::MaybeReorderExtra(DcId from, DcId to) {
+TimeMicros NetworkBase::MaybeReorderExtra(DcId from, DcId to) {
   if (options_.reorder_probability <= 0 || from == to) return 0;
   if (sim::race::Active()) {
     sim::race::Record(sim::race::AccessKind::kWrite, {"net/fault-rng"});
   }
   if (!fault_rng_.Bernoulli(options_.reorder_probability)) return 0;
   ++messages_reordered_;
+  return ExtraDelay();
+}
+
+TimeMicros NetworkBase::ExtraDelay() {
   const TimeMicros max_extra =
       std::max<TimeMicros>(options_.reorder_extra_max, 1);
   return 1 + static_cast<TimeMicros>(
                  fault_rng_.Uniform(static_cast<uint64_t>(max_extra)));
 }
 
-sim::Future<CallResult> Network::Call(DcId from, DcId to,
-                                      const std::any& request,
-                                      TimeMicros timeout) {
-  assert(from >= 0 && from < num_datacenters());
-  assert(to >= 0 && to < num_datacenters());
-  if (timeout <= 0) timeout = options_.default_timeout;
-  ++calls_started_;
-
-  sim::Promise<CallResult> promise(sim_);
-
-  // Timeout: fires unless a response won the race first.
-  sim_->ScheduleAfter(
-      timeout,
-      [promise] {
-        promise.Set(CallResult{Status::TimedOut("rpc timeout"), {}});
-      },
-      "net/timeout");
-
-  // Request leg.
+bool NetworkBase::Depart(Copy copy, DcId from, DcId to) {
   ++messages_sent_;
-  if (ShouldDrop(from, to)) {
-    ++messages_dropped_;
-    return promise.GetFuture();
+  if (!ShouldDrop(copy == Copy::kOriginal ? &rng_ : &fault_rng_, from, to)) {
+    return true;
   }
-  const TimeMicros request_delay =
-      SampleDelay(from, to) + MaybeReorderExtra(from, to);
-  const uint64_t request_epoch = ChannelEpoch(from, to);
-  sim_->ScheduleAfter(
-      request_delay,
-      [this, from, to, promise, request_epoch, request = request]() mutable {
-        // Delivery-time check: drop if the destination is down, or if it
-        // (or the link traversed) went down at any point while the message
-        // was in flight — a heal before arrival does not resurrect it.
-        if (sim::race::Active()) {
-          sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
-          sim::race::Record(sim::race::AccessKind::kRead,
-                            {"net", "link", from, to});
-          sim::race::Record(sim::race::AccessKind::kRead,
-                            {"net", "endpoint", to});
-        }
-        if (dc_down_[to] || ChannelEpoch(from, to) != request_epoch) {
-          ++messages_dropped_;
-          return;
-        }
-        if (!handlers_[to]) {
-          ++messages_dropped_;
-          return;
-        }
-        auto* context = new HandlerContext;
-        context->handler = handlers_[to];
-        context->from = from;
-        context->request = std::move(request);
-        context->done = [this, from, to, promise](std::any response) {
-                     // Response leg.
-                     ++messages_sent_;
-                     if (ShouldDrop(to, from)) {
-                       ++messages_dropped_;
-                       return;
-                     }
-                     const TimeMicros response_delay =
-                         SampleDelay(to, from) + MaybeReorderExtra(to, from);
-                     const uint64_t response_epoch = ChannelEpoch(to, from);
-                     sim_->ScheduleAfter(
-                         response_delay,
-                         [this, from, to, promise, response_epoch,
-                          response = std::move(response)]() mutable {
-                           if (sim::race::Active()) {
-                             sim::race::Record(sim::race::AccessKind::kRead,
-                                               {"net", "dc", from});
-                             sim::race::Record(sim::race::AccessKind::kRead,
-                                               {"net", "link", to, from});
-                           }
-                           if (dc_down_[from] ||
-                               ChannelEpoch(to, from) != response_epoch) {
-                             ++messages_dropped_;
-                             return;
-                           }
-                           promise.Set(CallResult{Status::OK(),
-                                                  std::move(response)});
-                         },
-                         "net/response-leg");
-        };
-        RunHandler(context);
-      },
-      "net/request-leg");
-
-  // Duplicate-delivery fault: with probability duplicate_probability (fault
-  // stream), the request also arrives a second time, a little behind the
-  // original. The destination handler runs twice — exactly the re-delivered
-  // prepare/decide/apply the 2PC records must tolerate.
-  if (options_.duplicate_probability > 0 && from != to) {
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kWrite, {"net/fault-rng"});
-    }
-    if (fault_rng_.Bernoulli(options_.duplicate_probability)) {
-      ScheduleDuplicateRequest(from, to, request_delay, request_epoch, request,
-                               promise);
-    }
-  }
-  return promise.GetFuture();
+  ++messages_dropped_;
+  return false;
 }
 
-void Network::ScheduleDuplicateRequest(DcId from, DcId to,
-                                       TimeMicros original_delay,
-                                       uint64_t request_epoch,
-                                       const std::any& request,
-                                       sim::Promise<CallResult> promise) {
-  // The copy is a message of its own: counted, lossy, and epoch-checked like
-  // any other — it captured the same send-time epoch as the original, so it
-  // still respects outage windows and heal gaps. Every random draw on either
-  // of its legs comes from the fault stream, leaving the schedule of all
-  // non-duplicated traffic untouched.
-  ++messages_sent_;
+TimeMicros NetworkBase::LegDelay(Copy copy, DcId from, DcId to) {
+  if (copy == Copy::kDuplicate) return SampleDelay(&fault_rng_, from, to);
+  const TimeMicros delay = SampleDelay(&rng_, from, to);
+  return delay + MaybeReorderExtra(from, to);
+}
+
+bool NetworkBase::DrawDuplicate(DcId from, DcId to) {
+  if (options_.duplicate_probability <= 0 || from == to) return false;
+  if (sim::race::Active()) {
+    sim::race::Record(sim::race::AccessKind::kWrite, {"net/fault-rng"});
+  }
+  if (!fault_rng_.Bernoulli(options_.duplicate_probability)) return false;
   ++messages_duplicated_;
-  if (ShouldDropFrom(&fault_rng_, from, to)) {
-    ++messages_dropped_;
-    return;
-  }
-  const TimeMicros max_lag =
-      std::max<TimeMicros>(options_.reorder_extra_max, 1);
-  const TimeMicros delay =
-      original_delay + 1 +
-      static_cast<TimeMicros>(fault_rng_.Uniform(static_cast<uint64_t>(max_lag)));
-  sim_->ScheduleAfter(
-      delay,
-      [this, from, to, promise, request_epoch, request = request]() mutable {
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
-      sim::race::Record(sim::race::AccessKind::kRead,
-                        {"net", "link", from, to});
-      sim::race::Record(sim::race::AccessKind::kRead, {"net", "endpoint", to});
-    }
-    if (dc_down_[to] || ChannelEpoch(from, to) != request_epoch) {
-      ++messages_dropped_;
-      return;
-    }
-    if (!handlers_[to]) {
-      ++messages_dropped_;
-      return;
-    }
-    auto* context = new HandlerContext;
-    context->handler = handlers_[to];
-    context->from = from;
-    context->request = std::move(request);
-    context->done = [this, from, to, promise](std::any response) {
-      // Response leg of the copy. Client-side a second response is invisible
-      // anyway (sim::Promise is first-set-wins), but it still costs a
-      // message and can be lost.
-      ++messages_sent_;
-      if (ShouldDropFrom(&fault_rng_, to, from)) {
-        ++messages_dropped_;
-        return;
-      }
-      const TimeMicros response_delay = SampleDelayFrom(&fault_rng_, to, from);
-      const uint64_t response_epoch = ChannelEpoch(to, from);
-      sim_->ScheduleAfter(
-          response_delay,
-          [this, from, to, promise, response_epoch,
-           response = std::move(response)]() mutable {
-            if (sim::race::Active()) {
-              sim::race::Record(sim::race::AccessKind::kRead,
-                                {"net", "dc", from});
-              sim::race::Record(sim::race::AccessKind::kRead,
-                                {"net", "link", to, from});
-            }
-            if (dc_down_[from] || ChannelEpoch(to, from) != response_epoch) {
-              ++messages_dropped_;
-              return;
-            }
-            promise.Set(CallResult{Status::OK(), std::move(response)});
-          },
-          "net/dup-response");
-    };
-    RunHandler(context);
-  },
-      "net/dup-request");
+  return true;
 }
 
-sim::Future<BroadcastResult> Network::Broadcast(
-    DcId from, const std::vector<DcId>& targets, const std::any& request,
-    const BroadcastOptions& options) {
-  sim::Promise<BroadcastResult> promise(sim_);
-  auto agg = std::make_shared<BroadcastAggregator>();
-  const int n = static_cast<int>(targets.size());
-  agg->results.resize(n);
-  for (int i = 0; i < n; ++i) {
-    agg->results[i].dc = targets[i];
-    agg->results[i].status = Status::Unavailable("no response collected");
+bool NetworkBase::Arrives(DcId from, DcId to, uint64_t epoch) {
+  if (sim::race::Active()) {
+    sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
+    sim::race::Record(sim::race::AccessKind::kRead, {"net", "link", from, to});
   }
-  if (n == 0) {
-    promise.Set(BroadcastResult{});
-    return promise.GetFuture();
-  }
-
-  auto finish = [promise, agg] { promise.Set(agg->results); };
-
-  for (int i = 0; i < n; ++i) {
-    Call(from, targets[i], request, options.timeout)
-        .OnReady([this, i, n, agg, finish, options,
-                  promise](CallResult&& result) {
-          if (promise.IsSet()) return;  // already resolved (quorum early)
-          agg->results[i].status = result.status;
-          agg->results[i].response = std::move(result.response);
-          agg->resolved++;
-          if (result.status.ok()) agg->successes++;
-
-          if (agg->resolved == n) {
-            finish();
-            return;
-          }
-          if (options.policy == WaitPolicy::kQuorumEarly &&
-              agg->successes >= options.quorum && !agg->grace_scheduled) {
-            agg->grace_scheduled = true;
-            if (options.grace <= 0) {
-              finish();
-            } else {
-              sim_->ScheduleAfter(options.grace, finish,
-                                  "net/broadcast-grace");
-            }
-          }
-        });
-  }
-  return promise.GetFuture();
+  if (!dc_down_[to] && ChannelEpoch(from, to) == epoch) return true;
+  ++messages_dropped_;
+  return false;
 }
 
-void Network::SetDatacenterDown(DcId dc, bool down) {
+void NetworkBase::SetDatacenterDown(DcId dc, bool down) {
   assert(dc >= 0 && dc < num_datacenters());
   if (sim::race::Active()) {
     sim::race::Record(sim::race::AccessKind::kWrite, {"net", "dc", dc});
@@ -351,12 +121,12 @@ void Network::SetDatacenterDown(DcId dc, bool down) {
   dc_down_[dc] = down;
 }
 
-void Network::SetLinkDown(DcId a, DcId b, bool down) {
+void NetworkBase::SetLinkDown(DcId a, DcId b, bool down) {
   SetLinkOneWayDown(a, b, down);
   SetLinkOneWayDown(b, a, down);
 }
 
-void Network::SetLinkOneWayDown(DcId from, DcId to, bool down) {
+void NetworkBase::SetLinkOneWayDown(DcId from, DcId to, bool down) {
   assert(from >= 0 && from < num_datacenters());
   assert(to >= 0 && to < num_datacenters());
   if (sim::race::Active()) {
@@ -366,7 +136,7 @@ void Network::SetLinkOneWayDown(DcId from, DcId to, bool down) {
   link_down_[from][to] = down;
 }
 
-void Network::ResetStats() {
+void NetworkBase::ResetStats() {
   messages_sent_ = 0;
   messages_dropped_ = 0;
   calls_started_ = 0;

@@ -4,43 +4,45 @@
 // datacenters and individual links can be taken down, and every request is
 // bounded by a timeout — exactly the failure model in paper §2.2 ("either
 // the message arrives before a known timeout or it is lost").
+//
+// Network<Request, Response> carries one typed request/response pair; the
+// protocol instantiates it with txn::ServiceRequest / ServiceResponse
+// (txn/messages.h), so net/ depends on nothing in txn/. Everything that
+// does not depend on the message types — topology, delay and loss model,
+// outage epochs, delivery faults and counters — is the untyped NetworkBase,
+// which the fault injector drives.
 #pragma once
 
-#include <any>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "sim/coro.h"
+#include "sim/race_hooks.h"
 #include "sim/simulator.h"
 
 namespace paxoscp::net {
 
 /// Outcome of a single RPC.
+template <typename Response>
 struct CallResult {
-  Status status;       // OK, TimedOut, or Unavailable
-  std::any response;   // valid iff status.ok()
+  Status status;      // OK, TimedOut, or Unavailable
+  Response response;  // valid iff status.ok()
 };
 
 /// Outcome of one target within a Broadcast.
+template <typename Response>
 struct TargetResult {
   DcId dc = kNoDc;
   Status status;
-  std::any response;
+  Response response;
 };
-using BroadcastResult = std::vector<TargetResult>;
-
-/// A service endpoint: receives a request (with the caller's DcId) and
-/// produces a response, possibly suspending (e.g. to learn a log entry).
-/// The request is passed by pointer — it is owned by the network layer and
-/// outlives the handler coroutine. (Coroutine parameters must be trivially
-/// destructible on this toolchain; see sim/coro.h.)
-using ServiceHandler =
-    std::function<sim::Coro<std::any>(DcId from, const std::any* request)>;
 
 /// How long to wait for broadcast responses.
 enum class WaitPolicy {
@@ -91,32 +93,18 @@ struct BroadcastOptions {
   TimeMicros timeout = 0;         // 0 => NetworkOptions::default_timeout
 };
 
-class Network {
+/// The part of the network that does not depend on the message types: it
+/// decides, for each one-way message, whether it is lost and how long it
+/// travels, and counts what it decided.
+class NetworkBase {
  public:
   /// `rtt_matrix[a][b]` is the round-trip time between datacenters a and b
   /// in microseconds; the diagonal models intra-datacenter hops.
-  Network(sim::Simulator* sim, std::vector<std::vector<TimeMicros>> rtt_matrix,
-          NetworkOptions options);
+  NetworkBase(sim::Simulator* sim,
+              std::vector<std::vector<TimeMicros>> rtt_matrix,
+              NetworkOptions options);
 
   int num_datacenters() const { return static_cast<int>(rtt_.size()); }
-
-  /// Installs the handler that serves requests arriving at `dc`.
-  void RegisterEndpoint(DcId dc, ServiceHandler handler);
-
-  /// Sends `request` from `from` to `to`; resolves with the response or
-  /// TimedOut. `timeout` of 0 uses the default (2 s). The request is taken
-  /// by reference and copied internally — callers in coroutines must pass a
-  /// named object, never a temporary inside a co_await expression (see
-  /// sim/coro.h on GCC 12 cross-suspension temporary hazards).
-  sim::Future<CallResult> Call(DcId from, DcId to, const std::any& request,
-                               TimeMicros timeout = 0);
-
-  /// Sends `request` to every target in parallel and gathers the results
-  /// according to the wait policy. The result vector is ordered as `targets`.
-  sim::Future<BroadcastResult> Broadcast(DcId from,
-                                         const std::vector<DcId>& targets,
-                                         const std::any& request,
-                                         const BroadcastOptions& options);
 
   // -- Fault injection ------------------------------------------------------
   //
@@ -167,30 +155,33 @@ class Network {
   sim::Simulator* simulator() const { return sim_; }
   TimeMicros default_timeout() const { return options_.default_timeout; }
 
- private:
-  /// Samples the one-way delay from `from` to `to` using `rng` (the main
-  /// jitter stream for regular legs, the fault stream for duplicate copies).
-  TimeMicros SampleDelayFrom(Rng* rng, DcId from, DcId to);
-  /// Samples the one-way delay from `from` to `to`.
-  TimeMicros SampleDelay(DcId from, DcId to) {
-    return SampleDelayFrom(&rng_, from, to);
-  }
-  /// True if the message should be dropped (loss, outage, severed link),
-  /// drawing the loss decision from `rng`.
-  bool ShouldDropFrom(Rng* rng, DcId from, DcId to);
-  /// True if the message should be dropped (loss, outage, severed link).
-  bool ShouldDrop(DcId from, DcId to) { return ShouldDropFrom(&rng_, from, to); }
-  /// Extra reorder delay for one leg: 0 unless a reorder fault is active, in
-  /// which case a Bernoulli(reorder_probability) draw from the fault stream
-  /// holds the message back by U(1, reorder_extra_max). Never touches rng_.
-  TimeMicros MaybeReorderExtra(DcId from, DcId to);
-  /// Schedules the independent second delivery of a duplicated request. All
-  /// of its randomness (lag behind the original, loss on both legs, response
-  /// delay) comes from the fault stream so the original's schedule — and
-  /// every other message's — is unchanged.
-  void ScheduleDuplicateRequest(DcId from, DcId to, TimeMicros original_delay,
-                                uint64_t request_epoch, const std::any& request,
-                                sim::Promise<CallResult> promise);
+ protected:
+  /// Which copy of a request a message belongs to. A duplicate draws every
+  /// random decision from the fault stream, so the original's schedule —
+  /// and every other message's — is the same whether or not it exists.
+  enum class Copy : uint8_t { kOriginal, kDuplicate };
+
+  /// Send side of one one-way message: counts it and draws whether it is
+  /// lost (outage, severed link, or loss from `copy`'s stream). False means
+  /// it is lost at send, counted as dropped.
+  bool Depart(Copy copy, DcId from, DcId to);
+  /// One-way delay of a departed message: the original's jittered delay
+  /// plus any reorder extra, or a duplicate's jittered delay drawn from the
+  /// fault stream. A duplicated request instead trails its original by
+  /// ExtraDelay().
+  TimeMicros LegDelay(Copy copy, DcId from, DcId to);
+  /// Draws (fault stream) whether a request is also delivered a second
+  /// time; counts the duplicate when it is.
+  bool DrawDuplicate(DcId from, DcId to);
+  /// U(1, reorder_extra_max) from the fault stream: how far a reordered
+  /// message is held back, and how far a duplicated request trails its
+  /// original.
+  TimeMicros ExtraDelay();
+  /// Delivery-time check of a message that departed under `epoch`: false
+  /// (counted as dropped) if the destination is down, or if it or the link
+  /// went down at any point in flight — a heal before arrival does not
+  /// resurrect it.
+  bool Arrives(DcId from, DcId to, uint64_t epoch);
   /// Outage epoch of the `from` -> `to` channel. Captured when a message is
   /// sent; if it changed by delivery time the message crossed a fault window
   /// and is lost (see the in-flight semantics note above).
@@ -199,6 +190,20 @@ class Network {
   }
 
   sim::Simulator* sim_;
+  uint64_t messages_dropped_ = 0;
+  uint64_t calls_started_ = 0;
+
+ private:
+  /// Samples the one-way delay from `from` to `to` using `rng`.
+  TimeMicros SampleDelay(Rng* rng, DcId from, DcId to);
+  /// True if the message should be dropped (loss, outage, severed link),
+  /// drawing the loss decision from `rng`.
+  bool ShouldDrop(Rng* rng, DcId from, DcId to);
+  /// Extra reorder delay for one leg: 0 unless a reorder fault is active, in
+  /// which case a Bernoulli(reorder_probability) draw from the fault stream
+  /// holds the message back by ExtraDelay(). Never touches rng_.
+  TimeMicros MaybeReorderExtra(DcId from, DcId to);
+
   std::vector<std::vector<TimeMicros>> rtt_;
   NetworkOptions options_;
   Rng rng_;
@@ -206,7 +211,6 @@ class Network {
   /// the corresponding probability is non-zero, so fault-free runs are
   /// bit-identical with the feature compiled in.
   Rng fault_rng_;
-  std::vector<ServiceHandler> handlers_;
   std::vector<bool> dc_down_;
   std::vector<std::vector<bool>> link_down_;
   /// Incremented every time the datacenter / directed link goes down.
@@ -214,10 +218,230 @@ class Network {
   std::vector<std::vector<uint64_t>> link_epoch_;
 
   uint64_t messages_sent_ = 0;
-  uint64_t messages_dropped_ = 0;
-  uint64_t calls_started_ = 0;
   uint64_t messages_duplicated_ = 0;
   uint64_t messages_reordered_ = 0;
 };
+
+/// The network for one request/response message pair.
+template <typename Request, typename Response>
+class Network : public NetworkBase {
+ public:
+  /// A service endpoint: receives a request (with the caller's DcId) and
+  /// produces a response, possibly suspending (e.g. to learn a log entry).
+  /// The request is passed by pointer — it is the network's shared copy and
+  /// outlives the handler coroutine. (Coroutine parameters must be trivially
+  /// destructible on this toolchain; see sim/coro.h.)
+  using Handler =
+      std::function<sim::Coro<Response>(DcId from, const Request* request)>;
+  using BroadcastResult = std::vector<TargetResult<Response>>;
+
+  Network(sim::Simulator* sim, std::vector<std::vector<TimeMicros>> rtt_matrix,
+          NetworkOptions options)
+      : NetworkBase(sim, std::move(rtt_matrix), options),
+        handlers_(num_datacenters()) {}
+
+  /// Installs the handler that serves requests arriving at `dc`.
+  void RegisterEndpoint(DcId dc, Handler handler) {
+    assert(dc >= 0 && dc < num_datacenters());
+    if (sim::race::Active()) {
+      sim::race::Record(sim::race::AccessKind::kWrite, {"net", "endpoint", dc});
+    }
+    handlers_[dc] = std::move(handler);
+  }
+
+  /// Sends `request` from `from` to `to`; resolves with the response or
+  /// TimedOut. `timeout` of 0 uses the default (2 s). The request is taken
+  /// by reference and copied once, before Call returns — callers in
+  /// coroutines must pass a named object, never a temporary inside a
+  /// co_await expression (see sim/coro.h on GCC 12 cross-suspension
+  /// temporary hazards).
+  sim::Future<CallResult<Response>> Call(DcId from, DcId to,
+                                         const Request& request,
+                                         TimeMicros timeout = 0) {
+    return Send(from, to, std::make_shared<const Request>(request), timeout);
+  }
+
+  /// Sends `request` to every target in parallel and gathers the results
+  /// according to the wait policy. The result vector is ordered as `targets`.
+  /// Every target is served from one copy of the request.
+  sim::Future<BroadcastResult> Broadcast(DcId from,
+                                         const std::vector<DcId>& targets,
+                                         const Request& request,
+                                         const BroadcastOptions& options);
+
+ private:
+  /// One copy of a request, from departure to its response leg. The
+  /// request-leg event, the handler run and the response-leg event own it
+  /// in turn.
+  struct Delivery {
+    Copy copy;
+    DcId from;
+    DcId to;
+    std::shared_ptr<const Request> request;
+    sim::Promise<CallResult<Response>> promise;
+    uint64_t epoch = 0;  // channel epoch captured when the current leg left
+    /// The endpoint as registered on arrival: re-registering it (a service
+    /// restart) while this copy is served keeps the running closure alive.
+    Handler handler;
+    Response response{};
+  };
+
+  sim::Future<CallResult<Response>> Send(
+      DcId from, DcId to, std::shared_ptr<const Request> request,
+      TimeMicros timeout);
+  /// Delivers one copy of a request — the original or a duplicate — after
+  /// `delay`, and hands it to the destination's handler.
+  void Deliver(std::unique_ptr<Delivery> delivery, TimeMicros delay);
+  /// Runs the handler, then sends the response leg. Takes ownership of
+  /// `raw`; a pointer parameter because coroutine parameters must be
+  /// trivially destructible (sim/coro.h).
+  sim::Task Serve(Delivery* raw);
+
+  std::vector<Handler> handlers_;
+};
+
+template <typename Request, typename Response>
+sim::Future<CallResult<Response>> Network<Request, Response>::Send(
+    DcId from, DcId to, std::shared_ptr<const Request> request,
+    TimeMicros timeout) {
+  assert(from >= 0 && from < num_datacenters());
+  assert(to >= 0 && to < num_datacenters());
+  if (timeout <= 0) timeout = default_timeout();
+  ++calls_started_;
+
+  sim::Promise<CallResult<Response>> promise(sim_);
+
+  // Timeout: fires unless a response won the race first.
+  sim_->ScheduleAfter(
+      timeout,
+      [promise] {
+        promise.Set(CallResult<Response>{Status::TimedOut("rpc timeout"), {}});
+      },
+      "net/timeout");
+
+  if (!Depart(Copy::kOriginal, from, to)) return promise.GetFuture();
+  const TimeMicros delay = LegDelay(Copy::kOriginal, from, to);
+  Deliver(std::make_unique<Delivery>(Copy::kOriginal, from, to, request,
+                                     promise),
+          delay);
+
+  // Duplicate-delivery fault: the request also arrives a second time, a
+  // little behind the original. The destination handler runs twice —
+  // exactly the re-delivered prepare/decide/apply the 2PC records must
+  // tolerate. The copy is a message of its own: counted, lossy, and
+  // epoch-checked against the same send-time epoch as the original.
+  if (DrawDuplicate(from, to) && Depart(Copy::kDuplicate, from, to)) {
+    Deliver(std::make_unique<Delivery>(Copy::kDuplicate, from, to,
+                                       std::move(request), promise),
+            delay + ExtraDelay());
+  }
+  return promise.GetFuture();
+}
+
+template <typename Request, typename Response>
+void Network<Request, Response>::Deliver(std::unique_ptr<Delivery> delivery,
+                                         TimeMicros delay) {
+  delivery->epoch = ChannelEpoch(delivery->from, delivery->to);
+  const char* tag = delivery->copy == Copy::kOriginal ? "net/request-leg"
+                                                      : "net/dup-request";
+  sim_->ScheduleAfter(
+      delay,
+      [this, d = std::move(delivery)]() mutable {
+        if (sim::race::Active()) {
+          sim::race::Record(sim::race::AccessKind::kRead,
+                            {"net", "endpoint", d->to});
+        }
+        if (!Arrives(d->from, d->to, d->epoch)) return;
+        if (!handlers_[d->to]) {
+          ++messages_dropped_;
+          return;
+        }
+        d->handler = handlers_[d->to];
+        Serve(d.release());
+      },
+      tag);
+}
+
+template <typename Request, typename Response>
+sim::Task Network<Request, Response>::Serve(Delivery* raw) {
+  std::unique_ptr<Delivery> d(raw);
+  d->response = co_await d->handler(d->from, d->request.get());
+  // Response leg. A duplicate's response is invisible to the caller (the
+  // promise is first-set-wins), but it still costs a message and can be
+  // lost.
+  if (!Depart(d->copy, d->to, d->from)) co_return;
+  const TimeMicros delay = LegDelay(d->copy, d->to, d->from);
+  d->epoch = ChannelEpoch(d->to, d->from);
+  const char* tag =
+      d->copy == Copy::kOriginal ? "net/response-leg" : "net/dup-response";
+  sim_->ScheduleAfter(
+      delay,
+      [this, d = std::move(d)]() mutable {
+        if (Arrives(d->to, d->from, d->epoch)) {
+          d->promise.Set(
+              CallResult<Response>{Status::OK(), std::move(d->response)});
+        }
+      },
+      tag);
+}
+
+template <typename Request, typename Response>
+auto Network<Request, Response>::Broadcast(DcId from,
+                                           const std::vector<DcId>& targets,
+                                           const Request& request,
+                                           const BroadcastOptions& options)
+    -> sim::Future<BroadcastResult> {
+  struct Aggregator {
+    BroadcastResult results;
+    int resolved = 0;
+    int successes = 0;
+    bool grace_scheduled = false;
+  };
+  sim::Promise<BroadcastResult> promise(sim_);
+  const int n = static_cast<int>(targets.size());
+  if (n == 0) {
+    promise.Set(BroadcastResult{});
+    return promise.GetFuture();
+  }
+  auto agg = std::make_shared<Aggregator>();
+  agg->results.resize(n);
+  for (int i = 0; i < n; ++i) {
+    agg->results[i].dc = targets[i];
+    agg->results[i].status = Status::Unavailable("no response collected");
+  }
+
+  // The first finish moves the results out; the promise is first-set-wins
+  // and every later callback returns before touching them.
+  auto finish = [promise, agg] { promise.Set(std::move(agg->results)); };
+
+  const auto shared = std::make_shared<const Request>(request);
+  for (int i = 0; i < n; ++i) {
+    Send(from, targets[i], shared, options.timeout)
+        .OnReady([this, i, n, agg, finish, options,
+                  promise](CallResult<Response>&& result) {
+          if (promise.IsSet()) return;  // already resolved (quorum early)
+          agg->results[i].status = result.status;
+          agg->results[i].response = std::move(result.response);
+          agg->resolved++;
+          if (result.status.ok()) agg->successes++;
+
+          if (agg->resolved == n) {
+            finish();
+            return;
+          }
+          if (options.policy == WaitPolicy::kQuorumEarly &&
+              agg->successes >= options.quorum && !agg->grace_scheduled) {
+            agg->grace_scheduled = true;
+            if (options.grace <= 0) {
+              finish();
+            } else {
+              sim_->ScheduleAfter(options.grace, finish,
+                                  "net/broadcast-grace");
+            }
+          }
+        });
+  }
+  return promise.GetFuture();
+}
 
 }  // namespace paxoscp::net

@@ -85,9 +85,10 @@ class [[nodiscard]] Coro {
   };
 
   struct promise_type {
-    // Explicitly declared so the promise is not an aggregate: otherwise GCC
-    // tries to aggregate-initialize it from the coroutine's parameters,
-    // which explodes when T is std::any (constructible from anything).
+    // Explicitly declared so the promise is not an aggregate: otherwise
+    // C++20 parenthesized aggregate initialization builds it from the
+    // coroutine's parameters, and `Coro<std::string> F(std::string s)`
+    // would start with `value` already holding `s` (GCC 12 does this).
     promise_type() = default;
 
     std::optional<T> value;

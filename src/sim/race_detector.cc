@@ -9,7 +9,7 @@ namespace paxoscp::sim {
 
 namespace race {
 
-thread_local RaceDetector* g_active_detector = nullptr;
+constinit thread_local RaceDetector* g_active_detector = nullptr;
 
 void Record(AccessKind kind, std::initializer_list<CellPart> parts) {
   RaceDetector* detector = g_active_detector;

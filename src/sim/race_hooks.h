@@ -34,8 +34,12 @@ enum class AccessKind : uint8_t { kRead, kWrite };
 
 /// The detector attached to the simulator whose event is currently
 /// executing on this thread (nullptr when detached — the common case).
-/// Maintained by Simulator::Step around every event callback.
-extern thread_local RaceDetector* g_active_detector;
+/// Maintained by Simulator::Step around every event callback. constinit
+/// tells every includer that the variable has no dynamic initializer, so a
+/// hook site reads it directly instead of calling GCC's thread_local
+/// wrapper function (through which ASan+UBSan builds on GCC 12 abort with
+/// a null pointer load).
+extern constinit thread_local RaceDetector* g_active_detector;
 
 inline bool Active() { return g_active_detector != nullptr; }
 

@@ -1,6 +1,5 @@
 #include "txn/client.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "common/logging.h"
@@ -8,7 +7,7 @@
 
 namespace paxoscp::txn {
 
-TransactionClient::TransactionClient(net::Network* network, DcId home,
+TransactionClient::TransactionClient(Network* network, DcId home,
                                      const ClientOptions& options,
                                      uint32_t client_uid, uint64_t seed)
     : network_(network),
@@ -35,30 +34,28 @@ void TransactionClient::ReleaseGroup(const std::string& group) {
   active_groups_.erase(group);
 }
 
-sim::Coro<net::CallResult> TransactionClient::CallWithFailover(
+sim::Coro<CallResult> TransactionClient::CallWithFailover(
     const ServiceRequest* request) {
   // Home datacenter first (the paper's locality optimization), then every
   // other Transaction Service until one answers.
-  net::CallResult last{Status::Unavailable("no datacenters"), {}};
+  CallResult last{Status::Unavailable("no datacenters"), {}};
   for (int attempt = 0; attempt < network_->num_datacenters(); ++attempt) {
     const DcId target = (home_ + attempt) % network_->num_datacenters();
-    const std::any payload(*request);
-    last = co_await network_->Call(home_, target, payload,
+    last = co_await network_->Call(home_, target, *request,
                                    options_.rpc_timeout);
     if (last.status.ok()) co_return last;
   }
   co_return last;
 }
 
-sim::Coro<net::BroadcastResult> TransactionClient::BroadcastToAll(
+sim::Coro<BroadcastResult> TransactionClient::BroadcastToAll(
     const ServiceRequest* request) {
   net::BroadcastOptions bopts;
   bopts.policy = options_.wait_policy;
   bopts.quorum = majority_;
   bopts.grace = options_.quorum_grace;
   bopts.timeout = options_.rpc_timeout;
-  const std::any payload(*request);
-  co_return co_await network_->Broadcast(home_, all_dcs_, payload, bopts);
+  co_return co_await network_->Broadcast(home_, all_dcs_, *request, bopts);
 }
 
 sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
@@ -68,13 +65,12 @@ sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
   }
   active_groups_.insert(group);
   ServiceRequest begin_request = BeginRequest{group};
-  net::CallResult result = co_await CallWithFailover(&begin_request);
+  CallResult result = co_await CallWithFailover(&begin_request);
   if (!result.status.ok()) {
     active_groups_.erase(group);
     co_return Txn(result.status);
   }
-  const auto& response = std::any_cast<const ServiceResponse&>(result.response);
-  const auto& begin = std::get<BeginResponse>(response);
+  const auto& begin = std::get<BeginResponse>(result.response);
 
   auto state = std::make_unique<TxnState>();
   state->txn.group = std::move(group);
@@ -102,10 +98,9 @@ sim::Coro<Result<std::string>> TransactionClient::ReadItem(
 
   ServiceRequest read_request =
       ReadRequest{state->txn.group, item, state->txn.read_pos};
-  net::CallResult result = co_await CallWithFailover(&read_request);
+  CallResult result = co_await CallWithFailover(&read_request);
   if (!result.status.ok()) co_return result.status;
-  const auto& response = std::any_cast<const ServiceResponse&>(result.response);
-  const auto& read = std::get<ReadResponse>(response);
+  const auto& read = std::get<ReadResponse>(result.response);
   if (!read.status.ok()) co_return read.status;
 
   // Record the read (with observed provenance) in the read set.
@@ -121,10 +116,9 @@ sim::Coro<Result<kvstore::AttributeMap>> TransactionClient::ReadRowItems(
     TxnState* state, std::string row) {
   ServiceRequest read_request =
       ReadRowRequest{state->txn.group, row, state->txn.read_pos};
-  net::CallResult result = co_await CallWithFailover(&read_request);
+  CallResult result = co_await CallWithFailover(&read_request);
   if (!result.status.ok()) co_return result.status;
-  const auto& response = std::any_cast<const ServiceResponse&>(result.response);
-  const auto& read = std::get<ReadRowResponse>(response);
+  const auto& read = std::get<ReadRowResponse>(result.response);
   if (!read.status.ok()) co_return read.status;
 
   kvstore::AttributeMap out;
@@ -242,28 +236,16 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
                                   wal::RecordKind own_kind,
                                   paxos::Ballot* max_seen) {
   ServiceRequest accept_request = AcceptRequest{group, pos, ballot, *proposal};
-  net::BroadcastResult aresults = co_await BroadcastToAll(&accept_request);
-  int accepted = 0;
-  for (net::TargetResult& tr : aresults) {
-    if (!tr.status.ok()) continue;
-    const auto& response = std::any_cast<const ServiceResponse&>(tr.response);
-    const paxos::AcceptResult& ar = std::get<AcceptResponse>(response).result;
-    if (ar.accepted) {
-      ++accepted;
-    } else {
-      *max_seen = std::max(*max_seen, ar.next_bal);
-    }
-  }
-  if (accepted < majority_) co_return std::nullopt;
+  BroadcastResult aresults = co_await BroadcastToAll(&accept_request);
+  if (TallyAccepts(aresults, max_seen) < majority_) co_return std::nullopt;
 
   // Decided. Send apply to every replica (Step 5; fire-and-forget — the
   // client does not need the acknowledgements to report its outcome).
   net::BroadcastOptions bopts;
   bopts.timeout = options_.rpc_timeout;
-  network_->Broadcast(home_, all_dcs_,
-                      std::any(ServiceRequest(
-                          ApplyRequest{group, pos, ballot, *proposal})),
-                      bopts);
+  const ServiceRequest apply_request =
+      ApplyRequest{group, pos, ballot, *proposal};
+  network_->Broadcast(home_, all_dcs_, apply_request, bopts);
   InstanceOutcome outcome;
   outcome.kind = proposal->ContainsRecord(own_id, own_kind)
                      ? InstanceOutcome::Kind::kWon
@@ -290,24 +272,19 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     // the canonical bootstrap leader, never to home_, to preserve the
     // uniqueness of round-0 grants.
     const DcId leader = leader_dc == kNoDc ? 0 : leader_dc;
-    const std::any claim_payload(
-        ServiceRequest(ClaimLeaderRequest{group, pos}));
-    net::CallResult claim = co_await network_->Call(home_, leader,
-                                                    claim_payload,
-                                                    options_.rpc_timeout);
-    if (claim.status.ok()) {
-      const auto& response =
-          std::any_cast<const ServiceResponse&>(claim.response);
-      if (std::get<ClaimLeaderResponse>(response).granted) {
-        std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
-            group, pos, paxos::Ballot{0, home_}, own, own_id, own_kind,
-            &max_seen);
-        if (outcome.has_value()) {
-          stats->fast_path = true;
-          co_return *outcome;
-        }
-        // Contention: fall through to the full protocol.
+    const ServiceRequest claim_request = ClaimLeaderRequest{group, pos};
+    CallResult claim = co_await network_->Call(home_, leader, claim_request,
+                                               options_.rpc_timeout);
+    if (claim.status.ok() &&
+        std::get<ClaimLeaderResponse>(claim.response).granted) {
+      std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
+          group, pos, paxos::Ballot{0, home_}, own, own_id, own_kind,
+          &max_seen);
+      if (outcome.has_value()) {
+        stats->fast_path = true;
+        co_return *outcome;
       }
+      // Contention: fall through to the full protocol.
     }
   }
 
@@ -317,36 +294,20 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
     // Prepare phase (Step 1/2).
     ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
-    net::BroadcastResult presults =
-        co_await BroadcastToAll(&prepare_request);
-    std::vector<paxos::LastVote> votes;
-    std::optional<wal::LogEntry> decided;
-    int promised = 0;
-    for (net::TargetResult& tr : presults) {
-      if (!tr.status.ok()) continue;
-      const auto& response =
-          std::any_cast<const ServiceResponse&>(tr.response);
-      const paxos::PrepareResult& pr =
-          std::get<PrepareResponse>(response).result;
-      if (pr.decided.has_value() && !decided.has_value()) decided = pr.decided;
-      max_seen = std::max(max_seen, pr.next_bal);
-      if (pr.promised) {
-        ++promised;
-        votes.push_back(paxos::LastVote{tr.dc, pr.vote_ballot, pr.vote_value});
-      }
-    }
+    BroadcastResult presults = co_await BroadcastToAll(&prepare_request);
+    PrepareTally prepares = TallyPrepares(&presults, &max_seen);
 
     // Catch-up short circuit: a replica already knows the decided value.
-    if (decided.has_value()) {
+    if (prepares.decided.has_value()) {
       InstanceOutcome outcome;
-      outcome.kind = decided->ContainsRecord(own_id, own_kind)
+      outcome.kind = prepares.decided->ContainsRecord(own_id, own_kind)
                          ? InstanceOutcome::Kind::kWon
                          : InstanceOutcome::Kind::kLost;
-      outcome.decided = *std::move(decided);
+      outcome.decided = *std::move(prepares.decided);
       co_return outcome;
     }
 
-    if (promised < majority_) {
+    if (prepares.promised() < majority_) {
       co_await sim::SleepFor(sim_, RandomBackoff());
       continue;
     }
@@ -355,8 +316,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     wal::LogEntry proposal;
     if (options_.protocol == Protocol::kPaxosCP) {
       paxos::SelectionDecision decision = paxos::EnhancedFindWinningValue(
-          votes, promised, network_->num_datacenters(), *own,
-          options_.combine);
+          prepares.votes, prepares.promised(), network_->num_datacenters(),
+          *own, options_.combine);
       if (decision.kind == paxos::SelectionKind::kLost) {
         // A competing value certainly won; stop before the accept phase
         // (§5: the promoted client "stops executing the Paxos protocol
@@ -368,7 +329,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
       }
       proposal = std::move(decision.value);
     } else {
-      std::optional<wal::LogEntry> winning = paxos::FindWinningValue(votes);
+      std::optional<wal::LogEntry> winning =
+          paxos::FindWinningValue(prepares.votes);
       proposal = winning.has_value() ? *std::move(winning) : *own;
     }
 

@@ -39,7 +39,7 @@ class TransactionClient {
  public:
   /// `client_uid` must be unique among all clients of this datacenter; it
   /// makes transaction ids globally unique.
-  TransactionClient(net::Network* network, DcId home,
+  TransactionClient(Network* network, DcId home,
                     const ClientOptions& options, uint32_t client_uid,
                     uint64_t seed);
 
@@ -229,13 +229,13 @@ class TransactionClient {
       paxos::Ballot* max_seen);
 
   /// Calls the home service first, then fails over to the others.
-  sim::Coro<net::CallResult> CallWithFailover(const ServiceRequest* request);
+  sim::Coro<CallResult> CallWithFailover(const ServiceRequest* request);
 
-  sim::Coro<net::BroadcastResult> BroadcastToAll(const ServiceRequest* request);
+  sim::Coro<BroadcastResult> BroadcastToAll(const ServiceRequest* request);
 
   TimeMicros RandomBackoff();
 
-  net::Network* network_;
+  Network* network_;
   sim::Simulator* sim_;
   DcId home_;
   ClientOptions options_;

@@ -5,7 +5,6 @@
 #include "txn/cross.h"
 
 #include <algorithm>
-#include <any>
 #include <utility>
 
 #include "common/logging.h"
@@ -267,13 +266,12 @@ sim::Coro<TransactionClient::CrossBeginLeg> TransactionClient::BeginCrossLeg(
     std::string group) {
   CrossBeginLeg leg;
   ServiceRequest begin_request = BeginRequest{group, /*cross=*/true};
-  net::CallResult result = co_await CallWithFailover(&begin_request);
+  CallResult result = co_await CallWithFailover(&begin_request);
   if (!result.status.ok()) {
     leg.status = result.status;
     co_return leg;
   }
-  const auto& response = std::any_cast<const ServiceResponse&>(result.response);
-  const auto& begin = std::get<BeginResponse>(response);
+  const auto& begin = std::get<BeginResponse>(result.response);
   leg.read_pos = begin.read_pos;
   leg.leader_dc = begin.leader_dc;
   leg.max_cross_ts = begin.max_cross_ts;
@@ -581,11 +579,9 @@ sim::Coro<void> TransactionClient::AwaitDecideApplied(std::string group,
   constexpr int kMaxApplyPolls = 64;
   for (int i = 0; i < kMaxApplyPolls; ++i) {
     ServiceRequest query = QueryCrossRequest{group, id};
-    net::CallResult result = co_await CallWithFailover(&query);
+    CallResult result = co_await CallWithFailover(&query);
     if (!result.status.ok()) co_return;
-    const auto& response =
-        std::any_cast<const ServiceResponse&>(result.response);
-    if (std::get<QueryCrossResponse>(response).has_decision) co_return;
+    if (std::get<QueryCrossResponse>(result.response).has_decision) co_return;
     co_await sim::SleepFor(sim_, RandomBackoff());
   }
 }
@@ -604,14 +600,13 @@ sim::Coro<void> TransactionClient::PropagateDecide(std::string group,
 sim::Coro<TransactionClient::CrossQueryResult>
 TransactionClient::QueryCrossAll(std::string group, TxnId id) {
   CrossQueryResult out;
+  const ServiceRequest query = QueryCrossRequest{group, id};
   for (int dc = 0; dc < network_->num_datacenters(); ++dc) {
-    const std::any payload(ServiceRequest(QueryCrossRequest{group, id}));
-    net::CallResult r = co_await network_->Call(
-        home_, (home_ + dc) % network_->num_datacenters(), payload,
+    CallResult r = co_await network_->Call(
+        home_, (home_ + dc) % network_->num_datacenters(), query,
         options_.rpc_timeout);
     if (!r.status.ok()) continue;
-    const auto& resp = std::any_cast<const ServiceResponse&>(r.response);
-    const auto& q = std::get<QueryCrossResponse>(resp);
+    const auto& q = std::get<QueryCrossResponse>(r.response);
     if (q.has_prepare && !out.has_prepare) {
       out.has_prepare = true;
       out.prepare_pos = q.prepare_pos;

@@ -1,5 +1,7 @@
 #include "txn/messages.h"
 
+#include <algorithm>
+
 namespace paxoscp::txn {
 
 const char* RequestName(const ServiceRequest& request) {
@@ -18,6 +20,38 @@ const char* RequestName(const ServiceRequest& request) {
     }
   };
   return std::visit(Visitor{}, request);
+}
+
+PrepareTally TallyPrepares(BroadcastResult* results, paxos::Ballot* max_seen) {
+  PrepareTally tally;
+  for (net::TargetResult<ServiceResponse>& target : *results) {
+    if (!target.status.ok()) continue;
+    paxos::PrepareResult& pr = std::get<PrepareResponse>(target.response).result;
+    if (pr.decided.has_value() && !tally.decided.has_value()) {
+      tally.decided = std::move(pr.decided);
+    }
+    *max_seen = std::max(*max_seen, pr.next_bal);
+    if (pr.promised) {
+      tally.votes.push_back(
+          paxos::LastVote{target.dc, pr.vote_ballot, std::move(pr.vote_value)});
+    }
+  }
+  return tally;
+}
+
+int TallyAccepts(const BroadcastResult& results, paxos::Ballot* max_seen) {
+  int accepted = 0;
+  for (const net::TargetResult<ServiceResponse>& target : results) {
+    if (!target.status.ok()) continue;
+    const paxos::AcceptResult& ar =
+        std::get<AcceptResponse>(target.response).result;
+    if (ar.accepted) {
+      ++accepted;
+    } else {
+      *max_seen = std::max(*max_seen, ar.next_bal);
+    }
+  }
+  return accepted;
 }
 
 }  // namespace paxoscp::txn

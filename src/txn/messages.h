@@ -3,10 +3,11 @@
 // path, prepare/accept/apply for the Paxos commit protocol, plus the
 // leader-claim message of the per-log-position leader optimization.
 //
-// Messages travel through net::Network as std::any holding a
-// ServiceRequest / ServiceResponse variant.
+// Messages travel as ServiceRequest / ServiceResponse variants through
+// txn::Network, the network instantiated on those two types.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -14,8 +15,10 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "net/network.h"
 #include "paxos/acceptor.h"
 #include "paxos/ballot.h"
+#include "paxos/value_selection.h"
 #include "wal/log.h"
 #include "wal/log_entry.h"
 
@@ -146,5 +149,27 @@ using ServiceResponse =
 
 /// Human-readable message-type name (for traces and message accounting).
 const char* RequestName(const ServiceRequest& request);
+
+using Network = net::Network<ServiceRequest, ServiceResponse>;
+using CallResult = net::CallResult<ServiceResponse>;
+using BroadcastResult = Network::BroadcastResult;
+
+/// The responses of a prepare broadcast, folded by the Paxos rules: the
+/// first decided value any replica reported, and one LastVote per promise.
+struct PrepareTally {
+  std::optional<wal::LogEntry> decided;
+  std::vector<paxos::LastVote> votes;
+
+  int promised() const { return static_cast<int>(votes.size()); }
+};
+
+/// Folds prepare responses: the first known decided value wins, `*max_seen`
+/// is raised to every next_bal, and each promise is kept with its vote.
+/// Vote and decided values are moved out of `results`.
+PrepareTally TallyPrepares(BroadcastResult* results, paxos::Ballot* max_seen);
+
+/// Counts the accepts among accept responses; each refusal raises
+/// `*max_seen` to its next_bal.
+int TallyAccepts(const BroadcastResult& results, paxos::Ballot* max_seen);
 
 }  // namespace paxoscp::txn

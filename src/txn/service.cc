@@ -35,7 +35,7 @@ uint64_t HashMix(uint64_t x) {
 
 }  // namespace
 
-TransactionService::TransactionService(DcId dc, net::Network* network,
+TransactionService::TransactionService(DcId dc, Network* network,
                                        kvstore::MultiVersionStore* store,
                                        const ServiceTimeModel& model,
                                        uint64_t seed)
@@ -68,29 +68,28 @@ paxos::Acceptor* TransactionService::GroupAcceptor(const std::string& group) {
   return &Group(group)->acceptor;
 }
 
-sim::Coro<std::any> TransactionService::Handle(DcId from,
-                                               const std::any* request) {
+sim::Coro<ServiceResponse> TransactionService::Handle(
+    DcId from, const ServiceRequest* request) {
   (void)from;
-  const ServiceRequest& req = std::any_cast<const ServiceRequest&>(*request);
   ServiceResponse response;
-  if (const auto* begin = std::get_if<BeginRequest>(&req)) {
+  if (const auto* begin = std::get_if<BeginRequest>(request)) {
     response = co_await HandleBegin(begin);
-  } else if (const auto* read = std::get_if<ReadRequest>(&req)) {
+  } else if (const auto* read = std::get_if<ReadRequest>(request)) {
     response = co_await HandleRead(read);
-  } else if (const auto* read_row = std::get_if<ReadRowRequest>(&req)) {
+  } else if (const auto* read_row = std::get_if<ReadRowRequest>(request)) {
     response = co_await HandleReadRow(read_row);
-  } else if (const auto* prepare = std::get_if<PrepareRequest>(&req)) {
+  } else if (const auto* prepare = std::get_if<PrepareRequest>(request)) {
     response = co_await HandlePrepare(prepare);
-  } else if (const auto* accept = std::get_if<AcceptRequest>(&req)) {
+  } else if (const auto* accept = std::get_if<AcceptRequest>(request)) {
     response = co_await HandleAccept(accept);
-  } else if (const auto* apply = std::get_if<ApplyRequest>(&req)) {
+  } else if (const auto* apply = std::get_if<ApplyRequest>(request)) {
     response = co_await HandleApply(apply);
-  } else if (const auto* claim = std::get_if<ClaimLeaderRequest>(&req)) {
+  } else if (const auto* claim = std::get_if<ClaimLeaderRequest>(request)) {
     response = co_await HandleClaimLeader(claim);
-  } else if (const auto* query = std::get_if<QueryCrossRequest>(&req)) {
+  } else if (const auto* query = std::get_if<QueryCrossRequest>(request)) {
     response = co_await HandleQueryCross(query);
   }
-  co_return std::any(std::move(response));
+  co_return response;
 }
 
 sim::Coro<ServiceResponse> TransactionService::HandleBegin(
@@ -526,37 +525,19 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
   for (int attempt = 0; attempt < kMaxLearnAttempts; ++attempt) {
     if (gs->log.HasEntry(pos)) co_return Status::OK();  // learned meanwhile
     // Prepare phase: discover the decided value or the highest vote.
-    const std::any prepare_payload(
-        ServiceRequest(PrepareRequest{group, pos, ballot}));
-    net::BroadcastResult presults =
-        co_await network_->Broadcast(dc_, all, prepare_payload, bopts);
-
-    std::vector<paxos::LastVote> votes;
-    std::optional<wal::LogEntry> decided;
+    const ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
+    BroadcastResult presults =
+        co_await network_->Broadcast(dc_, all, prepare_request, bopts);
     paxos::Ballot max_seen = ballot;
-    int promised = 0;
-    for (net::TargetResult& tr : presults) {
-      if (!tr.status.ok()) continue;
-      const auto& resp = std::any_cast<const ServiceResponse&>(tr.response);
-      const paxos::PrepareResult& pr =
-          std::get<PrepareResponse>(resp).result;
-      if (pr.decided.has_value() && !decided.has_value()) {
-        decided = pr.decided;
-      }
-      max_seen = std::max(max_seen, pr.next_bal);
-      if (pr.promised) {
-        ++promised;
-        votes.push_back(
-            paxos::LastVote{tr.dc, pr.vote_ballot, pr.vote_value});
-      }
-    }
-    if (decided.has_value()) {
-      Status applied = gs->acceptor.OnApply(pos, ballot, *decided);
+    PrepareTally prepares = TallyPrepares(&presults, &max_seen);
+    if (prepares.decided.has_value()) {
+      Status applied = gs->acceptor.OnApply(pos, ballot, *prepares.decided);
       if (applied.ok()) NoteEntryLanded(group);
       co_return applied;
     }
-    if (promised >= majority) {
-      std::optional<wal::LogEntry> winning = paxos::FindWinningValue(votes);
+    if (prepares.promised() >= majority) {
+      std::optional<wal::LogEntry> winning =
+          paxos::FindWinningValue(prepares.votes);
       if (!winning.has_value()) {
         // A quorum reports bottom: the position is genuinely undecided. The
         // learner must not invent a value; the caller's read fails until
@@ -564,25 +545,15 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
         co_return Status::NotFound("log position " + std::to_string(pos) +
                                    " is undecided");
       }
-      const std::any accept_payload(
-          ServiceRequest(AcceptRequest{group, pos, ballot, *winning}));
-      net::BroadcastResult aresults =
-          co_await network_->Broadcast(dc_, all, accept_payload, bopts);
-      int accepted = 0;
-      for (net::TargetResult& tr : aresults) {
-        if (!tr.status.ok()) continue;
-        const auto& resp = std::any_cast<const ServiceResponse&>(tr.response);
-        const paxos::AcceptResult& ar = std::get<AcceptResponse>(resp).result;
-        if (ar.accepted) {
-          ++accepted;
-        } else {
-          max_seen = std::max(max_seen, ar.next_bal);
-        }
-      }
-      if (accepted >= majority) {
+      const ServiceRequest accept_request =
+          AcceptRequest{group, pos, ballot, *winning};
+      BroadcastResult aresults =
+          co_await network_->Broadcast(dc_, all, accept_request, bopts);
+      if (TallyAccepts(aresults, &max_seen) >= majority) {
         // Decided: propagate the outcome (fire-and-forget) and record it.
-        ServiceRequest apply = ApplyRequest{group, pos, ballot, *winning};
-        network_->Broadcast(dc_, all, std::any(apply), bopts);
+        const ServiceRequest apply_request =
+            ApplyRequest{group, pos, ballot, *winning};
+        network_->Broadcast(dc_, all, apply_request, bopts);
         Status applied = gs->acceptor.OnApply(pos, ballot, *winning);
         if (applied.ok()) NoteEntryLanded(group);
         co_return applied;

@@ -82,7 +82,7 @@ struct ServiceTimeModel {
 
 class TransactionService {
  public:
-  TransactionService(DcId dc, net::Network* network,
+  TransactionService(DcId dc, Network* network,
                      kvstore::MultiVersionStore* store,
                      const ServiceTimeModel& model, uint64_t seed);
   ~TransactionService();
@@ -93,7 +93,7 @@ class TransactionService {
   /// Network entry point: dispatches a ServiceRequest and produces the
   /// matching ServiceResponse. Registered as the datacenter's endpoint.
   /// `request` is owned by the network layer and outlives this coroutine.
-  sim::Coro<std::any> Handle(DcId from, const std::any* request);
+  sim::Coro<ServiceResponse> Handle(DcId from, const ServiceRequest* request);
 
   /// Direct access to a group's log / acceptor (creating them on first
   /// use). Used by the cluster for setup and by invariant checkers.
@@ -223,7 +223,7 @@ class TransactionService {
   TransactionClient* RecoveryClient();
 
   DcId dc_;
-  net::Network* network_;
+  Network* network_;
   kvstore::MultiVersionStore* store_;
   ServiceTimeModel model_;
   Rng rng_;

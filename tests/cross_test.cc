@@ -884,8 +884,8 @@ TEST(CrossIdempotenceTest, RedeliveredApplyBroadcastsAreNoOps) {
       for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
         db.cluster()->network()->Call(
             1, dc,
-            std::any(txn::ServiceRequest(
-                txn::ApplyRequest{group, pos, paxos::Ballot(), *entry})));
+            txn::ServiceRequest(
+                txn::ApplyRequest{group, pos, paxos::Ballot(), *entry}));
         ++redelivered;
       }
     }

@@ -270,7 +270,7 @@ TEST(FaultInjectorTest, DeliveryFaultBurstsApplyAndRestoreBaselines) {
   options.duplicate_probability = 0.01;  // non-zero baselines must return
   options.reorder_probability = 0.02;
   options.reorder_extra_max = 40 * kMillisecond;
-  net::Network network(&sim, rtt, options);
+  net::NetworkBase network(&sim, rtt, options);
 
   FaultPlan plan;
   plan.events.push_back(
@@ -309,7 +309,7 @@ TEST(FaultInjectorTest, AppliesEventsAtScheduledTimes) {
                                            std::vector<TimeMicros>(3, 1000));
   net::NetworkOptions options;
   options.loss_probability = 0.01;
-  net::Network network(&sim, rtt, options);
+  net::NetworkBase network(&sim, rtt, options);
 
   FaultPlan plan;
   plan.events.push_back({1 * kSecond, FaultKind::kDatacenterDown, 1, kNoDc, 0});

@@ -1,8 +1,15 @@
 // Unit tests for the simulated network: latency, timeouts, loss, outages,
-// broadcast policies.
+// broadcast policies, delivery faults, a golden delivery schedule, and how
+// often requests and responses are copied.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "net/network.h"
 #include "sim/coro.h"
@@ -12,14 +19,19 @@ namespace {
 
 constexpr TimeMicros kRtt = 10 * kMillisecond;
 
+/// The network these tests drive: string requests and responses.
+using StringNetwork = Network<std::string, std::string>;
+using StringCall = CallResult<std::string>;
+using StringBroadcast = StringNetwork::BroadcastResult;
+
 /// Echo service: replies with "<dc>:<payload>" after an optional delay.
-ServiceHandler EchoHandler(sim::Simulator* sim, DcId dc,
-                           TimeMicros service_time = 0) {
-  return [sim, dc, service_time](DcId /*from*/,
-                                 const std::any* request) -> sim::Coro<std::any> {
+StringNetwork::Handler EchoHandler(sim::Simulator* sim, DcId dc,
+                                   TimeMicros service_time = 0) {
+  return [sim, dc, service_time](
+             DcId /*from*/,
+             const std::string* request) -> sim::Coro<std::string> {
     if (service_time > 0) co_await sim::SleepFor(sim, service_time);
-    co_return std::any(std::to_string(dc) + ":" +
-                       std::any_cast<std::string>(*request));
+    co_return std::to_string(dc) + ":" + *request;
   };
 }
 
@@ -30,32 +42,32 @@ class NetworkTest : public ::testing::Test {
     std::vector<std::vector<TimeMicros>> rtt(
         dcs, std::vector<TimeMicros>(dcs, kRtt));
     for (int i = 0; i < dcs; ++i) rtt[i][i] = 1000;
-    network_ = std::make_unique<Network>(&sim_, rtt, options);
+    network_ = std::make_unique<StringNetwork>(&sim_, rtt, options);
     for (DcId dc = 0; dc < dcs; ++dc) {
       network_->RegisterEndpoint(dc, EchoHandler(&sim_, dc));
     }
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<Network> network_;
+  std::unique_ptr<StringNetwork> network_;
 };
 
 TEST_F(NetworkTest, CallDeliversResponse) {
   Build(2);
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("ping")))
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "ping")
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->status.ok()) << result->status.ToString();
-  EXPECT_EQ(std::any_cast<std::string>(result->response), "1:ping");
+  EXPECT_EQ(result->response, "1:ping");
 }
 
 TEST_F(NetworkTest, CallTakesOneRoundTrip) {
   Build(2);
   TimeMicros completed_at = -1;
-  network_->Call(0, 1, std::any(std::string("x")))
-      .OnReady([&](CallResult&&) { completed_at = sim_.Now(); });
+  network_->Call(0, 1, "x")
+      .OnReady([&](StringCall&&) { completed_at = sim_.Now(); });
   sim_.RunUntil(kRtt + kMillisecond);
   EXPECT_GE(completed_at, kRtt);            // one full round trip
   EXPECT_LE(completed_at, kRtt + 2);        // plus delivery events
@@ -64,8 +76,8 @@ TEST_F(NetworkTest, CallTakesOneRoundTrip) {
 TEST_F(NetworkTest, IntraDatacenterCallIsFast) {
   Build(2);
   TimeMicros completed_at = -1;
-  network_->Call(0, 0, std::any(std::string("x")))
-      .OnReady([&](CallResult&&) { completed_at = sim_.Now(); });
+  network_->Call(0, 0, "x")
+      .OnReady([&](StringCall&&) { completed_at = sim_.Now(); });
   sim_.RunUntil(5 * kMillisecond);
   EXPECT_GE(completed_at, 0);
   EXPECT_LE(completed_at, 2 * kMillisecond);
@@ -74,9 +86,9 @@ TEST_F(NetworkTest, IntraDatacenterCallIsFast) {
 TEST_F(NetworkTest, TimeoutFiresWhenDestinationDown) {
   Build(2);
   network_->SetDatacenterDown(1, true);
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("x")), 50 * kMillisecond)
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "x", 50 * kMillisecond)
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->status.IsTimedOut());
@@ -84,9 +96,9 @@ TEST_F(NetworkTest, TimeoutFiresWhenDestinationDown) {
 
 TEST_F(NetworkTest, OutageMidFlightDropsDelivery) {
   Build(2);
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("x")), 50 * kMillisecond)
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "x", 50 * kMillisecond)
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   // Take the destination down after the message left but before arrival.
   sim_.ScheduleAfter(kRtt / 4, [&] { network_->SetDatacenterDown(1, true); });
   sim_.Run();
@@ -97,11 +109,11 @@ TEST_F(NetworkTest, OutageMidFlightDropsDelivery) {
 TEST_F(NetworkTest, LinkDownBlocksOnlyThatPair) {
   Build(3);
   network_->SetLinkDown(0, 1, true);
-  std::optional<CallResult> blocked, open;
-  network_->Call(0, 1, std::any(std::string("x")), 30 * kMillisecond)
-      .OnReady([&](CallResult&& r) { blocked = std::move(r); });
-  network_->Call(0, 2, std::any(std::string("x")), 30 * kMillisecond)
-      .OnReady([&](CallResult&& r) { open = std::move(r); });
+  std::optional<StringCall> blocked, open;
+  network_->Call(0, 1, "x", 30 * kMillisecond)
+      .OnReady([&](StringCall&& r) { blocked = std::move(r); });
+  network_->Call(0, 2, "x", 30 * kMillisecond)
+      .OnReady([&](StringCall&& r) { open = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(blocked->status.IsTimedOut());
   EXPECT_TRUE(open->status.ok());
@@ -111,9 +123,9 @@ TEST_F(NetworkTest, TotalLossTimesOutEveryCall) {
   NetworkOptions options;
   options.loss_probability = 1.0;
   Build(2, options);
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("x")), 20 * kMillisecond)
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "x", 20 * kMillisecond)
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(result->status.IsTimedOut());
   EXPECT_GT(network_->messages_dropped(), 0u);
@@ -121,17 +133,17 @@ TEST_F(NetworkTest, TotalLossTimesOutEveryCall) {
 
 TEST_F(NetworkTest, BroadcastCollectsAllTargets) {
   Build(3);
-  std::optional<BroadcastResult> result;
+  std::optional<StringBroadcast> result;
   BroadcastOptions options;
-  network_->Broadcast(0, {0, 1, 2}, std::any(std::string("hi")), options)
-      .OnReady([&](BroadcastResult&& r) { result = std::move(r); });
+  network_->Broadcast(0, {0, 1, 2}, "hi", options)
+      .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->size(), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ((*result)[i].dc, i);
     ASSERT_TRUE((*result)[i].status.ok());
-    EXPECT_EQ(std::any_cast<std::string>((*result)[i].response),
+    EXPECT_EQ((*result)[i].response,
               std::to_string(i) + ":hi");
   }
 }
@@ -139,11 +151,11 @@ TEST_F(NetworkTest, BroadcastCollectsAllTargets) {
 TEST_F(NetworkTest, BroadcastWithDownTargetMarksItTimedOut) {
   Build(3);
   network_->SetDatacenterDown(2, true);
-  std::optional<BroadcastResult> result;
+  std::optional<StringBroadcast> result;
   BroadcastOptions options;
   options.timeout = 30 * kMillisecond;
-  network_->Broadcast(0, {0, 1, 2}, std::any(std::string("hi")), options)
-      .OnReady([&](BroadcastResult&& r) { result = std::move(r); });
+  network_->Broadcast(0, {0, 1, 2}, "hi", options)
+      .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE((*result)[0].status.ok());
@@ -155,14 +167,14 @@ TEST_F(NetworkTest, QuorumEarlyPolicyReturnsBeforeStragglers) {
   Build(3);
   // DC 2 is slow: re-register with a long service time.
   network_->RegisterEndpoint(2, EchoHandler(&sim_, 2, 500 * kMillisecond));
-  std::optional<BroadcastResult> result;
+  std::optional<StringBroadcast> result;
   TimeMicros completed_at = -1;
   BroadcastOptions options;
   options.policy = WaitPolicy::kQuorumEarly;
   options.quorum = 2;
   options.timeout = 2 * kSecond;
-  network_->Broadcast(0, {0, 1, 2}, std::any(std::string("hi")), options)
-      .OnReady([&](BroadcastResult&& r) {
+  network_->Broadcast(0, {0, 1, 2}, "hi", options)
+      .OnReady([&](StringBroadcast&& r) {
         result = std::move(r);
         completed_at = sim_.Now();
       });
@@ -170,15 +182,15 @@ TEST_F(NetworkTest, QuorumEarlyPolicyReturnsBeforeStragglers) {
   ASSERT_TRUE(result.has_value());
   EXPECT_LT(completed_at, 100 * kMillisecond);  // did not wait for DC 2
   int ok = 0;
-  for (const TargetResult& t : *result) ok += t.status.ok() ? 1 : 0;
+  for (const auto& t : *result) ok += t.status.ok() ? 1 : 0;
   EXPECT_EQ(ok, 2);
 }
 
 TEST_F(NetworkTest, EmptyBroadcastResolvesImmediately) {
   Build(2);
-  std::optional<BroadcastResult> result;
-  network_->Broadcast(0, {}, std::any(std::string("hi")), {})
-      .OnReady([&](BroadcastResult&& r) { result = std::move(r); });
+  std::optional<StringBroadcast> result;
+  network_->Broadcast(0, {}, "hi", {})
+      .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->empty());
@@ -186,7 +198,7 @@ TEST_F(NetworkTest, EmptyBroadcastResolvesImmediately) {
 
 TEST_F(NetworkTest, MessageStatsCount) {
   Build(2);
-  network_->Call(0, 1, std::any(std::string("x")));
+  network_->Call(0, 1, "x");
   sim_.Run();
   EXPECT_EQ(network_->messages_sent(), 2u);  // request + response
   EXPECT_EQ(network_->calls_started(), 1u);
@@ -200,14 +212,14 @@ TEST_F(NetworkTest, JitterStaysWithinBounds) {
   options.seed = 9;
   std::vector<std::vector<TimeMicros>> rtt(2,
                                            std::vector<TimeMicros>(2, kRtt));
-  Network network(&sim_, rtt, options);
+  StringNetwork network(&sim_, rtt, options);
   network.RegisterEndpoint(1, EchoHandler(&sim_, 1));
   for (int i = 0; i < 20; ++i) {
     TimeMicros start = sim_.Now();
-    std::optional<CallResult> result;
+    std::optional<StringCall> result;
     TimeMicros completed_at = -1;
-    network.Call(0, 1, std::any(std::string("x")))
-        .OnReady([&](CallResult&& r) {
+    network.Call(0, 1, "x")
+        .OnReady([&](StringCall&& r) {
           result = std::move(r);
           completed_at = sim_.Now();
         });
@@ -228,9 +240,9 @@ TEST_F(NetworkTest, JitterStaysWithinBounds) {
 
 TEST_F(NetworkTest, DownUpFlapWithinFlightWindowLosesMessage) {
   Build(2);
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("x")), 50 * kMillisecond)
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "x", 50 * kMillisecond)
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   // One-way delay is kRtt/2 = 5 ms. The destination flaps down at 1 ms and
   // is back UP at 2 ms — well before the delivery event at 5 ms. The
   // message crossed an outage window, so it must be lost; a delivery-time
@@ -255,17 +267,17 @@ TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
                        [&] { network_->SetDatacenterDown(1, false); });
   }
   // Sent before the first flap, delivery (5 ms) after the last: lost.
-  std::optional<CallResult> flapped;
-  network_->Call(0, 1, std::any(std::string("a")), 50 * kMillisecond)
-      .OnReady([&](CallResult&& r) { flapped = std::move(r); });
+  std::optional<StringCall> flapped;
+  network_->Call(0, 1, "a", 50 * kMillisecond)
+      .OnReady([&](StringCall&& r) { flapped = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(flapped.has_value());
   EXPECT_TRUE(flapped->status.IsTimedOut());
 
   // Sent after the last recovery, same timeout window: clean round trip.
-  std::optional<CallResult> clean;
-  network_->Call(0, 1, std::any(std::string("b")), 50 * kMillisecond)
-      .OnReady([&](CallResult&& r) { clean = std::move(r); });
+  std::optional<StringCall> clean;
+  network_->Call(0, 1, "b", 50 * kMillisecond)
+      .OnReady([&](StringCall&& r) { clean = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(clean.has_value());
   EXPECT_TRUE(clean->status.ok()) << clean->status.ToString();
@@ -273,11 +285,11 @@ TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
 
 TEST_F(NetworkTest, BroadcastTargetFlappingMidFlightIsLostOthersStand) {
   Build(3);
-  std::optional<BroadcastResult> result;
+  std::optional<StringBroadcast> result;
   BroadcastOptions options;
   options.timeout = 50 * kMillisecond;
-  network_->Broadcast(0, {0, 1, 2}, std::any(std::string("hi")), options)
-      .OnReady([&](BroadcastResult&& r) { result = std::move(r); });
+  network_->Broadcast(0, {0, 1, 2}, "hi", options)
+      .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
   // dc2 goes down while the broadcast's requests are in flight and is back
   // before their arrival; dc0/dc1 deliveries already under way are
   // unaffected and their responses stand.
@@ -294,9 +306,9 @@ TEST_F(NetworkTest, BroadcastTargetFlappingMidFlightIsLostOthersStand) {
 
 TEST_F(NetworkTest, ResponseInFlightFromDownedSourceStillArrives) {
   Build(2);
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("x")), 50 * kMillisecond)
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "x", 50 * kMillisecond)
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   // The response leaves dc1 at ~5 ms (instant handler); dc1 dies at 7 ms
   // while its response is in flight. The message already left the downed
   // datacenter, so it is delivered.
@@ -305,7 +317,7 @@ TEST_F(NetworkTest, ResponseInFlightFromDownedSourceStillArrives) {
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->status.ok()) << result->status.ToString();
-  EXPECT_EQ(std::any_cast<std::string>(result->response), "1:x");
+  EXPECT_EQ(result->response, "1:x");
 }
 
 // ---- Asymmetric (one-way) link cuts --------------------------------------
@@ -314,21 +326,21 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
   Build(3);
   int handled_at_0 = 0, handled_at_1 = 0;
   network_->RegisterEndpoint(
-      0, [&](DcId, const std::any*) -> sim::Coro<std::any> {
+      0, [&](DcId, const std::string*) -> sim::Coro<std::string> {
         ++handled_at_0;
-        co_return std::any(std::string("pong0"));
+        co_return "pong0";
       });
   network_->RegisterEndpoint(
-      1, [&](DcId, const std::any*) -> sim::Coro<std::any> {
+      1, [&](DcId, const std::string*) -> sim::Coro<std::string> {
         ++handled_at_1;
-        co_return std::any(std::string("pong1"));
+        co_return "pong1";
       });
   network_->SetLinkOneWayDown(0, 1, true);
 
   // 0 -> 1: the request itself travels the cut direction, never arrives.
-  std::optional<CallResult> forward;
-  network_->Call(0, 1, std::any(std::string("x")), 30 * kMillisecond)
-      .OnReady([&](CallResult&& r) { forward = std::move(r); });
+  std::optional<StringCall> forward;
+  network_->Call(0, 1, "x", 30 * kMillisecond)
+      .OnReady([&](StringCall&& r) { forward = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(forward->status.IsTimedOut());
   EXPECT_EQ(handled_at_1, 0);
@@ -336,25 +348,25 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
   // 1 -> 0: the request arrives and is served; only the response (which
   // travels 0 -> 1) is black-holed. The caller sees the same timeout but
   // the side effect happened — the asymmetry 2PC/Paxos must tolerate.
-  std::optional<CallResult> reverse;
-  network_->Call(1, 0, std::any(std::string("y")), 30 * kMillisecond)
-      .OnReady([&](CallResult&& r) { reverse = std::move(r); });
+  std::optional<StringCall> reverse;
+  network_->Call(1, 0, "y", 30 * kMillisecond)
+      .OnReady([&](StringCall&& r) { reverse = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(reverse->status.IsTimedOut());
   EXPECT_EQ(handled_at_0, 1);
 
   // Unrelated pairs are untouched.
-  std::optional<CallResult> other;
-  network_->Call(2, 1, std::any(std::string("z")), 30 * kMillisecond)
-      .OnReady([&](CallResult&& r) { other = std::move(r); });
+  std::optional<StringCall> other;
+  network_->Call(2, 1, "z", 30 * kMillisecond)
+      .OnReady([&](StringCall&& r) { other = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(other->status.ok());
 
   // Healing restores the direction.
   network_->SetLinkOneWayDown(0, 1, false);
-  std::optional<CallResult> healed;
-  network_->Call(0, 1, std::any(std::string("w")), 30 * kMillisecond)
-      .OnReady([&](CallResult&& r) { healed = std::move(r); });
+  std::optional<StringCall> healed;
+  network_->Call(0, 1, "w", 30 * kMillisecond)
+      .OnReady([&](StringCall&& r) { healed = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(healed->status.ok());
   EXPECT_EQ(handled_at_1, 2);
@@ -362,9 +374,9 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
 
 TEST_F(NetworkTest, OneWayCutMidFlightDropsTheResponse) {
   Build(2);
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("x")), 50 * kMillisecond)
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "x", 50 * kMillisecond)
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   // Cut the response direction (1 -> 0) at 7 ms, while the response is in
   // flight (left dc1 at ~5 ms, due at ~10 ms); heal immediately after. The
   // in-flight response is lost even though the link is up at delivery time.
@@ -389,13 +401,13 @@ TEST_F(NetworkTest, DuplicateDeliversHandlerTwice) {
   network_->set_duplicate_probability(1.0);
   int handled = 0;
   network_->RegisterEndpoint(
-      1, [&](DcId, const std::any*) -> sim::Coro<std::any> {
+      1, [&](DcId, const std::string*) -> sim::Coro<std::string> {
         ++handled;
-        co_return std::any(std::string("pong"));
+        co_return "pong";
       });
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("x")))
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "x")
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->status.ok()) << result->status.ToString();
@@ -408,10 +420,10 @@ TEST_F(NetworkTest, ReorderHoldsMessageBackWithinBound) {
   options.reorder_probability = 1.0;
   options.reorder_extra_max = 20 * kMillisecond;
   Build(2, options);
-  std::optional<CallResult> result;
+  std::optional<StringCall> result;
   TimeMicros completed_at = -1;
-  network_->Call(0, 1, std::any(std::string("x")), 2 * kSecond)
-      .OnReady([&](CallResult&& r) {
+  network_->Call(0, 1, "x", 2 * kSecond)
+      .OnReady([&](StringCall&& r) {
         result = std::move(r);
         completed_at = sim_.Now();
       });
@@ -438,13 +450,13 @@ TEST_F(NetworkTest, DeliveryFaultsAreDeterministicPerSeed) {
     options.reorder_extra_max = 15 * kMillisecond;
     std::vector<std::vector<TimeMicros>> rtt(
         3, std::vector<TimeMicros>(3, kRtt));
-    Network network(&sim, rtt, options);
+    StringNetwork network(&sim, rtt, options);
     for (DcId dc = 0; dc < 3; ++dc) {
       network.RegisterEndpoint(dc, EchoHandler(&sim, dc));
     }
     for (int i = 0; i < 40; ++i) {
-      network.Call(0, 1 + i % 2, std::any(std::to_string(i)))
-          .OnReady([&](CallResult&&) { completions->push_back(sim.Now()); });
+      network.Call(0, 1 + i % 2, std::to_string(i))
+          .OnReady([&](StringCall&&) { completions->push_back(sim.Now()); });
       sim.Run();
     }
     *duplicated = network.messages_duplicated();
@@ -475,11 +487,11 @@ TEST_F(NetworkTest, FaultStreamNeverPerturbsPrimarySchedule) {
     options.duplicate_probability = duplicate_probability;
     std::vector<std::vector<TimeMicros>> rtt(
         2, std::vector<TimeMicros>(2, kRtt));
-    Network network(&sim, rtt, options);
+    StringNetwork network(&sim, rtt, options);
     network.RegisterEndpoint(1, EchoHandler(&sim, 1));
     for (int i = 0; i < 30; ++i) {
-      network.Call(0, 1, std::any(std::to_string(i)))
-          .OnReady([&](CallResult&&) { completions->push_back(sim.Now()); });
+      network.Call(0, 1, std::to_string(i))
+          .OnReady([&](StringCall&&) { completions->push_back(sim.Now()); });
       sim.Run();
     }
   };
@@ -499,13 +511,13 @@ TEST_F(NetworkTest, DuplicateRespectsOutageWindows) {
   Build(2, options);
   int handled = 0;
   network_->RegisterEndpoint(
-      1, [&](DcId, const std::any*) -> sim::Coro<std::any> {
+      1, [&](DcId, const std::string*) -> sim::Coro<std::string> {
         ++handled;
-        co_return std::any(std::string("pong"));
+        co_return "pong";
       });
-  std::optional<CallResult> result;
-  network_->Call(0, 1, std::any(std::string("x")), 100 * kMillisecond)
-      .OnReady([&](CallResult&& r) { result = std::move(r); });
+  std::optional<StringCall> result;
+  network_->Call(0, 1, "x", 100 * kMillisecond)
+      .OnReady([&](StringCall&& r) { result = std::move(r); });
   // Primary arrives at 5 ms; the duplicate lags it by (0, 20 ms]. Flap the
   // destination down/up in between: epoch bumped, duplicate dead on
   // arrival.
@@ -523,17 +535,206 @@ TEST_F(NetworkTest, DuplicateRespectsOutageWindows) {
 TEST_F(NetworkTest, RecoveredDatacenterServesAgain) {
   Build(2);
   network_->SetDatacenterDown(1, true);
-  std::optional<CallResult> first, second;
-  network_->Call(0, 1, std::any(std::string("a")), 20 * kMillisecond)
-      .OnReady([&](CallResult&& r) { first = std::move(r); });
+  std::optional<StringCall> first, second;
+  network_->Call(0, 1, "a", 20 * kMillisecond)
+      .OnReady([&](StringCall&& r) { first = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(first->status.IsTimedOut());
 
   network_->SetDatacenterDown(1, false);
-  network_->Call(0, 1, std::any(std::string("b")), 20 * kMillisecond)
-      .OnReady([&](CallResult&& r) { second = std::move(r); });
+  network_->Call(0, 1, "b", 20 * kMillisecond)
+      .OnReady([&](StringCall&& r) { second = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(second->status.ok());
+}
+
+
+// ---- Golden delivery schedule --------------------------------------------
+// One scenario with jitter, loss, duplication, reordering and an outage all
+// active at once, pinned to exact completion times, responses and counters.
+// The expected transcripts are fixed: a change to the draw order of either
+// random stream, or to the order in which legs are scheduled, shows here.
+
+/// Runs the scenario and returns its transcript: each call's completion
+/// time and response (T for a timeout), the final broadcast, and the
+/// network's counters with the per-datacenter handler runs.
+std::string GoldenScheduleTranscript(uint64_t seed) {
+  sim::Simulator sim;
+  NetworkOptions options;
+  options.seed = seed;
+  options.latency_jitter = 0.2;
+  options.loss_probability = 0.1;
+  options.duplicate_probability = 0.3;
+  options.reorder_probability = 0.3;
+  options.reorder_extra_max = 15 * kMillisecond;
+  std::vector<std::vector<TimeMicros>> rtt(3, std::vector<TimeMicros>(3));
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      rtt[a][b] = a == b ? 1000 : kRtt + 5 * kMillisecond * std::abs(a - b);
+    }
+  }
+  StringNetwork network(&sim, rtt, options);
+  int handled[3] = {0, 0, 0};
+  for (DcId dc = 0; dc < 3; ++dc) {
+    // dc1 suspends for a service time, so its response leaves from a
+    // resumed handler rather than from the delivery event.
+    network.RegisterEndpoint(
+        dc, [&sim, &handled, dc](DcId, const std::string* request)
+                -> sim::Coro<std::string> {
+          ++handled[dc];
+          if (dc == 1) co_await sim::SleepFor(&sim, 2 * kMillisecond);
+          co_return std::to_string(dc) + ":" + *request;
+        });
+  }
+  // Every (from, to) pair, intra-datacenter included, one call per 2 ms.
+  constexpr int kCalls = 40;
+  std::vector<std::string> calls(kCalls, "-");
+  for (int i = 0; i < kCalls; ++i) {
+    sim.ScheduleAt(i * 2 * kMillisecond, [&, i] {
+      const DcId from = i % 3;
+      const DcId to = (i / 3) % 3;
+      network.Call(from, to, std::to_string(i), 40 * kMillisecond)
+          .OnReady([&, i](StringCall&& r) {
+            std::ostringstream line;
+            line << sim.Now() << "=" << (r.status.ok() ? r.response : "T");
+            calls[i] = line.str();
+          });
+    });
+  }
+  // dc2 is down from 30 ms to 50 ms, in the middle of the calls.
+  sim.ScheduleAt(30 * kMillisecond, [&] { network.SetDatacenterDown(2, true); });
+  sim.ScheduleAt(50 * kMillisecond,
+                 [&] { network.SetDatacenterDown(2, false); });
+  std::string broadcast = "-";
+  sim.ScheduleAt(100 * kMillisecond, [&] {
+    BroadcastOptions bopts;
+    bopts.timeout = 40 * kMillisecond;
+    network.Broadcast(1, {0, 1, 2}, "b", bopts)
+        .OnReady([&](StringBroadcast&& r) {
+          std::ostringstream line;
+          line << sim.Now();
+          for (const auto& t : r) {
+            line << " " << t.dc << "=" << (t.status.ok() ? t.response : "T");
+          }
+          broadcast = line.str();
+        });
+  });
+  sim.Run();
+
+  std::ostringstream out;
+  for (int i = 0; i < kCalls; ++i) {
+    out << "c" << i << "@" << calls[i] << (i % 4 == 3 ? "\n" : " ");
+  }
+  out << "broadcast@" << broadcast << "\n"
+      << "sent=" << network.messages_sent()
+      << " dropped=" << network.messages_dropped()
+      << " calls=" << network.calls_started()
+      << " duplicated=" << network.messages_duplicated()
+      << " reordered=" << network.messages_reordered() << " handled="
+      << handled[0] << "/" << handled[1] << "/" << handled[2] << "\n";
+  return out.str();
+}
+
+TEST(NetworkGoldenTest, DeliveryScheduleMatchesGolden) {
+  const std::map<uint64_t, std::string> golden = {
+      {1, R"(c0@1044=0:0 c1@15619=0:1 c2@20895=0:2 c3@46000=T
+c4@11062=1:4 c5@50000=T c6@36575=2:6 c7@27299=2:7
+c8@16904=2:8 c9@19021=0:9 c10@35684=0:10 c11@62000=T
+c12@44192=1:12 c13@29025=1:13 c14@68000=T c15@70000=T
+c16@72000=T c17@74000=T c18@37025=0:18 c19@59564=0:19
+c20@80000=T c21@57990=1:21 c22@46968=1:22 c23@86000=T
+c24@88000=T c25@90000=T c26@52977=2:26 c27@55064=0:27
+c28@70554=0:28 c29@90153=0:29 c30@83337=1:30 c31@65037=1:31
+c32@80805=1:32 c33@85820=2:33 c34@108000=T c35@71018=2:35
+c36@72986=0:36 c37@96579=0:37 c38@103489=0:38 c39@95885=1:39
+broadcast@122003 0=0:b 1=1:b 2=2:b
+sent=90 dropped=14 calls=43 duplicated=7 reordered=12 handled=18/13/9
+)"},
+      {2, R"(c0@965=0:0 c1@18284=0:1 c2@23842=0:2 c3@28473=1:3
+c4@11113=1:4 c5@26809=1:5 c6@41321=2:6 c7@28082=2:7
+c8@16901=2:8 c9@18969=0:9 c10@34197=0:10 c11@62000=T
+c12@47428=1:12 c13@28983=1:13 c14@68000=T c15@70000=T
+c16@72000=T c17@74000=T c18@37067=0:18 c19@51332=0:19
+c20@80000=T c21@66378=1:21 c22@46961=1:22 c23@86000=T
+c24@88000=T c25@90000=T c26@53065=2:26 c27@55105=0:27
+c28@73083=0:28 c29@98000=T c30@93333=1:30 c31@64882=1:31
+c32@79946=1:32 c33@106000=T c34@82986=2:34 c35@70966=2:35
+c36@73039=0:36 c37@114000=T c38@98919=0:38 c39@114619=1:39
+broadcast@129179 0=0:b 1=1:b 2=2:b
+sent=87 dropped=13 calls=43 duplicated=5 reordered=13 handled=14/16/9
+)"},
+      {3, R"(c0@1066=0:0 c1@27930=0:1 c2@22058=0:2 c3@36561=1:3
+c4@11138=1:4 c5@28654=1:5 c6@42155=2:6 c7@38231=2:7
+c8@16931=2:8 c9@19178=0:9 c10@34454=0:10 c11@62000=T
+c12@42670=1:12 c13@28992=1:13 c14@59607=1:14 c15@70000=T
+c16@72000=T c17@74000=T c18@36940=0:18 c19@57712=0:19
+c20@80000=T c21@65582=1:21 c22@47027=1:22 c23@86000=T
+c24@88000=T c25@90000=T c26@53038=2:26 c27@55137=0:27
+c28@69735=0:28 c29@98000=T c30@83537=1:30 c31@65125=1:31
+c32@91855=1:32 c33@86058=2:33 c34@83333=2:34 c35@71027=2:35
+c36@72909=0:36 c37@88451=0:37 c38@116000=T c39@95927=1:39
+broadcast@121980 0=0:b 1=1:b 2=2:b
+sent=97 dropped=13 calls=43 duplicated=11 reordered=14 handled=15/18/10
+)"},
+  };
+  for (const auto& [seed, expected] : golden) {
+    EXPECT_EQ(GoldenScheduleTranscript(seed), expected) << "seed " << seed;
+  }
+}
+
+// ---- Copies ----------------------------------------------------------------
+
+/// A message that counts how often it is copied; moves are free.
+struct Counted {
+  Counted() = default;
+  explicit Counted(int* counter) : copies(counter) {}
+  Counted(const Counted& other) : copies(other.copies) { ++*copies; }
+  Counted(Counted&&) noexcept = default;
+  Counted& operator=(const Counted& other) {
+    copies = other.copies;
+    ++*copies;
+    return *this;
+  }
+  Counted& operator=(Counted&&) noexcept = default;
+
+  int* copies = nullptr;
+};
+using CountedNetwork = Network<Counted, Counted>;
+
+TEST(NetworkCopyTest, BroadcastSharesOneRequestCopyAndMovesResponses) {
+  sim::Simulator sim;
+  NetworkOptions options;
+  options.duplicate_probability = 1.0;
+  std::vector<std::vector<TimeMicros>> rtt(5,
+                                           std::vector<TimeMicros>(5, kRtt));
+  CountedNetwork network(&sim, rtt, options);
+  int request_copies = 0;
+  int response_copies = 0;
+  int runs = 0;
+  std::set<const Counted*> addresses;
+  for (DcId dc = 0; dc < 5; ++dc) {
+    network.RegisterEndpoint(
+        dc, [&](DcId, const Counted* request) -> sim::Coro<Counted> {
+          ++runs;
+          addresses.insert(request);
+          co_return Counted(&response_copies);
+        });
+  }
+  const Counted request(&request_copies);
+  std::optional<CountedNetwork::BroadcastResult> result;
+  network.Broadcast(0, {0, 1, 2, 3, 4}, request, {})
+      .OnReady([&](CountedNetwork::BroadcastResult&& r) {
+        result = std::move(r);
+      });
+  sim.Run();
+
+  ASSERT_TRUE(result.has_value());
+  for (const auto& t : *result) EXPECT_TRUE(t.status.ok()) << t.dc;
+  EXPECT_EQ(network.messages_duplicated(), 4u);  // every remote target
+  EXPECT_EQ(runs, 9);                            // 5 originals, 4 copies
+  EXPECT_LE(request_copies, 1);
+  EXPECT_EQ(addresses.size(), 1u);
+  EXPECT_EQ(response_copies, 0);
 }
 
 }  // namespace
