@@ -26,8 +26,15 @@ CheckReport Checker::CheckReplication(
   global_log->clear();
   std::map<LogPos, uint64_t> fingerprints;
   for (DcId dc = 0; dc < cluster_->num_datacenters(); ++dc) {
-    const std::map<LogPos, wal::LogEntry> entries =
-        cluster_->service(dc)->GroupLog(group)->AllEntries();
+    const wal::WriteAheadLog* log = cluster_->service(dc)->GroupLog(group);
+    // A replica rejects a second decided value and keeps its first, so the
+    // logs below can agree although two values were decided.
+    for (const LogPos pos : log->RejectedPositions()) {
+      report.Violation("(R1) datacenter " + std::to_string(dc) +
+                       " rejected a second decided value for log position " +
+                       std::to_string(pos));
+    }
+    const std::map<LogPos, wal::LogEntry> entries = log->AllEntries();
     for (const auto& [pos, entry] : entries) {
       const uint64_t fp = entry.Fingerprint();
       auto it = fingerprints.find(pos);

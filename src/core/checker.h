@@ -1,7 +1,8 @@
 // Correctness checkers for the replicated log and the executed history.
 //
 // After a run, these validate the paper's correctness obligations (§3):
-//   (R1)     no two datacenter logs disagree on a position;
+//   (R1)     no two datacenter logs disagree on a position, and no replica
+//            rejected a second decided value for one;
 //   (L1/L2)  exactly the committed transactions appear in the log, each in
 //            exactly one position;
 //   (L3)     the log is a one-copy serializable history: replaying entries
@@ -76,8 +77,9 @@ class Checker {
   CheckReport CheckAllCross(const std::vector<std::string>& groups,
                             const std::vector<ClientOutcome>& outcomes);
 
-  /// (R1) + log contiguity. Also merges all replicas' entries into one
-  /// global log (any replica may be missing suffix entries).
+  /// (R1), including second values a replica rejected, + log contiguity.
+  /// Also merges all replicas' entries into one global log (any replica
+  /// may be missing suffix entries).
   CheckReport CheckReplication(const std::string& group,
                                std::map<LogPos, wal::LogEntry>* global_log);
 

@@ -12,7 +12,6 @@ Cluster::Cluster(ClusterConfig config)
   net::NetworkOptions net_options;
   net_options.loss_probability = config_.loss_probability;
   net_options.latency_jitter = config_.latency_jitter;
-  net_options.default_timeout = config_.message_timeout;
   net_options.seed = NextSeed();
   network_ = std::make_unique<txn::Network>(&simulator_, config_.RttMatrix(),
                                             net_options);

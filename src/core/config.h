@@ -42,8 +42,6 @@ struct ClusterConfig {
   double loss_probability = 0.0;
   /// One-way latency jitter fraction.
   double latency_jitter = 0.10;
-  /// Message timeout (paper: two seconds).
-  TimeMicros message_timeout = 2 * kSecond;
   /// Simulated service processing costs.
   txn::ServiceTimeModel service_times;
   /// Master seed; everything (jitter, loss, backoff, workload) derives

@@ -44,24 +44,13 @@ struct TargetResult {
   Response response;
 };
 
-/// How long to wait for broadcast responses.
-enum class WaitPolicy {
-  /// Wait until every target either responded or timed out (paper default:
-  /// the client keeps collecting votes until the timeout window closes, so
-  /// in practice it sees "more than a simple majority" of responses, §5).
-  kAll,
-  /// Resume as soon as `quorum` successful responses arrived (plus an
-  /// optional grace period); stragglers are marked Unavailable. Used by the
-  /// wait-policy ablation.
-  kQuorumEarly,
-};
-
 struct NetworkOptions {
   /// Probability that any single one-way message is silently dropped.
   double loss_probability = 0.0;
   /// One-way delay is rtt/2 * (1 + U(-jitter, +jitter)).
   double latency_jitter = 0.10;
-  /// Per-call timeout when the caller passes 0 (paper: 2 seconds).
+  /// Per-call timeout when the caller passes 0 (paper: 2 seconds). The
+  /// protocol never passes one, so this is its one RPC timeout.
   TimeMicros default_timeout = 2 * kSecond;
   /// RNG seed for delay jitter and loss decisions.
   uint64_t seed = 1;
@@ -84,13 +73,6 @@ struct NetworkOptions {
   /// Max extra delay of a reordered message, and max lag of a duplicate
   /// copy behind its original.
   TimeMicros reorder_extra_max = 200 * kMillisecond;
-};
-
-struct BroadcastOptions {
-  WaitPolicy policy = WaitPolicy::kAll;
-  int quorum = 0;                 // used by kQuorumEarly
-  TimeMicros grace = 0;           // extra wait after quorum reached
-  TimeMicros timeout = 0;         // 0 => NetworkOptions::default_timeout
 };
 
 /// The part of the network that does not depend on the message types: it
@@ -261,13 +243,16 @@ class Network : public NetworkBase {
     return Send(from, to, std::make_shared<const Request>(request), timeout);
   }
 
-  /// Sends `request` to every target in parallel and gathers the results
-  /// according to the wait policy. The result vector is ordered as `targets`.
-  /// Every target is served from one copy of the request.
+  /// Sends `request` to every target in parallel and resolves once every
+  /// target has responded or timed out — the paper's client keeps
+  /// collecting votes until the timeout window closes, so it sees "more
+  /// than a simple majority" of responses (§5). The result vector is
+  /// ordered as `targets`; `timeout` applies per target as in Call. Every
+  /// target is served from one copy of the request.
   sim::Future<BroadcastResult> Broadcast(DcId from,
                                          const std::vector<DcId>& targets,
                                          const Request& request,
-                                         const BroadcastOptions& options);
+                                         TimeMicros timeout = 0);
 
  private:
   /// One copy of a request, from departure to its response leg. The
@@ -389,13 +374,11 @@ template <typename Request, typename Response>
 auto Network<Request, Response>::Broadcast(DcId from,
                                            const std::vector<DcId>& targets,
                                            const Request& request,
-                                           const BroadcastOptions& options)
+                                           TimeMicros timeout)
     -> sim::Future<BroadcastResult> {
   struct Aggregator {
     BroadcastResult results;
     int resolved = 0;
-    int successes = 0;
-    bool grace_scheduled = false;
   };
   sim::Promise<BroadcastResult> promise(sim_);
   const int n = static_cast<int>(targets.size());
@@ -405,40 +388,15 @@ auto Network<Request, Response>::Broadcast(DcId from,
   }
   auto agg = std::make_shared<Aggregator>();
   agg->results.resize(n);
-  for (int i = 0; i < n; ++i) {
-    agg->results[i].dc = targets[i];
-    agg->results[i].status = Status::Unavailable("no response collected");
-  }
-
-  // The first finish moves the results out; the promise is first-set-wins
-  // and every later callback returns before touching them.
-  auto finish = [promise, agg] { promise.Set(std::move(agg->results)); };
+  for (int i = 0; i < n; ++i) agg->results[i].dc = targets[i];
 
   const auto shared = std::make_shared<const Request>(request);
   for (int i = 0; i < n; ++i) {
-    Send(from, targets[i], shared, options.timeout)
-        .OnReady([this, i, n, agg, finish, options,
-                  promise](CallResult<Response>&& result) {
-          if (promise.IsSet()) return;  // already resolved (quorum early)
+    Send(from, targets[i], shared, timeout)
+        .OnReady([i, n, agg, promise](CallResult<Response>&& result) {
           agg->results[i].status = result.status;
           agg->results[i].response = std::move(result.response);
-          agg->resolved++;
-          if (result.status.ok()) agg->successes++;
-
-          if (agg->resolved == n) {
-            finish();
-            return;
-          }
-          if (options.policy == WaitPolicy::kQuorumEarly &&
-              agg->successes >= options.quorum && !agg->grace_scheduled) {
-            agg->grace_scheduled = true;
-            if (options.grace <= 0) {
-              finish();
-            } else {
-              sim_->ScheduleAfter(options.grace, finish,
-                                  "net/broadcast-grace");
-            }
-          }
+          if (++agg->resolved == n) promise.Set(std::move(agg->results));
         });
   }
   return promise.GetFuture();

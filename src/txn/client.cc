@@ -23,7 +23,8 @@ TransactionClient::TransactionClient(Network* network, DcId home,
 }
 
 TimeMicros TransactionClient::RandomBackoff() {
-  return rng_.UniformRange(options_.backoff_min, options_.backoff_max);
+  // Algorithm 2: "sleep for random time period" between Paxos rounds.
+  return rng_.UniformRange(5 * kMillisecond, 50 * kMillisecond);
 }
 
 TimeMicros TransactionClient::RandomBackoffIn(TimeMicros lo, TimeMicros hi) {
@@ -41,8 +42,7 @@ sim::Coro<CallResult> TransactionClient::CallWithFailover(
   CallResult last{Status::Unavailable("no datacenters"), {}};
   for (int attempt = 0; attempt < network_->num_datacenters(); ++attempt) {
     const DcId target = (home_ + attempt) % network_->num_datacenters();
-    last = co_await network_->Call(home_, target, *request,
-                                   options_.rpc_timeout);
+    last = co_await network_->Call(home_, target, *request);
     if (last.status.ok()) co_return last;
   }
   co_return last;
@@ -50,12 +50,7 @@ sim::Coro<CallResult> TransactionClient::CallWithFailover(
 
 sim::Coro<BroadcastResult> TransactionClient::BroadcastToAll(
     const ServiceRequest* request) {
-  net::BroadcastOptions bopts;
-  bopts.policy = options_.wait_policy;
-  bopts.quorum = majority_;
-  bopts.grace = options_.quorum_grace;
-  bopts.timeout = options_.rpc_timeout;
-  co_return co_await network_->Broadcast(home_, all_dcs_, *request, bopts);
+  co_return co_await network_->Broadcast(home_, all_dcs_, *request);
 }
 
 sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
@@ -241,11 +236,9 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
 
   // Decided. Send apply to every replica (Step 5; fire-and-forget — the
   // client does not need the acknowledgements to report its outcome).
-  net::BroadcastOptions bopts;
-  bopts.timeout = options_.rpc_timeout;
   const ServiceRequest apply_request =
       ApplyRequest{group, pos, ballot, *proposal};
-  network_->Broadcast(home_, all_dcs_, apply_request, bopts);
+  network_->Broadcast(home_, all_dcs_, apply_request);
   InstanceOutcome outcome;
   outcome.kind = proposal->ContainsRecord(own_id, own_kind)
                      ? InstanceOutcome::Kind::kWon
@@ -267,14 +260,13 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
   // Leader fast path (§4.1): ask the leader of this position whether we are
   // first; if so, skip the prepare phase and propose with ballot round 0.
-  if (options_.leader_optimization) {
-    // kNoDc should not happen (begin always names a leader); fall back to
-    // the canonical bootstrap leader, never to home_, to preserve the
-    // uniqueness of round-0 grants.
-    const DcId leader = leader_dc == kNoDc ? 0 : leader_dc;
+  // Round-0 grants are unique only because every claim for a position goes
+  // to that position's one leader, so a caller that does not know the
+  // leader (kNoDc) must not guess one: it runs the full protocol.
+  if (options_.leader_optimization && leader_dc != kNoDc) {
     const ServiceRequest claim_request = ClaimLeaderRequest{group, pos};
-    CallResult claim = co_await network_->Call(home_, leader, claim_request,
-                                               options_.rpc_timeout);
+    CallResult claim =
+        co_await network_->Call(home_, leader_dc, claim_request);
     if (claim.status.ok() &&
         std::get<ClaimLeaderResponse>(claim.response).granted) {
       std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(

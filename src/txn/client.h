@@ -129,6 +129,12 @@ class TransactionClient {
     /// a position: an own-preceded-by-younger prepare is in the log (and
     /// counts toward the crash gate) but must abort.
     LogPos pos = 0;
+    /// Where this group's decide walk starts — right after the landed
+    /// prepare, else at the leg's first position — and that position's
+    /// leader (the winner of the entry before it), whom the walk asks for
+    /// the round-0 grant like any other proposer.
+    LogPos decide_floor = 0;
+    DcId decide_leader = kNoDc;
     int promotions = 0;
     std::string detail;     // failure detail (kConflict / kUnavailable)
     bool attempted = false;  // a prepare was proposed in this group
@@ -165,9 +171,11 @@ class TransactionClient {
   /// (commit/abort per `commit`) for transaction `id` at each undecided
   /// position until one lands — or until an existing decide for `id` is
   /// encountered, which is then adopted (first decide wins). Decide
-  /// records read nothing, so they promote past any conflict.
+  /// records read nothing, so they promote past any conflict. `leader` is
+  /// the leader of `floor`, or kNoDc when the caller does not know it (the
+  /// first position then skips the fast path).
   sim::Coro<DecideOutcome> ProposeDecide(std::string group, LogPos floor,
-                                         TxnId id, bool commit,
+                                         DcId leader, TxnId id, bool commit,
                                          CommitResult* stats);
 
   /// Polls the begin-serving replica path (home datacenter first, same
@@ -182,8 +190,9 @@ class TransactionClient {
 
   /// One Phase-2 propagation leg: lands the canonical decision in `group`
   /// and barriers on its apply (fanned out with sim::WhenAll).
-  sim::Coro<void> PropagateDecide(std::string group, LogPos floor, TxnId id,
-                                  bool commit, CommitResult* stats);
+  sim::Coro<void> PropagateDecide(std::string group, LogPos floor,
+                                  DcId leader, TxnId id, bool commit,
+                                  CommitResult* stats);
 
   /// Merged QueryCross over every reachable datacenter: prepare metadata
   /// from the first replica that has it, the canonical decision if any
@@ -207,7 +216,9 @@ class TransactionClient {
   /// Runs one Paxos instance for `pos`, proposing `own`. Implements
   /// Algorithm 2 (prepare / accept / apply with randomized backoff), the
   /// leader fast path, and — for Paxos-CP — combination via
-  /// EnhancedFindWinningValue.
+  /// EnhancedFindWinningValue. `leader_dc` is the leader of `pos` (the
+  /// winner of the entry at pos - 1, DC 0 for position 1); kNoDc skips the
+  /// fast path.
   // NOTE on coroutine parameters: never references (a caller temporary
   // bound to a reference parameter dies before the frame does) and never
   // aggregate class types by value (miscompiled parameter-copy lifetime on

@@ -329,10 +329,8 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   bool conflict = false;
   bool prepare_unknown = false;
   std::string fail_detail;
-  std::vector<std::string> attempted;  // groups where a prepare was proposed
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const CrossPrepareOutcome& leg = outcomes[i];
-    if (leg.attempted) attempted.push_back(state->groups[i]);
     if (leg.pos != 0) result.prepare_positions[state->groups[i]] = leg.pos;
     result.promotions += leg.promotions;
     if (conflict || prepare_unknown) continue;  // first failure (in sorted
@@ -365,13 +363,9 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   // (recovery will land it).
   const bool want_commit = !conflict && !prepare_unknown;
   const std::string& commit_group = state->groups.front();
-  LogPos floor = state->legs[commit_group].txn.read_pos + 1;
-  if (auto it = result.prepare_positions.find(commit_group);
-      it != result.prepare_positions.end()) {
-    floor = it->second + 1;
-  }
-  DecideOutcome decide =
-      co_await ProposeDecide(commit_group, floor, id, want_commit, &scratch);
+  DecideOutcome decide = co_await ProposeDecide(
+      commit_group, outcomes[0].decide_floor, outcomes[0].decide_leader, id,
+      want_commit, &scratch);
 
   result.prepare_rounds = scratch.prepare_rounds;
   if (!decide.known) {
@@ -407,14 +401,11 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   // canonical decide.
   sim::WhenAll propagate(sim_);
   propagate.Add(AwaitDecideApplied(commit_group, id));
-  for (const std::string& group : attempted) {
-    if (group == commit_group) continue;
-    LogPos gfloor = state->legs[group].txn.read_pos + 1;
-    if (auto it = result.prepare_positions.find(group);
-        it != result.prepare_positions.end()) {
-      gfloor = it->second + 1;
-    }
-    propagate.Add(PropagateDecide(group, gfloor, id, decide.commit, &scratch));
+  for (size_t i = 1; i < outcomes.size(); ++i) {
+    if (!outcomes[i].attempted) continue;
+    propagate.Add(PropagateDecide(state->groups[i], outcomes[i].decide_floor,
+                                  outcomes[i].decide_leader, id,
+                                  decide.commit, &scratch));
   }
   co_await propagate;
   result.prepare_rounds = scratch.prepare_rounds;
@@ -459,6 +450,8 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
   out.attempted = true;
   LogPos pos = leg.txn.read_pos + 1;
   DcId leader = leg.txn.leader_dc;
+  out.decide_floor = pos;
+  out.decide_leader = leader;
   for (;;) {
     InstanceOutcome outcome =
         co_await RunInstance(group, pos, &own, leader, stats);
@@ -489,6 +482,8 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
       // the shared commit order — the prepare stays in the log but the
       // transaction must abort (the decide makes it a no-op).
       out.pos = pos;
+      out.decide_floor = pos + 1;
+      out.decide_leader = outcome.decided.winner_dc;
       ++gate->landed;
       if (OwnPrecededByYounger(outcome.decided, ts, id)) {
         out.kind = CrossPrepareOutcome::Kind::kConflict;
@@ -527,7 +522,7 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
 }
 
 sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
-    std::string group, LogPos floor, TxnId id, bool commit,
+    std::string group, LogPos floor, DcId leader, TxnId id, bool commit,
     CommitResult* stats) {
   wal::TxnRecord record;
   record.id = id;
@@ -540,7 +535,6 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
 
   DecideOutcome out;
   LogPos pos = floor;
-  DcId leader = kNoDc;
   // Decide records read nothing, so they can promote past any entry; the
   // cap only bounds a runaway walk across a pathologically hot log. It
   // must comfortably exceed any real log length: recovery's forced-abort
@@ -587,11 +581,11 @@ sim::Coro<void> TransactionClient::AwaitDecideApplied(std::string group,
 }
 
 sim::Coro<void> TransactionClient::PropagateDecide(std::string group,
-                                                   LogPos floor, TxnId id,
-                                                   bool commit,
+                                                   LogPos floor, DcId leader,
+                                                   TxnId id, bool commit,
                                                    CommitResult* stats) {
-  DecideOutcome landed = co_await ProposeDecide(group, floor, id, commit,
-                                                stats);
+  DecideOutcome landed = co_await ProposeDecide(group, floor, leader, id,
+                                                commit, stats);
   if (landed.known) co_await AwaitDecideApplied(group, id);
 }
 
@@ -603,8 +597,7 @@ TransactionClient::QueryCrossAll(std::string group, TxnId id) {
   const ServiceRequest query = QueryCrossRequest{group, id};
   for (int dc = 0; dc < network_->num_datacenters(); ++dc) {
     CallResult r = co_await network_->Call(
-        home_, (home_ + dc) % network_->num_datacenters(), query,
-        options_.rpc_timeout);
+        home_, (home_ + dc) % network_->num_datacenters(), query);
     if (!r.status.ok()) continue;
     const auto& q = std::get<QueryCrossResponse>(r.response);
     if (q.has_prepare && !out.has_prepare) {

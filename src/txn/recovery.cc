@@ -40,11 +40,12 @@ sim::Coro<RecoveryResult> CrossRecovery::Run(TransactionClient* engine,
   // slow coordinator's commit decide got there first, the walk adopts it.
   // The floor must be at or below every possible decide position: after
   // the commit-group prepare if it landed, else the log's start (the
-  // rare crashed-before-its-first-prepare case).
+  // rare crashed-before-its-first-prepare case). Recovery does not know
+  // who leads the floor, so the walk skips the fast path there (kNoDc).
   if (!at_cg.has_canonical_decision) {
     const LogPos cg_floor = at_cg.has_prepare ? at_cg.prepare_pos + 1 : 1;
     TransactionClient::DecideOutcome forced = co_await engine->ProposeDecide(
-        commit_group, cg_floor, id, /*commit=*/false, &scratch);
+        commit_group, cg_floor, kNoDc, id, /*commit=*/false, &scratch);
     if (!forced.known) {
       out.status = Status::Unavailable(
           "recovery could not decide txn " + TxnIdToString(id) +
@@ -76,8 +77,8 @@ sim::Coro<RecoveryResult> CrossRecovery::Run(TransactionClient* engine,
       floor = at_part.safe_pos + 1;
     }
     TransactionClient::DecideOutcome propagated =
-        co_await engine->ProposeDecide(participant, floor, id, decision_commit,
-                                       &scratch);
+        co_await engine->ProposeDecide(participant, floor, kNoDc, id,
+                                       decision_commit, &scratch);
     if (!propagated.known) {
       out.status = Status::Unavailable(
           "recovery could not propagate decide of " + TxnIdToString(id) +

@@ -16,6 +16,25 @@ namespace {
 constexpr int kMaxLearnAttempts = 8;
 constexpr int kMaxCatchUpSteps = 4096;
 
+// Recovery daemon timers (D10).
+/// Upper bound on the deterministic per-(replica, txn) jitter added to
+/// base_delay, desynchronizing the replicas' timers.
+constexpr TimeMicros kMaxJitter = 500 * kMillisecond;
+/// Backoff before re-considering a transaction whose recovery attempt
+/// failed or was deferred to the arbiter; doubles per attempt, capped.
+constexpr TimeMicros kRetryBackoff = 1 * kSecond;
+constexpr TimeMicros kMaxBackoff = 8 * kSecond;
+/// Attempt cap per pending transaction: bounds the timer chain so an
+/// unresolvable transaction (e.g. under a permanent partition) cannot
+/// keep the simulator's event queue alive forever.
+constexpr int kMaxAttempts = 16;
+/// Attempt index from which a non-arbiter replica drives recovery itself
+/// instead of deferring: the arbiter may never have seen this prepare
+/// (its replica can be missing the entry), so pure deference could stall
+/// forever. Escalated duplicate drives are safe — recovery is idempotent;
+/// arbitration only avoids the common-case recovery storm.
+constexpr int kEscalateAfter = 4;
+
 std::vector<DcId> AllDatacenters(int d) {
   std::vector<DcId> all(d);
   std::iota(all.begin(), all.end(), 0);
@@ -297,22 +316,15 @@ void TransactionService::NoteEntryLanded(const std::string& group) {
 }
 
 TimeMicros TransactionService::RecoveryJitter(TxnId id) const {
-  if (recovery_options_.max_jitter <= 0) return 0;
   const uint64_t h = HashMix(seed_ ^ (id * 0x9e3779b97f4a7c15ULL) ^
                              (static_cast<uint64_t>(dc_) << 32));
-  return static_cast<TimeMicros>(
-      h % static_cast<uint64_t>(recovery_options_.max_jitter));
+  return static_cast<TimeMicros>(h % static_cast<uint64_t>(kMaxJitter));
 }
 
 TimeMicros TransactionService::RecoveryBackoff(int attempt) const {
-  TimeMicros backoff = recovery_options_.retry_backoff;
-  for (int i = 0; i < attempt; ++i) {
-    backoff *= 2;
-    if (backoff >= recovery_options_.max_backoff) {
-      return recovery_options_.max_backoff;
-    }
-  }
-  return std::min(backoff, recovery_options_.max_backoff);
+  TimeMicros backoff = kRetryBackoff;
+  for (int i = 0; i < attempt && backoff < kMaxBackoff; ++i) backoff *= 2;
+  return std::min(backoff, kMaxBackoff);
 }
 
 void TransactionService::ArmRecoveryTimer(const std::string& group, TxnId id,
@@ -337,7 +349,7 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
     recovery_timed_.erase(key);
     return;
   }
-  if (attempt >= recovery_options_.max_attempts) {
+  if (attempt >= kMaxAttempts) {
     // Give up: bounds the timer chain under a permanent partition. Counted,
     // because a transaction dropped here stays pending until the daemon is
     // restarted (the runner's post-run quiesce does that once).
@@ -347,7 +359,7 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
   }
   // Arbitration: the lowest *live* datacenter drives; everyone else backs
   // off and re-checks — when the arbiter goes down, the next timer firing
-  // re-arbitrates and a new replica takes over. After `escalate_after`
+  // re-arbitrates and a new replica takes over. After kEscalateAfter
   // deferrals a watcher drives regardless: the arbiter may not know this
   // prepare at all (it can be missing the entry), and duplicate drives are
   // harmless — the recovery core is idempotent.
@@ -358,7 +370,7 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
       break;
     }
   }
-  if ((arbiter || attempt >= recovery_options_.escalate_after) &&
+  if ((arbiter || attempt >= kEscalateAfter) &&
       recovery_inflight_.count(key) == 0) {
     DriveRecovery(group, id, attempt, generation);
     return;  // DriveRecovery re-arms the chain if the pin survives
@@ -520,14 +532,12 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
 
   paxos::Ballot ballot =
       paxos::NextBallot(gs->acceptor.ReadState(pos).next_bal, dc_);
-  net::BroadcastOptions bopts;  // wait for all (or per-call timeout)
-
   for (int attempt = 0; attempt < kMaxLearnAttempts; ++attempt) {
     if (gs->log.HasEntry(pos)) co_return Status::OK();  // learned meanwhile
     // Prepare phase: discover the decided value or the highest vote.
     const ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
     BroadcastResult presults =
-        co_await network_->Broadcast(dc_, all, prepare_request, bopts);
+        co_await network_->Broadcast(dc_, all, prepare_request);
     paxos::Ballot max_seen = ballot;
     PrepareTally prepares = TallyPrepares(&presults, &max_seen);
     if (prepares.decided.has_value()) {
@@ -548,12 +558,12 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
       const ServiceRequest accept_request =
           AcceptRequest{group, pos, ballot, *winning};
       BroadcastResult aresults =
-          co_await network_->Broadcast(dc_, all, accept_request, bopts);
+          co_await network_->Broadcast(dc_, all, accept_request);
       if (TallyAccepts(aresults, &max_seen) >= majority) {
         // Decided: propagate the outcome (fire-and-forget) and record it.
         const ServiceRequest apply_request =
             ApplyRequest{group, pos, ballot, *winning};
-        network_->Broadcast(dc_, all, apply_request, bopts);
+        network_->Broadcast(dc_, all, apply_request);
         Status applied = gs->acceptor.OnApply(pos, ballot, *winning);
         if (applied.ok()) NoteEntryLanded(group);
         co_return applied;

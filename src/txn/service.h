@@ -34,31 +34,17 @@ namespace paxoscp::txn {
 class TransactionClient;
 
 /// Options of the service-side 2PC recovery daemon (docs/ARCHITECTURE.md,
-/// design note D10). All timers are deterministic: the per-transaction
-/// jitter is hash-derived from (service seed, txn id), never drawn from an
-/// RNG stream, so a seeded run with the daemon on replays bit-identically.
+/// design note D10). The rest of its timers — jitter, retry backoff, attempt
+/// cap, escalation — are constants in service.cc. All timers are
+/// deterministic: the per-transaction jitter is hash-derived from (service
+/// seed, txn id), never drawn from an RNG stream, so a seeded run with the
+/// daemon on replays bit-identically.
 struct RecoveryDaemonOptions {
   /// Delay between a pending prepare appearing in the WAL side table and
   /// the first recovery consideration — a live coordinator gets this long
-  /// to decide on its own before any replica interferes.
+  /// to decide on its own before any replica interferes (the runner's
+  /// RunnerConfig::recovery_timer sets it).
   TimeMicros base_delay = 1 * kSecond;
-  /// Upper bound on the deterministic per-(replica, txn) jitter added to
-  /// base_delay, desynchronizing the replicas' timers.
-  TimeMicros max_jitter = 500 * kMillisecond;
-  /// Backoff before re-considering a transaction whose recovery attempt
-  /// failed or was deferred to the arbiter; doubles per attempt, capped.
-  TimeMicros retry_backoff = 1 * kSecond;
-  TimeMicros max_backoff = 8 * kSecond;
-  /// Attempt cap per pending transaction: bounds the timer chain so an
-  /// unresolvable transaction (e.g. under a permanent partition) cannot
-  /// keep the simulator's event queue alive forever.
-  int max_attempts = 16;
-  /// Attempt index from which a non-arbiter replica drives recovery itself
-  /// instead of deferring: the arbiter may never have seen this prepare
-  /// (its replica can be missing the entry), so pure deference could stall
-  /// forever. Escalated duplicate drives are safe — recovery is idempotent;
-  /// arbitration only avoids the common-case recovery storm.
-  int escalate_after = 4;
   /// Options of the daemon's internal recovery client (protocol is forced
   /// to Paxos-CP, crash faults are stripped).
   ClientOptions client;
@@ -134,7 +120,7 @@ class TransactionService {
   /// arbiter per group (the lowest live datacenter) drives the shared
   /// recovery core (txn/recovery.h) while the other replicas watch with
   /// backoff — re-arbitrating when the arbiter goes down, and escalating to
-  /// drive themselves after `escalate_after` deferrals. Also adopts pending
+  /// drive themselves after kEscalateAfter deferrals. Also adopts pending
   /// prepares already in the side tables (daemon transfer across a service
   /// restart).
   void StartRecoveryDaemon(const RecoveryDaemonOptions& options);
@@ -154,7 +140,7 @@ class TransactionService {
   uint64_t recoveries_started() const { return recoveries_started_; }
   uint64_t recoveries_decided() const { return recoveries_decided_; }
   uint64_t recoveries_forced_abort() const { return recoveries_forced_abort_; }
-  /// Pending prepares whose timer chain hit max_attempts: the daemon's one
+  /// Pending prepares whose timer chain hit kMaxAttempts: the daemon's one
   /// silent give-up, counted so it never goes unnoticed.
   uint64_t recoveries_abandoned() const { return recoveries_abandoned_; }
 
@@ -205,9 +191,9 @@ class TransactionService {
   /// pending prepares, closing pins whose decide entry just landed) and,
   /// when the daemon runs, arms the recovery timer of each new pending.
   void NoteEntryLanded(const std::string& group);
-  /// Deterministic per-(replica, txn) jitter in [0, max_jitter).
+  /// Deterministic per-(replica, txn) jitter in [0, kMaxJitter).
   TimeMicros RecoveryJitter(TxnId id) const;
-  /// Doubling backoff for attempt index `attempt`, capped at max_backoff.
+  /// Doubling backoff for attempt index `attempt`, capped at kMaxBackoff.
   TimeMicros RecoveryBackoff(int attempt) const;
   void ArmRecoveryTimer(const std::string& group, TxnId id, int attempt,
                         TimeMicros delay);

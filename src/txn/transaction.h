@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "net/network.h"
 #include "paxos/value_selection.h"
 #include "wal/log_entry.h"
 
@@ -66,27 +65,24 @@ struct CommitResult {
 };
 
 /// Knobs of the client commit protocol. Defaults reproduce the paper's
-/// configuration; ablation benches override individual fields.
+/// configuration; every field is one some bench or test varies. What the
+/// paper fixes is not a knob: a message times out after the network's
+/// default (two seconds, §2.2), a broadcast waits for every target, and the
+/// sleep between Paxos rounds is uniform in [5, 50) ms (Algorithm 2).
 struct ClientOptions {
+  /// Basic Paxos or Paxos-CP (the figure benches compare both).
   Protocol protocol = Protocol::kPaxosCP;
   /// Maximum number of promotions before giving up (-1 = unlimited, as in
-  /// the paper's evaluation).
+  /// the paper's evaluation; ablation_knobs caps it).
   int promotion_cap = -1;
-  /// Per-message timeout (paper: two seconds).
-  TimeMicros rpc_timeout = 2 * kSecond;
-  /// Randomized retry backoff bounds (Algorithm 2: "sleep for random time
-  /// period").
-  TimeMicros backoff_min = 5 * kMillisecond;
-  TimeMicros backoff_max = 50 * kMillisecond;
   /// Leader-per-log-position fast path (paper §4.1). On by default, as in
-  /// the paper's prototype.
+  /// the paper's prototype; ablation_knobs turns it off.
   bool leader_optimization = true;
+  /// Which votes a Paxos-CP proposer may combine (ablation_knobs varies it).
   paxos::CombinePolicy combine;
-  /// How long to wait for prepare/accept responses.
-  net::WaitPolicy wait_policy = net::WaitPolicy::kAll;
-  TimeMicros quorum_grace = 0;  // for WaitPolicy::kQuorumEarly
   /// Safety valve: give up with Unavailable after this many prepare rounds
-  /// for a single log position.
+  /// for a single log position (the chaos harness lowers it to model
+  /// impatient clients).
   int max_rounds_per_position = 32;
   /// Fault-injection hook (D8, tests/chaos only): the coordinator of a
   /// cross-group transaction crashes — abandons the commit, reporting

@@ -83,6 +83,7 @@ std::string WriteAheadLog::DecisionKey(TxnId id) const {
 }
 std::string WriteAheadLog::CrossMaxKey() const { return "!xmax/" + group_; }
 std::string WriteAheadLog::FrontierKey() const { return "!xfront/" + group_; }
+std::string WriteAheadLog::RejectedKey() const { return "!r1/" + group_; }
 std::string WriteAheadLog::DataKey(const std::string& row) const {
   std::string key;
   key.reserve(2 + group_.size() + 1 + row.size());
@@ -103,6 +104,13 @@ Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
   if (kvstore::AttrView existing;
       store_->HasAttr(EntryKey(pos), kEntryAttr, &existing)) {
     if (existing.value != encoded) {
+      // The log keeps its first value, so replicas still agree; the side
+      // row is what tells the checker a second value was decided.
+      Result<kvstore::RowVersion> row = store_->Read(RejectedKey());
+      kvstore::AttributeMap rejected =
+          row.ok() ? *row->attributes : kvstore::AttributeMap{};
+      rejected[PadPos(pos)] = "1";
+      (void)store_->Write(RejectedKey(), std::move(rejected));
       return Status::Corruption(
           "R1 violation: conflicting values decided for " + group_ + "[" +
           std::to_string(pos) + "]");
@@ -500,6 +508,17 @@ Status WriteAheadLog::LoadInitialRow(const std::string& row,
                       {"wal", store_->instance_id(), group_, "data", row});
   }
   return store_->MergeWrite(DataKey(row), attributes, /*timestamp=*/0);
+}
+
+std::vector<LogPos> WriteAheadLog::RejectedPositions() const {
+  std::vector<LogPos> out;
+  Result<kvstore::RowVersion> row = store_->Read(RejectedKey());
+  if (!row.ok()) return out;
+  for (const auto& [padded, unused] : *row->attributes) {
+    (void)unused;
+    out.push_back(ParsePos(padded));
+  }
+  return out;
 }
 
 std::map<LogPos, LogEntry> WriteAheadLog::AllEntries() const {

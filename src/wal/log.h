@@ -4,7 +4,8 @@
 // The log provides:
 //   * SetEntry / GetEntry — decided values per position, idempotent, with a
 //     local (R1) guard: conflicting re-writes of a position are rejected as
-//     Corruption, which would indicate a Paxos safety violation.
+//     Corruption, which would indicate a Paxos safety violation, and
+//     recorded so the checker reports them (RejectedPositions).
 //   * ApplyThrough — the "background process or as needed to serve a read
 //     request" application of committed writes to data rows (paper §3.2),
 //     stamping each write with its commit log position and recording
@@ -67,7 +68,8 @@ class WriteAheadLog {
   const std::string& group() const { return group_; }
 
   /// Records the decided entry for `pos`. Idempotent; returns Corruption if
-  /// a different value was already decided for this position (R1 violation).
+  /// a different value was already decided for this position (R1 violation),
+  /// keeping the first value and recording `pos` in RejectedPositions.
   Status SetEntry(LogPos pos, const LogEntry& entry);
 
   /// Reads the decided entry at `pos`; NotFound if this replica has not
@@ -143,6 +145,11 @@ class WriteAheadLog {
   /// All decided entries, for invariant checking.
   std::map<LogPos, LogEntry> AllEntries() const;
 
+  /// Positions where SetEntry rejected a second, different decided value,
+  /// ascending. Durable (a side row in the store, written only on that
+  /// path), so a service restart does not hide them from the checker.
+  std::vector<LogPos> RejectedPositions() const;
+
   /// Key of a data row in the underlying store (exposed for tests).
   std::string DataKey(const std::string& row) const;
 
@@ -159,6 +166,9 @@ class WriteAheadLog {
   std::string DecisionKey(TxnId id) const;
   std::string CrossMaxKey() const;
   std::string FrontierKey() const;
+  /// Row of rejected second values: one attribute per position, named by
+  /// its padded position so attribute order is position order.
+  std::string RejectedKey() const;
 
   void BumpMaxDecided(LogPos pos);
 

@@ -342,7 +342,7 @@ sim::Task RunThread(RunContext* ctx, int thread_index, int txns,
   const RunnerConfig& config = ctx->config;
 
   const DcId home = config.thread_dcs.empty()
-                        ? config.client_dc
+                        ? 0
                         : config.thread_dcs[thread_index %
                                             config.thread_dcs.size()];
   txn::Session session = ctx->cluster->CreateSession(home, config.client);
@@ -442,28 +442,26 @@ RunStats RunExperiment(core::Cluster* cluster, const RunnerConfig& config) {
   }
   if (config.recovery_timer > 0) StopRecoveryDaemons(cluster);
 
-  if (config.check_invariants) {
+  RecoverDecidedTail(ctx.get());
+  cluster->RunToCompletion();
+  // Cross-group quiesce (D8/D10): the recovery daemon, the one recovery
+  // path, adopts and decides whatever prepares crashed coordinators left
+  // pending; the tail is then learned again for the checker.
+  stats.quiesce_pending = CountPendingPrepares(ctx.get());
+  if (stats.quiesce_pending > 0) {
+    StartRecoveryDaemons(cluster, config);
+    cluster->RunToCompletion();
+    StopRecoveryDaemons(cluster);
     RecoverDecidedTail(ctx.get());
     cluster->RunToCompletion();
-    // Cross-group quiesce (D8/D10): the recovery daemon, the one recovery
-    // path, adopts and decides whatever prepares crashed coordinators left
-    // pending; the tail is then learned again for the checker.
-    stats.quiesce_pending = CountPendingPrepares(ctx.get());
-    if (stats.quiesce_pending > 0) {
-      StartRecoveryDaemons(cluster, config);
-      cluster->RunToCompletion();
-      StopRecoveryDaemons(cluster);
-      RecoverDecidedTail(ctx.get());
-      cluster->RunToCompletion();
-    }
-    core::Checker checker(cluster);
-    stats.check = checker.CheckAllCross(ctx->group_names, stats.outcomes);
-    stats.combined_entries = stats.check.combined_entries;
-    stats.combined_txns = stats.check.combined_txns;
-    if (!stats.check.ok) {
-      PAXOSCP_LOG(kError) << "invariant violations:\n"
-                          << stats.check.ToString();
-    }
+  }
+  core::Checker checker(cluster);
+  stats.check = checker.CheckAllCross(ctx->group_names, stats.outcomes);
+  stats.combined_entries = stats.check.combined_entries;
+  stats.combined_txns = stats.check.combined_txns;
+  if (!stats.check.ok) {
+    PAXOSCP_LOG(kError) << "invariant violations:\n"
+                        << stats.check.ToString();
   }
   // Counted after the quiesce: a give-up there is how a pending prepare
   // survives it.

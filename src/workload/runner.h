@@ -3,7 +3,10 @@
 // as the paper's evaluation does — staggered starts, a per-thread target
 // transaction rate, 500 transactions per experiment — and gathers the
 // metrics every figure reports (commits by promotion round, latency by
-// round, combinations) plus a full invariant check of the resulting logs.
+// round, combinations). Every run ends with a quiesce (the decided tail is
+// learned, pending prepares are recovered) and the full invariant checker:
+// the serializability check is part of every experiment in this repo, so
+// it has no off switch.
 #pragma once
 
 #include <map>
@@ -29,25 +32,19 @@ struct RunnerConfig {
   /// are open-loop: a late transaction starts immediately but the schedule
   /// does not drift.
   double target_rate_tps = 1.0;
-  /// Home datacenter for all threads...
-  DcId client_dc = 0;
-  /// ...unless per-thread homes are given (Figure 8 runs one YCSB instance
-  /// per datacenter).
+  /// Per-thread home datacenters, assigned round-robin (Figure 8 runs one
+  /// YCSB instance per datacenter). Empty: every thread runs in DC 0.
   std::vector<DcId> thread_dcs;
   uint64_t seed = 7;
-  /// Run the full invariant checker after the workload (on by default; the
-  /// serializability check is part of every experiment in this repo).
-  bool check_invariants = true;
   /// When > 0, bucket per-transaction outcomes into fixed windows of this
   /// width (virtual time since the run started, keyed by each transaction's
   /// start time) so availability-over-time is observable — the accounting
   /// behind bench/fig_availability and the chaos harness.
   TimeMicros availability_window = 0;
   /// When > 0, every replica runs the service-side recovery daemon (D10)
-  /// during the workload with this base timer (jitter/backoff at their
-  /// RecoveryDaemonOptions defaults). 0 leaves the daemon off during the
-  /// run; the post-run quiesce starts it either way when prepares are left
-  /// pending.
+  /// during the workload with this base timer (jitter and backoff are the
+  /// daemon's constants). 0 leaves the daemon off during the run; the
+  /// post-run quiesce starts it either way when prepares are left pending.
   TimeMicros recovery_timer = 0;
 };
 
@@ -123,10 +120,10 @@ struct RunStats {
   uint64_t recoveries_decided = 0;
   uint64_t recoveries_forced_abort = 0;
   TimeMicros max_safe_read_pin = 0;
-  /// Daemon give-ups at max_attempts, summed after the post-run quiesce.
+  /// Daemon give-ups at its attempt cap, summed after the post-run quiesce.
   uint64_t recoveries_abandoned = 0;
-  /// Distinct pending prepares the post-run quiesce found (check_invariants
-  /// runs only); 0 with the daemon on means it healed everything itself.
+  /// Distinct pending prepares the post-run quiesce found; 0 with the
+  /// daemon on means it healed everything itself.
   int quiesce_pending = 0;
 
   uint64_t messages_sent = 0;

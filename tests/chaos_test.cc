@@ -410,6 +410,23 @@ TEST(ChaosSweepTest, DaemonAloneHealsPendingPrepares) {
       static_cast<unsigned long long>(recoveries_abandoned));
 }
 
+// Daemon seeds on which two values were once decided for one log position.
+// A coordinator's decide walk asked DC 0 for the round-0 grant of a
+// position whose leader was another datacenter; that leader had already
+// granted round 0 to a proposer at DC 0, so both sent ballot {0, 0} and a
+// majority accepted each value (the acceptor treats an equal ballot as a
+// revote). Every replica then rejected the second value it was told to
+// apply, which the checker reports as R1.
+TEST(ChaosSweepTest, DecideWalksNeverTakeASecondRoundZeroGrant) {
+  for (uint64_t seed : {907122u, 907683u}) {
+    const ChaosResult result = RunChaos(seed, nullptr, /*max_rounds=*/32,
+                                        /*cross=*/true, /*daemon=*/true);
+    EXPECT_TRUE(result.ok()) << result.Describe();
+    EXPECT_EQ(result.stats.quiesce_pending, 0) << "seed " << seed;
+    EXPECT_EQ(result.pending_after, 0) << "seed " << seed;
+  }
+}
+
 // A crashed/timed-out client's transaction may legitimately land in the log
 // (the cohort decided it, the client just never heard) or vanish. Under a
 // hostile envelope — long response-eating loss bursts and outages — the

@@ -299,6 +299,56 @@ TEST(CheckAllCrossTest, CommittedSingleGroupOutcomeMissingFromLogRaisesL1) {
       << report.ToString();
 }
 
+// ---- R1 through a rejected apply: a replica told to apply a second value
+// for a decided position keeps its first, so the replicas' logs still
+// agree; the checker must report the second decision anyway.
+
+TEST(ReplicationCheckerTest, RejectedSecondValueIsAnR1Violation) {
+  Cluster cluster(*ClusterConfig::FromCode("VVV"));
+  wal::LogEntry first;
+  first.txns.push_back(Record(MakeTxnId(0, 1), 0, {}, {{"a", "1"}}));
+  first.winner_dc = 0;
+  wal::LogEntry second;
+  second.txns.push_back(Record(MakeTxnId(1, 1), 0, {}, {{"a", "2"}}));
+  second.winner_dc = 1;
+  for (DcId dc = 0; dc < cluster.num_datacenters(); ++dc) {
+    ASSERT_TRUE(cluster.service(dc)->GroupLog("g")->SetEntry(1, first).ok());
+  }
+  const Status rejected =
+      cluster.service(1)->GroupLog("g")->SetEntry(1, second);
+  EXPECT_EQ(rejected.code(), Status::Code::kCorruption);
+  for (DcId dc = 0; dc < cluster.num_datacenters(); ++dc) {
+    Result<wal::LogEntry> kept = cluster.service(dc)->GroupLog("g")->GetEntry(1);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(*kept, first) << "dc " << dc;
+  }
+
+  Checker checker(&cluster);
+  std::map<LogPos, wal::LogEntry> global_log;
+  const CheckReport report = checker.CheckReplication("g", &global_log);
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.violations.size(), 1u) << report.ToString();
+  EXPECT_EQ(report.violations[0],
+            "(R1) datacenter 1 rejected a second decided value for log "
+            "position 1");
+}
+
+TEST(ReplicationCheckerTest, ReappliedSameValueIsNoViolation) {
+  Cluster cluster(*ClusterConfig::FromCode("VVV"));
+  wal::LogEntry entry;
+  entry.txns.push_back(Record(MakeTxnId(0, 1), 0, {}, {{"a", "1"}}));
+  entry.winner_dc = 0;
+  for (DcId dc = 0; dc < cluster.num_datacenters(); ++dc) {
+    ASSERT_TRUE(cluster.service(dc)->GroupLog("g")->SetEntry(1, entry).ok());
+  }
+  EXPECT_TRUE(cluster.service(1)->GroupLog("g")->SetEntry(1, entry).ok());
+
+  Checker checker(&cluster);
+  std::map<LogPos, wal::LogEntry> global_log;
+  const CheckReport report = checker.CheckReplication("g", &global_log);
+  EXPECT_TRUE(report.ok) << report.ToString();
+}
+
 TEST(ReportTest, ViolationAccumulates) {
   CheckReport report;
   EXPECT_TRUE(report.ok);

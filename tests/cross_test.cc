@@ -452,6 +452,71 @@ TEST(CrossTxnTest, MixedSingleAndCrossTrafficStaysSerializable) {
   EXPECT_TRUE(report.ok) << report.ToString();
 }
 
+TEST(CrossTxnTest, DecideWalkClaimsRoundZeroFromThePositionLeader) {
+  // A round-0 grant is unique only if every claim for a position goes to
+  // that position's leader: the winner of the entry before it (DC 0 for
+  // position 1). A coordinator at DC 1 wins the prepare positions, so DC 1
+  // leads the positions its decide walks start at; a walk that asked DC 0
+  // there could get a second round-0 grant for a position the real leader
+  // already granted, and two values could be decided at one ballot.
+  Db db(TestConfig());
+  ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
+  ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
+  struct Claim {
+    DcId dc;
+    std::string group;
+    LogPos pos;
+  };
+  std::vector<Claim> claims;
+  for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
+    txn::TransactionService* service = db.cluster()->service(dc);
+    db.cluster()->network()->RegisterEndpoint(
+        dc, [service, &claims](DcId from, const txn::ServiceRequest* request) {
+          if (const auto* claim =
+                  std::get_if<txn::ClaimLeaderRequest>(request)) {
+            claims.push_back({service->dc(), claim->group, claim->pos});
+          }
+          return service->Handle(from, request);
+        });
+  }
+
+  Session session = db.Session(1);
+  struct Probe {
+    CrossCommitResult commit;
+  } probe;
+  struct CommitRun {
+    sim::Task operator()(Session* s, Probe* out) {
+      const std::vector<std::string> ab = {"a", "b"};
+      CrossTxn txn = co_await s->BeginCross(ab);
+      EXPECT_TRUE(txn.active());
+      if (!txn.active()) co_return;
+      (void)txn.Write("a", "row", "x", "1");
+      (void)txn.Write("b", "row", "y", "1");
+      out->commit = co_await txn.Commit();
+    }
+  } commit_run;
+  commit_run(&session, &probe);
+  db.Run();
+  ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
+
+  // Two prepares and two decides, each claiming its first position.
+  ASSERT_EQ(claims.size(), 4u);
+  for (const Claim& claim : claims) {
+    DcId leader = 0;
+    if (claim.pos > 1) {
+      Result<wal::LogEntry> previous =
+          db.cluster()->service(0)->GroupLog(claim.group)->GetEntry(
+              claim.pos - 1);
+      ASSERT_TRUE(previous.ok()) << claim.group << "[" << claim.pos - 1 << "]";
+      leader = previous->winner_dc;
+    }
+    EXPECT_EQ(claim.dc, leader)
+        << "claim for " << claim.group << "[" << claim.pos << "]";
+  }
+  core::CheckReport report = db.Check(std::vector<std::string>{"a", "b"});
+  EXPECT_TRUE(report.ok) << report.ToString();
+}
+
 // ----------------------------------------------------- crash and recovery
 
 /// Drives the shared recovery core for `id`, observed pending in `group`,

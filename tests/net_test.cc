@@ -1,5 +1,5 @@
 // Unit tests for the simulated network: latency, timeouts, loss, outages,
-// broadcast policies, delivery faults, a golden delivery schedule, and how
+// broadcasts, delivery faults, a golden delivery schedule, and how
 // often requests and responses are copied.
 #include <gtest/gtest.h>
 
@@ -24,13 +24,10 @@ using StringNetwork = Network<std::string, std::string>;
 using StringCall = CallResult<std::string>;
 using StringBroadcast = StringNetwork::BroadcastResult;
 
-/// Echo service: replies with "<dc>:<payload>" after an optional delay.
-StringNetwork::Handler EchoHandler(sim::Simulator* sim, DcId dc,
-                                   TimeMicros service_time = 0) {
-  return [sim, dc, service_time](
-             DcId /*from*/,
-             const std::string* request) -> sim::Coro<std::string> {
-    if (service_time > 0) co_await sim::SleepFor(sim, service_time);
+/// Echo service: replies with "<dc>:<payload>".
+StringNetwork::Handler EchoHandler(DcId dc) {
+  return [dc](DcId /*from*/,
+              const std::string* request) -> sim::Coro<std::string> {
     co_return std::to_string(dc) + ":" + *request;
   };
 }
@@ -44,7 +41,7 @@ class NetworkTest : public ::testing::Test {
     for (int i = 0; i < dcs; ++i) rtt[i][i] = 1000;
     network_ = std::make_unique<StringNetwork>(&sim_, rtt, options);
     for (DcId dc = 0; dc < dcs; ++dc) {
-      network_->RegisterEndpoint(dc, EchoHandler(&sim_, dc));
+      network_->RegisterEndpoint(dc, EchoHandler(dc));
     }
   }
 
@@ -134,8 +131,7 @@ TEST_F(NetworkTest, TotalLossTimesOutEveryCall) {
 TEST_F(NetworkTest, BroadcastCollectsAllTargets) {
   Build(3);
   std::optional<StringBroadcast> result;
-  BroadcastOptions options;
-  network_->Broadcast(0, {0, 1, 2}, "hi", options)
+  network_->Broadcast(0, {0, 1, 2}, "hi")
       .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
@@ -152,9 +148,7 @@ TEST_F(NetworkTest, BroadcastWithDownTargetMarksItTimedOut) {
   Build(3);
   network_->SetDatacenterDown(2, true);
   std::optional<StringBroadcast> result;
-  BroadcastOptions options;
-  options.timeout = 30 * kMillisecond;
-  network_->Broadcast(0, {0, 1, 2}, "hi", options)
+  network_->Broadcast(0, {0, 1, 2}, "hi", 30 * kMillisecond)
       .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
@@ -163,33 +157,10 @@ TEST_F(NetworkTest, BroadcastWithDownTargetMarksItTimedOut) {
   EXPECT_TRUE((*result)[2].status.IsTimedOut());
 }
 
-TEST_F(NetworkTest, QuorumEarlyPolicyReturnsBeforeStragglers) {
-  Build(3);
-  // DC 2 is slow: re-register with a long service time.
-  network_->RegisterEndpoint(2, EchoHandler(&sim_, 2, 500 * kMillisecond));
-  std::optional<StringBroadcast> result;
-  TimeMicros completed_at = -1;
-  BroadcastOptions options;
-  options.policy = WaitPolicy::kQuorumEarly;
-  options.quorum = 2;
-  options.timeout = 2 * kSecond;
-  network_->Broadcast(0, {0, 1, 2}, "hi", options)
-      .OnReady([&](StringBroadcast&& r) {
-        result = std::move(r);
-        completed_at = sim_.Now();
-      });
-  sim_.Run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_LT(completed_at, 100 * kMillisecond);  // did not wait for DC 2
-  int ok = 0;
-  for (const auto& t : *result) ok += t.status.ok() ? 1 : 0;
-  EXPECT_EQ(ok, 2);
-}
-
 TEST_F(NetworkTest, EmptyBroadcastResolvesImmediately) {
   Build(2);
   std::optional<StringBroadcast> result;
-  network_->Broadcast(0, {}, "hi", {})
+  network_->Broadcast(0, {}, "hi")
       .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
@@ -213,7 +184,7 @@ TEST_F(NetworkTest, JitterStaysWithinBounds) {
   std::vector<std::vector<TimeMicros>> rtt(2,
                                            std::vector<TimeMicros>(2, kRtt));
   StringNetwork network(&sim_, rtt, options);
-  network.RegisterEndpoint(1, EchoHandler(&sim_, 1));
+  network.RegisterEndpoint(1, EchoHandler(1));
   for (int i = 0; i < 20; ++i) {
     TimeMicros start = sim_.Now();
     std::optional<StringCall> result;
@@ -286,9 +257,7 @@ TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
 TEST_F(NetworkTest, BroadcastTargetFlappingMidFlightIsLostOthersStand) {
   Build(3);
   std::optional<StringBroadcast> result;
-  BroadcastOptions options;
-  options.timeout = 50 * kMillisecond;
-  network_->Broadcast(0, {0, 1, 2}, "hi", options)
+  network_->Broadcast(0, {0, 1, 2}, "hi", 50 * kMillisecond)
       .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
   // dc2 goes down while the broadcast's requests are in flight and is back
   // before their arrival; dc0/dc1 deliveries already under way are
@@ -452,7 +421,7 @@ TEST_F(NetworkTest, DeliveryFaultsAreDeterministicPerSeed) {
         3, std::vector<TimeMicros>(3, kRtt));
     StringNetwork network(&sim, rtt, options);
     for (DcId dc = 0; dc < 3; ++dc) {
-      network.RegisterEndpoint(dc, EchoHandler(&sim, dc));
+      network.RegisterEndpoint(dc, EchoHandler(dc));
     }
     for (int i = 0; i < 40; ++i) {
       network.Call(0, 1 + i % 2, std::to_string(i))
@@ -488,7 +457,7 @@ TEST_F(NetworkTest, FaultStreamNeverPerturbsPrimarySchedule) {
     std::vector<std::vector<TimeMicros>> rtt(
         2, std::vector<TimeMicros>(2, kRtt));
     StringNetwork network(&sim, rtt, options);
-    network.RegisterEndpoint(1, EchoHandler(&sim, 1));
+    network.RegisterEndpoint(1, EchoHandler(1));
     for (int i = 0; i < 30; ++i) {
       network.Call(0, 1, std::to_string(i))
           .OnReady([&](StringCall&&) { completions->push_back(sim.Now()); });
@@ -607,9 +576,7 @@ std::string GoldenScheduleTranscript(uint64_t seed) {
                  [&] { network.SetDatacenterDown(2, false); });
   std::string broadcast = "-";
   sim.ScheduleAt(100 * kMillisecond, [&] {
-    BroadcastOptions bopts;
-    bopts.timeout = 40 * kMillisecond;
-    network.Broadcast(1, {0, 1, 2}, "b", bopts)
+    network.Broadcast(1, {0, 1, 2}, "b", 40 * kMillisecond)
         .OnReady([&](StringBroadcast&& r) {
           std::ostringstream line;
           line << sim.Now();
@@ -722,7 +689,7 @@ TEST(NetworkCopyTest, BroadcastSharesOneRequestCopyAndMovesResponses) {
   }
   const Counted request(&request_copies);
   std::optional<CountedNetwork::BroadcastResult> result;
-  network.Broadcast(0, {0, 1, 2, 3, 4}, request, {})
+  network.Broadcast(0, {0, 1, 2, 3, 4}, request)
       .OnReady([&](CountedNetwork::BroadcastResult&& r) {
         result = std::move(r);
       });
