@@ -11,12 +11,12 @@
 //                 Waiters are resumed through the event queue, never inline,
 //                 preserving deterministic execution order.
 //  * WhenAll / Gather<T>
-//               — fan-out join: runs N child coroutines (and, for WhenAll,
-//                 Future<T> dependencies) concurrently and completes when
-//                 every one has resolved. Gather additionally collects the
-//                 children's results in input order, independent of
-//                 completion order. The joined waiter is resumed only
-//                 through the event queue, so fan-out stays deterministic.
+//               — fan-out join: runs N child coroutines concurrently and
+//                 completes when every one has finished. Gather
+//                 additionally collects the children's results in input
+//                 order, independent of completion order. The joined
+//                 waiter is resumed only through the event queue, so
+//                 fan-out stays deterministic.
 //  * SleepFor   — awaitable virtual-time delay.
 #pragma once
 
@@ -285,26 +285,18 @@ class Promise {
 namespace internal {
 
 /// Shared bookkeeping of one WhenAll/Gather join: a countdown of
-/// unresolved dependencies plus the (single) party waiting on the join.
-/// Delivery mirrors FutureState: the waiter is resumed through the event
-/// queue, never inline, and — when the join completes into a Promise —
-/// the Promise's own first-wins Set provides the race semantics.
+/// unfinished children plus the coroutine waiting on the join. The
+/// children start only once the waiter is set, and the waiter is resumed
+/// through the event queue, never inline (mirroring FutureState).
 struct JoinCore {
   explicit JoinCore(Simulator* s) : sim(s) {}
 
   Simulator* sim;
   size_t remaining = 0;
-  /// Set once the join has been awaited or Start()ed; dependencies that
-  /// resolve earlier only count down, they never deliver.
-  bool armed = false;
-  bool delivered = false;
   std::coroutine_handle<> waiter;
   /// Seq of the event in which the waiter suspended — promise-completion
   /// edge source for the join's resume event (race detector, D12).
   uint64_t waiter_seq = kNoEventSeq;
-  std::optional<Promise<bool>> done;
-
-  void AddDependency() { ++remaining; }
 
   void ChildDone() {
     assert(remaining > 0 && "join countdown underflow");
@@ -313,16 +305,11 @@ struct JoinCore {
   }
 
   void MaybeDeliver() {
-    if (remaining != 0 || delivered || !armed) return;
-    delivered = true;
-    if (waiter) {
-      auto h = waiter;
-      waiter = nullptr;
-      sim->ScheduleAfter(0, [h] { h.resume(); }, "join/resume");
-      sim->NoteEdgeToLastScheduled(waiter_seq);
-    } else if (done.has_value()) {
-      done->Set(true);  // first-wins: a racing timeout may already have won
-    }
+    if (remaining != 0 || !waiter) return;
+    auto h = waiter;
+    waiter = nullptr;
+    sim->ScheduleAfter(0, [h] { h.resume(); }, "join/resume");
+    sim->NoteEdgeToLastScheduled(waiter_seq);
   }
 };
 
@@ -353,72 +340,33 @@ Task RunGatherChild(Coro<T> child, std::shared_ptr<GatherState<T>> state,
 
 }  // namespace internal
 
-/// Join of N dependencies — child coroutines and/or Futures — that
-/// completes when ALL of them have resolved. Usage:
+/// Join of N child coroutines that completes when ALL of them have
+/// finished. Usage:
 ///
 ///   WhenAll all(sim);
-///   all.Add(DoThing(a));            // lazy child: starts at await/Start
-///   all.Add(network->Call(...));    // hot future: already in flight
+///   all.Add(DoThing(a));            // lazy child: starts at the await
+///   all.Add(DoThing(b));
 ///   co_await std::move(all);        // resumes (via the event queue) when
-///                                   // every dependency has resolved
+///                                   // every child has finished
 ///
-/// To race the join against a timeout, complete it into a caller-owned
-/// Promise instead of awaiting — the Promise's first-wins Set is exactly
-/// the response-vs-timeout idiom the network layer uses:
-///
-///   Promise<bool> done(sim);
-///   all.Start(done);                               // Set(true) on join
-///   sim->ScheduleAfter(t, [done] { done.Set(false); });  // Set(false) on
-///   bool completed = co_await done.GetFuture();          // timeout
-///
-/// An abandoned join (the timeout won) keeps its children running in the
-/// background; they resolve through their own timeouts and their frames
-/// are reclaimed normally — no dependency may block forever, the same
-/// invariant every await in this codebase already relies on. A WhenAll
-/// destroyed without being awaited or Start()ed never starts its queued
-/// children; their frames are destroyed (deferred) with it.
-///
-/// Add() must not be called after the join was awaited or Start()ed, and
-/// the simulator must not run between the first Add and the await/Start
-/// (dependencies added in one synchronous block, as all call sites do).
+/// A WhenAll destroyed without being awaited never starts its queued
+/// children; their frames are destroyed (deferred) with it. Add() must not
+/// be called after the join was awaited.
 class [[nodiscard]] WhenAll {
  public:
   explicit WhenAll(Simulator* sim)
       : core_(std::make_shared<internal::JoinCore>(sim)) {}
 
-  WhenAll(Simulator* sim, std::vector<Coro<void>> children) : WhenAll(sim) {
-    for (Coro<void>& child : children) Add(std::move(child));
-  }
-
   WhenAll(WhenAll&&) = default;
   WhenAll(const WhenAll&) = delete;
   WhenAll& operator=(const WhenAll&) = delete;
 
-  /// Adds a lazy child coroutine; it starts when the join is awaited or
-  /// Start()ed, in Add order.
+  /// Adds a lazy child coroutine; it starts when the join is awaited, in
+  /// Add order.
   void Add(Coro<void> child) {
-    assert(!core_->armed && "Add after the join was awaited/started");
-    core_->AddDependency();
+    assert(!core_->waiter && "Add after the join was awaited");
+    ++core_->remaining;
     pending_.push_back(std::move(child));
-  }
-
-  /// Adds an already-in-flight Future dependency. Resolution is observed
-  /// through OnReady, i.e. through the event queue.
-  template <typename T>
-  void Add(Future<T> f) {
-    assert(!core_->armed && "Add after the join was awaited/started");
-    core_->AddDependency();
-    f.OnReady([core = core_](T&&) { core->ChildDone(); });
-  }
-
-  size_t size() const { return core_->remaining; }
-
-  /// Starts the children and arranges for `done` to be Set(true) once all
-  /// dependencies have resolved. `done` stays first-wins: anything else
-  /// (e.g. a timeout) may Set it first and the join's Set is ignored.
-  void Start(Promise<bool> done) {
-    core_->done = std::move(done);
-    Arm();
   }
 
   // Awaiter interface: `co_await std::move(when_all)`.
@@ -426,21 +374,15 @@ class [[nodiscard]] WhenAll {
   void await_suspend(std::coroutine_handle<> h) {
     core_->waiter = h;
     core_->waiter_seq = core_->sim->CurrentEventSeq();
-    Arm();
-  }
-  void await_resume() noexcept {}
-
- private:
-  void Arm() {
-    assert(!core_->armed && "join awaited/started twice");
-    core_->armed = true;
     for (Coro<void>& child : pending_) {
       internal::RunJoinChild(std::move(child), core_);
     }
     pending_.clear();
-    core_->MaybeDeliver();  // empty join (or all futures already resolved)
+    core_->MaybeDeliver();  // empty join
   }
+  void await_resume() noexcept {}
 
+ private:
   std::shared_ptr<internal::JoinCore> core_;
   std::vector<Coro<void>> pending_;
 };
@@ -467,7 +409,6 @@ class [[nodiscard]] Gather {
   void await_suspend(std::coroutine_handle<> h) {
     state_->core.waiter = h;
     state_->core.waiter_seq = state_->core.sim->CurrentEventSeq();
-    state_->core.armed = true;
     for (size_t i = 0; i < pending_.size(); ++i) {
       internal::RunGatherChild<T>(std::move(pending_[i]), state_, i);
     }

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "paxos/value_selection.h"
+#include "txn/cross.h"
 
 namespace paxoscp::txn {
 
@@ -33,6 +34,15 @@ TimeMicros TransactionClient::RandomBackoffIn(TimeMicros lo, TimeMicros hi) {
 
 void TransactionClient::ReleaseGroup(const std::string& group) {
   active_groups_.erase(group);
+}
+
+void internal::ReleaseSlots(TransactionClient* client, const TxnState& state) {
+  client->ReleaseGroup(state.txn.group);
+}
+
+void internal::ReleaseSlots(TransactionClient* client,
+                            const CrossTxnState& state) {
+  for (const std::string& group : state.groups) client->ReleaseGroup(group);
 }
 
 sim::Coro<CallResult> TransactionClient::CallWithFailover(
@@ -176,7 +186,7 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
 
   for (;;) {
     InstanceOutcome outcome =
-        co_await RunInstance(txn.group, pos, &own, leader, &result);
+        co_await RunInstance(txn.group, pos, &own, leader);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) {
       result.status =
           Status::Unavailable("commit protocol could not reach a quorum");
@@ -187,9 +197,7 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
       result.status = Status::OK();
       result.committed = true;
       result.position = pos;
-      result.combined_others =
-          static_cast<int>(outcome.decided.txns.size()) - 1;
-      result.committed_via_other = outcome.decided.winner_dc != home_;
+      result.fast_path = outcome.fast_path;
       result.latency = sim_->Now() - start;
       co_return result;
     }
@@ -248,8 +256,8 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
 }
 
 sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
-    std::string group, LogPos pos, const wal::LogEntry* own, DcId leader_dc,
-    CommitResult* stats) {
+    std::string group, LogPos pos, const wal::LogEntry* own,
+    DcId leader_dc) {
   const TxnId own_id = own->txns.front().id;
   // Won/lost is judged on (id, kind), not id alone: a recovery daemon's
   // forced-abort decide carries the txn id of the prepare it resolves, and
@@ -273,7 +281,7 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
           group, pos, paxos::Ballot{0, home_}, own, own_id, own_kind,
           &max_seen);
       if (outcome.has_value()) {
-        stats->fast_path = true;
+        outcome->fast_path = true;
         co_return *outcome;
       }
       // Contention: fall through to the full protocol.
@@ -281,7 +289,6 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
   }
 
   for (int round = 0; round < options_.max_rounds_per_position; ++round) {
-    ++stats->prepare_rounds;
     const paxos::Ballot ballot = paxos::NextBallot(max_seen, home_);
 
     // Prepare phase (Step 1/2).

@@ -13,6 +13,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -34,6 +35,23 @@ struct CrossRead;
 namespace recovery {
 class CrossRecovery;
 }  // namespace recovery
+
+namespace internal {
+
+/// Error every operation on an unusable Txn or CrossTxn handle reports,
+/// and the immediately-failing awaitables that carry it (the caller still
+/// gets a real awaitable, so misuse fails gracefully instead of crashing
+/// in release builds). Defined in txn.cc.
+Status InertError(const char* op);
+sim::Coro<Result<std::string>> FailedRead(Status status);
+template <typename CommitT>
+sim::Coro<CommitT> FailedCommit(Status status) {
+  CommitT result;
+  result.status = std::move(status);
+  co_return result;
+}
+
+}  // namespace internal
 
 class TransactionClient {
  public:
@@ -58,6 +76,10 @@ class TransactionClient {
   friend class Txn;
   friend class CrossTxn;
   friend class Session;
+  friend void internal::ReleaseSlots(TransactionClient* client,
+                                     const TxnState& state);
+  friend void internal::ReleaseSlots(TransactionClient* client,
+                                     const CrossTxnState& state);
   // The shared recovery core borrows this client as its protocol engine
   // (QueryCrossAll + the ProposeDecide walk).
   friend class recovery::CrossRecovery;
@@ -67,6 +89,9 @@ class TransactionClient {
     enum class Kind { kWon, kLost, kUnavailable } kind = Kind::kUnavailable;
     /// The decided entry (kWon and kLost).
     wal::LogEntry decided;
+    /// Won through the leader fast path (skip prepare). Only a won
+    /// instance can set it: a fast-path accept decides its own value.
+    bool fast_path = false;
   };
 
   /// Starts a transaction on `group` (paper step 1): reserves the
@@ -143,12 +168,11 @@ class TransactionClient {
   /// Walks one group's log until this transaction's prepare lands, a
   /// commit-order or read-write conflict aborts it, the group is
   /// unavailable, or the crash gate trips. CommitCrossTxn joins the legs
-  /// with sim::Gather. `state`, `gate` and `stats` outlive the leg (they
-  /// live in the awaiting CommitCrossTxn frame).
+  /// with sim::Gather. `state` and `gate` outlive the leg (they live in
+  /// the awaiting CommitCrossTxn frame).
   sim::Coro<CrossPrepareOutcome> PrepareCrossLeg(CrossTxnState* state,
                                                  std::string group,
-                                                 CrossCrashGate* gate,
-                                                 CommitResult* stats);
+                                                 CrossCrashGate* gate);
 
   /// Batched snapshot read across the legs of a cross transaction
   /// (CrossTxn::ReadMany): one result per spec, in spec order, with the
@@ -175,8 +199,7 @@ class TransactionClient {
   /// the leader of `floor`, or kNoDc when the caller does not know it (the
   /// first position then skips the fast path).
   sim::Coro<DecideOutcome> ProposeDecide(std::string group, LogPos floor,
-                                         DcId leader, TxnId id, bool commit,
-                                         CommitResult* stats);
+                                         DcId leader, TxnId id, bool commit);
 
   /// Polls the begin-serving replica path (home datacenter first, same
   /// failover order as CallWithFailover) until `id`'s decide record is in
@@ -191,8 +214,7 @@ class TransactionClient {
   /// One Phase-2 propagation leg: lands the canonical decision in `group`
   /// and barriers on its apply (fanned out with sim::WhenAll).
   sim::Coro<void> PropagateDecide(std::string group, LogPos floor,
-                                  DcId leader, TxnId id, bool commit,
-                                  CommitResult* stats);
+                                  DcId leader, TxnId id, bool commit);
 
   /// Merged QueryCross over every reachable datacenter: prepare metadata
   /// from the first replica that has it, the canonical decision if any
@@ -201,7 +223,6 @@ class TransactionClient {
   struct CrossQueryResult {
     bool has_prepare = false;
     LogPos prepare_pos = 0;
-    uint64_t cross_ts = 0;
     std::vector<std::string> participants;
     bool has_canonical_decision = false;
     bool decision_commit = false;
@@ -227,7 +248,7 @@ class TransactionClient {
   // the child.
   sim::Coro<InstanceOutcome> RunInstance(std::string group, LogPos pos,
                                          const wal::LogEntry* own,
-                                         DcId leader_dc, CommitResult* stats);
+                                         DcId leader_dc);
 
   /// Accept + apply with a given ballot and value. Returns kWon/kLost when
   /// the value is decided (checking that a record with own id AND own kind

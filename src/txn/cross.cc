@@ -1,7 +1,7 @@
 // Cross-group 2PC over Paxos-CP (design note D8): the CrossTxn handle, the
 // coordinator state machine (TransactionClient::BeginCrossTxn /
-// CommitCrossTxn / ProposeDecide), stateless recovery, and the Session
-// entry points.
+// CommitCrossTxn / ProposeDecide), the recovery query, and
+// Session::BeginCross.
 #include "txn/cross.h"
 
 #include <algorithm>
@@ -13,22 +13,6 @@
 namespace paxoscp::txn {
 
 namespace {
-
-Status InertError(const char* op) {
-  return Status::FailedPrecondition(
-      std::string("inert cross-group transaction handle: ") + op +
-      " requires an active transaction");
-}
-
-sim::Coro<Result<std::string>> FailedRead(Status status) {
-  co_return Result<std::string>(std::move(status));
-}
-
-sim::Coro<CrossCommitResult> FailedCommit(Status status) {
-  CrossCommitResult result;
-  result.status = std::move(status);
-  co_return result;
-}
 
 sim::Coro<std::vector<Result<std::string>>> FailedReadMany(Status status,
                                                            size_t n) {
@@ -73,7 +57,10 @@ bool OwnPrecededByYounger(const wal::LogEntry& entry, uint64_t ts, TxnId id) {
 
 }  // namespace
 
-TxnOutcome ClassifyCrossCommit(const CrossCommitResult& result) {
+using internal::FailedRead;
+using internal::InertError;
+
+TxnOutcome ClassifyCommit(const CrossCommitResult& result) {
   if (result.committed) return TxnOutcome::kCommitted;
   if (result.unknown) return TxnOutcome::kUnknownOutcome;
   if (result.status.IsAborted()) return TxnOutcome::kConflict;
@@ -81,46 +68,6 @@ TxnOutcome ClassifyCrossCommit(const CrossCommitResult& result) {
 }
 
 // -------------------------------------------------------------- CrossTxn
-
-CrossTxn::CrossTxn(TransactionClient* client,
-                   std::unique_ptr<CrossTxnState> state)
-    : client_(client), state_(std::move(state)), phase_(Phase::kActive) {}
-
-CrossTxn::~CrossTxn() {
-  if (phase_ == Phase::kActive) Release();
-}
-
-CrossTxn::CrossTxn(CrossTxn&& other) noexcept
-    : client_(std::exchange(other.client_, nullptr)),
-      state_(std::move(other.state_)),
-      phase_(std::exchange(other.phase_, Phase::kInert)),
-      begin_status_(std::move(other.begin_status_)) {}
-
-CrossTxn& CrossTxn::operator=(CrossTxn&& other) noexcept {
-  if (this != &other) {
-    if (phase_ == Phase::kActive) Release();
-    client_ = std::exchange(other.client_, nullptr);
-    state_ = std::move(other.state_);
-    phase_ = std::exchange(other.phase_, Phase::kInert);
-    begin_status_ = std::move(other.begin_status_);
-  }
-  return *this;
-}
-
-void CrossTxn::Release() {
-  for (const std::string& group : state_->groups) {
-    client_->ReleaseGroup(group);
-  }
-  state_.reset();
-  phase_ = Phase::kFinished;
-}
-
-bool CrossTxn::Usable(const char* op) const {
-  (void)op;
-  assert(phase_ != Phase::kFinished &&
-         "use of a cross-group transaction handle after Commit/Abort");
-  return phase_ == Phase::kActive;
-}
 
 TxnId CrossTxn::id() const { return active() ? state_->id : 0; }
 
@@ -140,7 +87,7 @@ LogPos CrossTxn::read_pos(const std::string& group) const {
 sim::Coro<Result<std::string>> CrossTxn::Read(std::string group,
                                               std::string row,
                                               std::string attribute) {
-  if (!Usable("Read")) return FailedRead(InertError("Read"));
+  if (!Usable()) return FailedRead(InertError("Read"));
   if (wal::IsReservedAttribute(attribute)) {
     return FailedRead(wal::ReservedAttributeError());
   }
@@ -156,7 +103,7 @@ sim::Coro<Result<std::string>> CrossTxn::Read(std::string group,
 
 sim::Coro<std::vector<Result<std::string>>> CrossTxn::ReadMany(
     const std::vector<CrossRead>* reads) {
-  if (!Usable("ReadMany")) {
+  if (!Usable()) {
     return FailedReadMany(InertError("ReadMany"), reads->size());
   }
   // Forwarded like Read: the awaitable binds the heap-stable state, never
@@ -167,7 +114,7 @@ sim::Coro<std::vector<Result<std::string>>> CrossTxn::ReadMany(
 
 Status CrossTxn::Write(const std::string& group, const std::string& row,
                        const std::string& attribute, std::string value) {
-  if (!Usable("Write")) return InertError("Write");
+  if (!Usable()) return InertError("Write");
   if (wal::IsReservedAttribute(attribute)) {
     return wal::ReservedAttributeError();
   }
@@ -181,21 +128,10 @@ Status CrossTxn::Write(const std::string& group, const std::string& row,
 }
 
 sim::Coro<CrossCommitResult> CrossTxn::Commit() {
-  if (!Usable("Commit")) return FailedCommit(InertError("Commit"));
-  // Like Txn::Commit: slots open as soon as the protocol starts; the
-  // handle keeps the state alive while the caller awaits.
-  for (const std::string& group : state_->groups) {
-    client_->ReleaseGroup(group);
+  if (!Usable()) {
+    return internal::FailedCommit<CrossCommitResult>(InertError("Commit"));
   }
-  phase_ = Phase::kFinished;
-  return client_->CommitCrossTxn(state_.get());
-}
-
-void CrossTxn::Abort() {
-  if (phase_ == Phase::kInert) return;
-  assert(phase_ == Phase::kActive &&
-         "Abort of a cross-group transaction handle after Commit/Abort");
-  if (phase_ == Phase::kActive) Release();
+  return client_->CommitCrossTxn(StartCommit());
 }
 
 // ------------------------------------------------- client: begin + 2PC
@@ -306,7 +242,6 @@ sim::Coro<std::vector<Result<std::string>>> TransactionClient::ReadItems(
 sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
     CrossTxnState* state) {
   CrossCommitResult result;
-  CommitResult scratch;  // per-walk Paxos bookkeeping, shared by all legs
   const TimeMicros start = sim_->Now();
   const TxnId id = state->id;
 
@@ -321,7 +256,7 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   std::vector<sim::Coro<CrossPrepareOutcome>> legs;
   legs.reserve(state->groups.size());
   for (const std::string& group : state->groups) {
-    legs.push_back(PrepareCrossLeg(state, group, &gate, &scratch));
+    legs.push_back(PrepareCrossLeg(state, group, &gate));
   }
   sim::Gather<CrossPrepareOutcome> join(sim_, std::move(legs));
   const std::vector<CrossPrepareOutcome> outcomes = co_await std::move(join);
@@ -346,7 +281,6 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
 
   if (gate.Tripped()) {
     result.unknown = true;
-    result.prepare_rounds = scratch.prepare_rounds;
     result.status = Status::Unavailable(
         "coordinator crashed after " +
         std::to_string(result.prepare_positions.size()) + " of " +
@@ -365,9 +299,7 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   const std::string& commit_group = state->groups.front();
   DecideOutcome decide = co_await ProposeDecide(
       commit_group, outcomes[0].decide_floor, outcomes[0].decide_leader, id,
-      want_commit, &scratch);
-
-  result.prepare_rounds = scratch.prepare_rounds;
+      want_commit);
   if (!decide.known) {
     if (want_commit) {
       // The commit decide may or may not have been decided: truly unknown.
@@ -405,10 +337,9 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
     if (!outcomes[i].attempted) continue;
     propagate.Add(PropagateDecide(state->groups[i], outcomes[i].decide_floor,
                                   outcomes[i].decide_leader, id,
-                                  decide.commit, &scratch));
+                                  decide.commit));
   }
   co_await propagate;
-  result.prepare_rounds = scratch.prepare_rounds;
 
   if (decide.commit) {
     result.committed = true;
@@ -429,8 +360,7 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
 
 sim::Coro<TransactionClient::CrossPrepareOutcome>
 TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
-                                   CrossCrashGate* gate,
-                                   CommitResult* stats) {
+                                   CrossCrashGate* gate) {
   CrossPrepareOutcome out;
   const TxnId id = state->id;
   const uint64_t ts = state->cross_ts;
@@ -454,7 +384,7 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
   out.decide_leader = leader;
   for (;;) {
     InstanceOutcome outcome =
-        co_await RunInstance(group, pos, &own, leader, stats);
+        co_await RunInstance(group, pos, &own, leader);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) {
       out.kind = CrossPrepareOutcome::Kind::kUnavailable;
       out.detail = "prepare on '" + group + "' reached no quorum";
@@ -522,8 +452,7 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
 }
 
 sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
-    std::string group, LogPos floor, DcId leader, TxnId id, bool commit,
-    CommitResult* stats) {
+    std::string group, LogPos floor, DcId leader, TxnId id, bool commit) {
   wal::TxnRecord record;
   record.id = id;
   record.origin_dc = home_;
@@ -544,7 +473,7 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
   constexpr int kMaxDecideWalk = 1 << 16;
   for (int step = 0; step < kMaxDecideWalk; ++step) {
     InstanceOutcome outcome =
-        co_await RunInstance(group, pos, &own, leader, stats);
+        co_await RunInstance(group, pos, &own, leader);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) co_return out;
     // First decide for this transaction in the walk — ours or someone
     // else's — is the decision (walks start at or below every possible
@@ -582,10 +511,9 @@ sim::Coro<void> TransactionClient::AwaitDecideApplied(std::string group,
 
 sim::Coro<void> TransactionClient::PropagateDecide(std::string group,
                                                    LogPos floor, DcId leader,
-                                                   TxnId id, bool commit,
-                                                   CommitResult* stats) {
-  DecideOutcome landed = co_await ProposeDecide(group, floor, leader, id,
-                                                commit, stats);
+                                                   TxnId id, bool commit) {
+  DecideOutcome landed =
+      co_await ProposeDecide(group, floor, leader, id, commit);
   if (landed.known) co_await AwaitDecideApplied(group, id);
 }
 
@@ -603,7 +531,6 @@ TransactionClient::QueryCrossAll(std::string group, TxnId id) {
     if (q.has_prepare && !out.has_prepare) {
       out.has_prepare = true;
       out.prepare_pos = q.prepare_pos;
-      out.cross_ts = q.cross_ts;
       out.participants = q.participants;
     }
     if (q.has_decision && q.decision_canonical &&
@@ -618,57 +545,13 @@ TransactionClient::QueryCrossAll(std::string group, TxnId id) {
 
 // -------------------------------------------------------------- Session
 
-sim::Coro<CrossTxn> Session::FailedBeginCross(Status status) {
-  co_return CrossTxn(std::move(status));
-}
-
 sim::Coro<CrossTxn> Session::BeginCross(std::vector<std::string> groups) {
   if (client_ == nullptr) {
     assert(false && "BeginCross on an invalid (default) Session");
-    return FailedBeginCross(Status::FailedPrecondition("invalid session"));
+    return FailedBegin<CrossTxn>(
+        Status::FailedPrecondition("invalid session"));
   }
   return client_->BeginCrossTxn(std::move(groups));
-}
-
-sim::Coro<CrossTxnResult> Session::RunTransaction(
-    std::vector<std::string> groups, CrossTxnBody body, RetryPolicy retry) {
-  CrossTxnResult result;
-  if (client_ == nullptr) {
-    assert(false && "RunTransaction on an invalid (default) Session");
-    result.attempts = 1;
-    result.status = Status::FailedPrecondition("invalid session");
-    co_return result;
-  }
-  sim::Simulator* sim = client_->simulator();
-  const TimeMicros deadline_at =
-      retry.deadline > 0 ? sim->Now() + retry.deadline : 0;
-  for (;;) {
-    ++result.attempts;
-    CrossTxn txn = co_await client_->BeginCrossTxn(groups);
-    if (!txn.active()) {
-      result.outcome = TxnOutcome::kUnavailable;
-      result.status = txn.begin_status();
-      co_return result;
-    }
-    Status body_status = co_await body(&txn);
-    if (!body_status.ok()) {
-      txn.Abort();
-      result.outcome = TxnOutcome::kUnavailable;
-      result.status = std::move(body_status);
-      co_return result;
-    }
-    result.commit = co_await txn.Commit();
-    result.status = result.commit.status;
-    result.outcome = ClassifyCrossCommit(result.commit);
-    if (result.outcome != TxnOutcome::kConflict) co_return result;
-    if (result.attempts >= retry.max_attempts) co_return result;
-    const TimeMicros backoff =
-        client_->RandomBackoffIn(retry.backoff_min, retry.backoff_max);
-    if (deadline_at != 0 && sim->Now() + backoff >= deadline_at) {
-      co_return result;
-    }
-    co_await sim::SleepFor(sim, backoff);
-  }
 }
 
 }  // namespace paxoscp::txn

@@ -64,11 +64,10 @@ struct CrossCommitResult {
   std::map<std::string, LogPos> prepare_positions;
   /// Position of the canonical decide in the commit group (0 if unknown).
   LogPos decide_pos = 0;
-  int promotions = 0;      // prepare-walk promotions only (decide walks
-                           // advance positions without counting: decides
-                           // never conflict, so their walk length is not
-                           // a contention signal)
-  int prepare_rounds = 0;  // summed Paxos prepare rounds, all walks
+  int promotions = 0;  // prepare-walk promotions only (decide walks
+                       // advance positions without counting: decides
+                       // never conflict, so their walk length is not a
+                       // contention signal)
   /// Wall-clock from commit start until Commit resumed the caller —
   /// includes Phase-2 propagation to the non-commit participants, which
   /// Commit awaits so that a transaction begun after commit returns
@@ -83,7 +82,7 @@ struct CrossCommitResult {
 };
 
 /// Maps a finished cross-group commit onto the shared outcome taxonomy.
-TxnOutcome ClassifyCrossCommit(const CrossCommitResult& result);
+TxnOutcome ClassifyCommit(const CrossCommitResult& result);
 
 /// One read spec of CrossTxn::ReadMany: an item on one participant leg.
 struct CrossRead {
@@ -106,20 +105,13 @@ struct CrossTxnState {
   std::map<std::string, TxnState> legs;
 };
 
-/// Movable RAII handle for one active cross-group transaction, mirroring
-/// `Txn` (txn/txn.h): dropping an active handle aborts it locally, a
-/// moved-from handle is inert, use-after-Commit asserts in debug builds.
-class CrossTxn {
+/// Movable RAII handle for one active cross-group transaction, with
+/// `Txn`'s lifecycle (txn/txn.h): dropping an active handle aborts it
+/// locally, a moved-from handle is inert, use-after-Commit asserts in debug
+/// builds.
+class CrossTxn : public internal::Handle<CrossTxnState> {
  public:
   CrossTxn() = default;
-  ~CrossTxn();
-  CrossTxn(CrossTxn&& other) noexcept;
-  CrossTxn& operator=(CrossTxn&& other) noexcept;
-  CrossTxn(const CrossTxn&) = delete;
-  CrossTxn& operator=(const CrossTxn&) = delete;
-
-  bool active() const { return phase_ == Phase::kActive; }
-  const Status& begin_status() const { return begin_status_; }
 
   TxnId id() const;
   uint64_t cross_ts() const;
@@ -147,37 +139,15 @@ class CrossTxn {
   /// afterwards; the returned coroutine must be awaited immediately.
   sim::Coro<CrossCommitResult> Commit();
 
-  /// Discards the transaction without committing (purely local).
-  void Abort();
-
  private:
   friend class TransactionClient;
   friend class Session;
-
-  enum class Phase { kInert, kActive, kFinished };
-
-  explicit CrossTxn(Status begin_error)
-      : begin_status_(std::move(begin_error)) {}
-  CrossTxn(TransactionClient* client, std::unique_ptr<CrossTxnState> state);
-
-  void Release();
-  bool Usable(const char* op) const;
-
-  TransactionClient* client_ = nullptr;
-  std::unique_ptr<CrossTxnState> state_;
-  Phase phase_ = Phase::kInert;
-  Status begin_status_;
+  using Handle::Handle;
 };
 
-/// Unified result of Session::RunTransaction over a group set.
-struct CrossTxnResult {
-  TxnOutcome outcome = TxnOutcome::kUnavailable;
-  Status status;
-  int attempts = 0;
-  CrossCommitResult commit;
-
-  bool committed() const { return outcome == TxnOutcome::kCommitted; }
-};
+/// Unified result of Session::RunTransaction over a group set. A cross
+/// commit is never read-only, so committed() means kCommitted.
+using CrossTxnResult = RetryResult<CrossCommitResult>;
 
 // The cross-group body alias (CrossTxnBody) lives in txn/txn.h beside
 // TxnBody so Session can declare both RunTransaction overloads.

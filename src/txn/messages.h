@@ -60,7 +60,6 @@ struct QueryCrossRequest {
 struct QueryCrossResponse {
   bool has_prepare = false;
   LogPos prepare_pos = 0;
-  uint64_t cross_ts = 0;
   std::vector<std::string> participants;
   bool has_decision = false;
   bool decision_commit = false;

@@ -9,7 +9,6 @@ namespace paxoscp::txn::recovery {
 sim::Coro<RecoveryResult> CrossRecovery::Run(TransactionClient* engine,
                                              std::string group, TxnId id) {
   RecoveryResult out;
-  CommitResult scratch;
   // 1. Locate the prepare (participant list + commit group). The caller
   // observed it pending in `group`, so some replica there knows it.
   TransactionClient::CrossQueryResult at_group =
@@ -45,7 +44,7 @@ sim::Coro<RecoveryResult> CrossRecovery::Run(TransactionClient* engine,
   if (!at_cg.has_canonical_decision) {
     const LogPos cg_floor = at_cg.has_prepare ? at_cg.prepare_pos + 1 : 1;
     TransactionClient::DecideOutcome forced = co_await engine->ProposeDecide(
-        commit_group, cg_floor, kNoDc, id, /*commit=*/false, &scratch);
+        commit_group, cg_floor, kNoDc, id, /*commit=*/false);
     if (!forced.known) {
       out.status = Status::Unavailable(
           "recovery could not decide txn " + TxnIdToString(id) +
@@ -78,7 +77,7 @@ sim::Coro<RecoveryResult> CrossRecovery::Run(TransactionClient* engine,
     }
     TransactionClient::DecideOutcome propagated =
         co_await engine->ProposeDecide(participant, floor, kNoDc, id,
-                                       decision_commit, &scratch);
+                                       decision_commit);
     if (!propagated.known) {
       out.status = Status::Unavailable(
           "recovery could not propagate decide of " + TxnIdToString(id) +

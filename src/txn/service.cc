@@ -226,7 +226,6 @@ sim::Coro<ServiceResponse> TransactionService::HandleQueryCross(
   if (prep.known) {
     response.has_prepare = true;
     response.prepare_pos = prep.pos;
-    response.cross_ts = prep.cross_ts;
     response.participants = prep.participants;
   }
   const wal::CrossDecision decision = gs->log.DecisionFor(request->txn);
@@ -312,6 +311,54 @@ void TransactionService::NoteEntryLanded(const std::string& group) {
     } else {
       ++it;
     }
+  }
+  WatchForHole(group);
+}
+
+void TransactionService::WatchForHole(const std::string& group) {
+  // The running check comes first: ContiguousFrontier writes a marker, so
+  // daemon-off runs must never reach it from here.
+  if (!recovery_running_ || hole_timed_.count(group) > 0) return;
+  GroupState* gs = Group(group);
+  const LogPos hole = gs->log.ContiguousFrontier() + 1;
+  if (hole > gs->log.MaxDecided() ||
+      holes_abandoned_.count({group, hole}) > 0) {
+    return;
+  }
+  hole_timed_.insert(group);
+  ArmHoleTimer(group, hole, 0,
+               recovery_options_.base_delay + RecoveryJitter(hole));
+}
+
+void TransactionService::ArmHoleTimer(const std::string& group, LogPos hole,
+                                      int attempt, TimeMicros delay) {
+  const uint64_t generation = recovery_generation_;
+  network_->simulator()->ScheduleAfter(
+      std::max<TimeMicros>(delay, 1),
+      [this, group, hole, attempt, generation] {
+        if (recovery_running_ && generation == recovery_generation_) {
+          LearnHole(group, hole, attempt, generation);
+        }
+      },
+      "txn/hole-timer");
+}
+
+sim::Task TransactionService::LearnHole(std::string group, LogPos hole,
+                                        int attempt, uint64_t generation) {
+  // OK at once if the entry landed while the timer was queued.
+  const Status learned = co_await LearnEntry(group, hole);
+  if (generation != recovery_generation_) co_return;  // daemon stopped
+  hole_timed_.erase(group);
+  if (learned.ok()) {
+    WatchForHole(group);
+  } else if (attempt + 1 < kMaxAttempts) {
+    hole_timed_.insert(group);
+    ArmHoleTimer(group, hole, attempt + 1, RecoveryBackoff(attempt));
+  } else {
+    // Give up, like a recovery timer chain: a permanent partition must not
+    // keep the event queue alive.
+    ++recoveries_abandoned_;
+    holes_abandoned_.insert({group, hole});
   }
 }
 
@@ -440,6 +487,8 @@ void TransactionService::StartRecoveryDaemon(
   recovery_running_ = true;
   ++recovery_generation_;
   recovery_timed_.clear();
+  hole_timed_.clear();
+  holes_abandoned_.clear();
   // Adopt pending prepares that predate the daemon (start-of-run, or a
   // daemon transferred across a service restart re-reading the durable WAL
   // side tables): open their pins and arm fresh timers.
@@ -453,6 +502,7 @@ void TransactionService::StartRecoveryDaemon(
                          options.base_delay + RecoveryJitter(p.txn));
       }
     }
+    WatchForHole(group);
   }
 }
 
@@ -460,6 +510,7 @@ void TransactionService::StopRecoveryDaemon() {
   recovery_running_ = false;
   ++recovery_generation_;
   recovery_timed_.clear();
+  hole_timed_.clear();
 }
 
 std::vector<std::string> TransactionService::KnownGroups() const {

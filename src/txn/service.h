@@ -122,7 +122,8 @@ class TransactionService {
   /// backoff — re-arbitrating when the arbiter goes down, and escalating to
   /// drive themselves after kEscalateAfter deferrals. Also adopts pending
   /// prepares already in the side tables (daemon transfer across a service
-  /// restart).
+  /// restart), and learns the holes below a group's MaxDecided, where a
+  /// pending prepare would otherwise stay out of sight.
   void StartRecoveryDaemon(const RecoveryDaemonOptions& options);
   /// Stops the daemon: the generation bump turns every queued timer and the
   /// completion of any in-flight drive into a no-op.
@@ -140,8 +141,8 @@ class TransactionService {
   uint64_t recoveries_started() const { return recoveries_started_; }
   uint64_t recoveries_decided() const { return recoveries_decided_; }
   uint64_t recoveries_forced_abort() const { return recoveries_forced_abort_; }
-  /// Pending prepares whose timer chain hit kMaxAttempts: the daemon's one
-  /// silent give-up, counted so it never goes unnoticed.
+  /// Pending prepares and log holes whose timer chain hit kMaxAttempts: the
+  /// daemon's give-ups, counted so they never go unnoticed.
   uint64_t recoveries_abandoned() const { return recoveries_abandoned_; }
 
   /// Longest time a pending prepare has pinned this replica's SafeReadPos:
@@ -189,7 +190,8 @@ class TransactionService {
   /// Called after every successful acceptor OnApply: syncs the SafeReadPos
   /// pin table with the group's WAL side table (opening pins for newly
   /// pending prepares, closing pins whose decide entry just landed) and,
-  /// when the daemon runs, arms the recovery timer of each new pending.
+  /// when the daemon runs, arms the recovery timer of each new pending and
+  /// watches for a hole.
   void NoteEntryLanded(const std::string& group);
   /// Deterministic per-(replica, txn) jitter in [0, kMaxJitter).
   TimeMicros RecoveryJitter(TxnId id) const;
@@ -203,6 +205,18 @@ class TransactionService {
   /// re-arms its timer chain on failure.
   sim::Task DriveRecovery(std::string group, TxnId id, int attempt,
                           uint64_t generation);
+  /// Daemon only: when `group`'s log misses a position below MaxDecided
+  /// (a decided entry whose apply reached no replica this one heard from),
+  /// arms a timer that learns the first missing position. A pending
+  /// prepare inside the hole is invisible to the recovery timers until
+  /// its entry lands here.
+  void WatchForHole(const std::string& group);
+  void ArmHoleTimer(const std::string& group, LogPos hole, int attempt,
+                    TimeMicros delay);
+  /// Learns `hole`, then watches for the next one; a failed learn retries
+  /// with backoff until kMaxAttempts.
+  sim::Task LearnHole(std::string group, LogPos hole, int attempt,
+                      uint64_t generation);
   /// The daemon's lazily-built protocol engine: a TransactionClient homed at
   /// this datacenter that only ever runs query/decide walks (it never mints
   /// transaction ids or touches active-transaction state).
@@ -244,6 +258,10 @@ class TransactionService {
   /// same replica; cross-replica duplicates are handled by idempotence).
   std::set<PendingKey> recovery_timed_;
   std::set<PendingKey> recovery_inflight_;
+  /// Groups with a live hole timer chain, and the holes whose chain gave
+  /// up (not re-armed until the daemon restarts).
+  std::set<std::string> hole_timed_;
+  std::set<std::pair<std::string, LogPos>> holes_abandoned_;
   uint64_t recoveries_started_ = 0;
   uint64_t recoveries_decided_ = 0;
   uint64_t recoveries_forced_abort_ = 0;

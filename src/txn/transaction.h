@@ -42,7 +42,7 @@ struct ActiveTxn {
 };
 
 /// Result of TransactionClient::Commit, with the bookkeeping the paper's
-/// evaluation reports (promotion rounds, combination, latency).
+/// evaluation reports (promotion rounds, latency).
 struct CommitResult {
   /// OK => committed. Aborted => lost to a conflicting transaction.
   /// Unavailable/TimedOut => could not complete the protocol.
@@ -53,14 +53,8 @@ struct CommitResult {
   LogPos position = 0;
   /// Number of promotions taken (0 = won its first commit position).
   int promotions = 0;
-  /// Transactions this client merged into its winning proposal.
-  int combined_others = 0;
-  /// True if the transaction committed inside an entry proposed by another
-  /// client (our record was combined into someone else's winning list).
-  bool committed_via_other = false;
   /// True if the leader fast path (skip prepare) was used successfully.
   bool fast_path = false;
-  int prepare_rounds = 0;
   TimeMicros latency = 0;
 };
 

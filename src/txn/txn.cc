@@ -3,34 +3,33 @@
 #include <utility>
 
 #include "txn/client.h"
+#include "txn/cross.h"
 
 namespace paxoscp::txn {
 
 namespace {
+
+sim::Coro<Result<kvstore::AttributeMap>> FailedReadRow(Status status) {
+  co_return Result<kvstore::AttributeMap>(std::move(status));
+}
+
+}  // namespace
+
+namespace internal {
 
 Status InertError(const char* op) {
   return Status::FailedPrecondition(std::string("inert transaction handle: ") +
                                     op + " requires an active transaction");
 }
 
-/// Immediately-failing coroutines for operations on unusable handles (the
-/// caller still gets a real awaitable, so misuse fails gracefully instead
-/// of crashing in release builds).
 sim::Coro<Result<std::string>> FailedRead(Status status) {
   co_return Result<std::string>(std::move(status));
 }
 
-sim::Coro<Result<kvstore::AttributeMap>> FailedReadRow(Status status) {
-  co_return Result<kvstore::AttributeMap>(std::move(status));
-}
+}  // namespace internal
 
-sim::Coro<CommitResult> FailedCommit(Status status) {
-  CommitResult result;
-  result.status = std::move(status);
-  co_return result;
-}
-
-}  // namespace
+using internal::FailedRead;
+using internal::InertError;
 
 const char* OutcomeName(TxnOutcome outcome) {
   switch (outcome) {
@@ -52,43 +51,6 @@ TxnOutcome ClassifyCommit(const CommitResult& result) {
 
 // ------------------------------------------------------------------- Txn
 
-Txn::Txn(TransactionClient* client, std::unique_ptr<TxnState> state)
-    : client_(client), state_(std::move(state)), phase_(Phase::kActive) {}
-
-Txn::~Txn() {
-  if (phase_ == Phase::kActive) Release();
-}
-
-Txn::Txn(Txn&& other) noexcept
-    : client_(std::exchange(other.client_, nullptr)),
-      state_(std::move(other.state_)),
-      phase_(std::exchange(other.phase_, Phase::kInert)),
-      begin_status_(std::move(other.begin_status_)) {}
-
-Txn& Txn::operator=(Txn&& other) noexcept {
-  if (this != &other) {
-    if (phase_ == Phase::kActive) Release();
-    client_ = std::exchange(other.client_, nullptr);
-    state_ = std::move(other.state_);
-    phase_ = std::exchange(other.phase_, Phase::kInert);
-    begin_status_ = std::move(other.begin_status_);
-  }
-  return *this;
-}
-
-void Txn::Release() {
-  client_->ReleaseGroup(state_->txn.group);
-  state_.reset();
-  phase_ = Phase::kFinished;
-}
-
-bool Txn::Usable(const char* op) const {
-  (void)op;
-  assert(phase_ != Phase::kFinished &&
-         "use of a transaction handle after Commit/Abort");
-  return phase_ == Phase::kActive;
-}
-
 TxnId Txn::id() const { return active() ? state_->txn.id : 0; }
 
 LogPos Txn::read_pos() const { return active() ? state_->txn.read_pos : 0; }
@@ -104,7 +66,7 @@ size_t Txn::read_set_size() const {
 
 sim::Coro<Result<std::string>> Txn::Read(std::string row,
                                          std::string attribute) {
-  if (!Usable("Read")) return FailedRead(InertError("Read"));
+  if (!Usable()) return FailedRead(InertError("Read"));
   if (wal::IsReservedAttribute(attribute)) {
     return FailedRead(wal::ReservedAttributeError());
   }
@@ -115,13 +77,13 @@ sim::Coro<Result<std::string>> Txn::Read(std::string row,
 }
 
 sim::Coro<Result<kvstore::AttributeMap>> Txn::ReadRow(std::string row) {
-  if (!Usable("ReadRow")) return FailedReadRow(InertError("ReadRow"));
+  if (!Usable()) return FailedReadRow(InertError("ReadRow"));
   return client_->ReadRowItems(state_.get(), std::move(row));
 }
 
 Status Txn::Write(const std::string& row, const std::string& attribute,
                   std::string value) {
-  if (!Usable("Write")) return InertError("Write");
+  if (!Usable()) return InertError("Write");
   if (wal::IsReservedAttribute(attribute)) {
     return wal::ReservedAttributeError();
   }
@@ -131,7 +93,7 @@ Status Txn::Write(const std::string& row, const std::string& attribute,
 
 Status Txn::WriteRow(const std::string& row,
                      const kvstore::AttributeMap& attributes) {
-  if (!Usable("WriteRow")) return InertError("WriteRow");
+  if (!Usable()) return InertError("WriteRow");
   for (const auto& [attribute, value] : attributes) {
     if (wal::IsReservedAttribute(attribute)) {
       return wal::ReservedAttributeError();
@@ -144,23 +106,10 @@ Status Txn::WriteRow(const std::string& row,
 }
 
 sim::Coro<CommitResult> Txn::Commit() {
-  if (!Usable("Commit")) return FailedCommit(InertError("Commit"));
-  // The group slot opens as soon as the commit protocol starts: the
-  // transaction's buffered state has been frozen, so a new transaction on
-  // the same group may begin while this commit is still in flight.
-  client_->ReleaseGroup(state_->txn.group);
-  phase_ = Phase::kFinished;
-  // state_ stays owned by the handle: the commit coroutine reads it while
-  // the caller awaits (the handle must outlive the await, which every
-  // `co_await txn.Commit()` guarantees).
-  return client_->CommitTxn(state_.get());
-}
-
-void Txn::Abort() {
-  if (phase_ == Phase::kInert) return;  // idempotent on inert handles
-  assert(phase_ == Phase::kActive &&
-         "Abort of a transaction handle after Commit/Abort");
-  if (phase_ == Phase::kActive) Release();
+  if (!Usable()) {
+    return internal::FailedCommit<CommitResult>(InertError("Commit"));
+  }
+  return client_->CommitTxn(StartCommit());
 }
 
 // --------------------------------------------------------------- Session
@@ -170,34 +119,31 @@ DcId Session::home() const {
   return client_->home();
 }
 
-sim::Coro<Txn> Session::FailedBegin(Status status) {
-  co_return Txn(std::move(status));
-}
-
 sim::Coro<Txn> Session::Begin(std::string group) {
   if (client_ == nullptr) {
     assert(false && "Begin on an invalid (default) Session");
-    return FailedBegin(Status::FailedPrecondition("invalid session"));
+    return FailedBegin<Txn>(Status::FailedPrecondition("invalid session"));
   }
   return client_->BeginTxn(std::move(group));
 }
 
-sim::Coro<TxnResult> Session::RunTransaction(std::string group, TxnBody body,
-                                             RetryPolicy retry) {
+template <typename CommitT, typename H, typename Groups>
+sim::Coro<RetryResult<CommitT>> Session::RunWithRetry(
+    sim::Coro<H> (TransactionClient::*begin)(Groups), Groups groups,
+    std::function<sim::Coro<Status>(H*)> body, RetryPolicy retry) {
+  RetryResult<CommitT> result;
   if (client_ == nullptr) {
     assert(false && "RunTransaction on an invalid (default) Session");
-    TxnResult invalid;
-    invalid.attempts = 1;
-    invalid.status = Status::FailedPrecondition("invalid session");
-    co_return invalid;
+    result.attempts = 1;
+    result.status = Status::FailedPrecondition("invalid session");
+    co_return result;
   }
   sim::Simulator* sim = client_->simulator();
   const TimeMicros deadline_at =
       retry.deadline > 0 ? sim->Now() + retry.deadline : 0;
-  TxnResult result;
   for (;;) {
     ++result.attempts;
-    Txn txn = co_await client_->BeginTxn(group);
+    H txn = co_await (client_->*begin)(groups);
     if (!txn.active()) {
       result.outcome = TxnOutcome::kUnavailable;
       result.status = txn.begin_status();
@@ -226,6 +172,19 @@ sim::Coro<TxnResult> Session::RunTransaction(std::string group, TxnBody body,
     }
     co_await sim::SleepFor(sim, backoff);
   }
+}
+
+sim::Coro<TxnResult> Session::RunTransaction(std::string group, TxnBody body,
+                                             RetryPolicy retry) {
+  return RunWithRetry<CommitResult>(&TransactionClient::BeginTxn,
+                                    std::move(group), std::move(body), retry);
+}
+
+sim::Coro<CrossTxnResult> Session::RunTransaction(
+    std::vector<std::string> groups, CrossTxnBody body, RetryPolicy retry) {
+  return RunWithRetry<CrossCommitResult>(&TransactionClient::BeginCrossTxn,
+                                         std::move(groups), std::move(body),
+                                         retry);
 }
 
 }  // namespace paxoscp::txn

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -36,7 +37,8 @@ namespace paxoscp::txn {
 class TransactionClient;
 class Session;
 class CrossTxn;
-struct CrossTxnResult;
+struct CrossTxnState;
+struct CrossCommitResult;
 
 /// Unified transaction-fate taxonomy (paper §2.2/§4 outcomes), collapsing
 /// the old Status / CommitResult::committed / read_only triage:
@@ -79,23 +81,106 @@ struct TxnState {
   std::map<wal::ItemId, std::string> read_cache;
 };
 
-/// Movable RAII handle for one active transaction on one group.
-class Txn {
+namespace internal {
+
+/// Frees the per-group active slots `state` holds on `client`: its one
+/// group, or every participant of a cross-group transaction.
+void ReleaseSlots(TransactionClient* client, const TxnState& state);
+void ReleaseSlots(TransactionClient* client, const CrossTxnState& state);
+
+/// The lifecycle Txn and CrossTxn share: a movable RAII handle owning the
+/// heap-allocated `State` of one active transaction. Dropping an active
+/// handle aborts it (local state drop, no messages — lost client state is
+/// an implicit abort, paper §2.2); a moved-from or failed-begin handle is
+/// inert; use after Commit/Abort asserts in debug builds.
+template <typename State>
+class Handle {
  public:
-  /// Inert handle: every operation returns FailedPrecondition.
-  Txn() = default;
-  /// Aborts the transaction if still active (local state drop, no
-  /// messages — lost client state is an implicit abort, paper §2.2).
-  ~Txn();
-  Txn(Txn&& other) noexcept;
-  Txn& operator=(Txn&& other) noexcept;
-  Txn(const Txn&) = delete;
-  Txn& operator=(const Txn&) = delete;
+  Handle() = default;
+  ~Handle() {
+    if (phase_ == Phase::kActive) Release();
+  }
+  Handle(Handle&& other) noexcept
+      : client_(std::exchange(other.client_, nullptr)),
+        state_(std::move(other.state_)),
+        phase_(std::exchange(other.phase_, Phase::kInert)),
+        begin_status_(std::move(other.begin_status_)) {}
+  Handle& operator=(Handle&& other) noexcept {
+    if (this != &other) {
+      if (phase_ == Phase::kActive) Release();
+      client_ = std::exchange(other.client_, nullptr);
+      state_ = std::move(other.state_);
+      phase_ = std::exchange(other.phase_, Phase::kInert);
+      begin_status_ = std::move(other.begin_status_);
+    }
+    return *this;
+  }
+  Handle(const Handle&) = delete;
+  Handle& operator=(const Handle&) = delete;
 
   /// True while the handle owns a live, uncommitted transaction.
   bool active() const { return phase_ == Phase::kActive; }
-  /// Why Session::Begin produced an inactive handle (OK when active).
+  /// Why the begin produced an inactive handle (OK when active).
   const Status& begin_status() const { return begin_status_; }
+
+  /// Discards the transaction without committing (idempotent on inert
+  /// handles; a programming error on finished ones).
+  void Abort() {
+    if (phase_ == Phase::kInert) return;
+    assert(phase_ == Phase::kActive &&
+           "Abort of a transaction handle after Commit/Abort");
+    if (phase_ == Phase::kActive) Release();
+  }
+
+ protected:
+  enum class Phase { kInert, kActive, kFinished };
+
+  /// Inert handle carrying the begin failure.
+  explicit Handle(Status begin_error)
+      : begin_status_(std::move(begin_error)) {}
+  /// Active handle (built by the client's begin).
+  Handle(TransactionClient* client, std::unique_ptr<State> state)
+      : client_(client), state_(std::move(state)), phase_(Phase::kActive) {}
+
+  /// Asserts the handle is not being used after Commit/Abort; returns
+  /// whether it is usable (kActive).
+  bool Usable() const {
+    assert(phase_ != Phase::kFinished &&
+           "use of a transaction handle after Commit/Abort");
+    return phase_ == Phase::kActive;
+  }
+
+  /// Commit start: the slots open as soon as the commit protocol starts
+  /// (the buffered state is frozen, so a new transaction may begin while
+  /// this commit is in flight) and the handle is finished. The state stays
+  /// owned by the handle: the commit coroutine reads it while the caller
+  /// awaits, which every `co_await txn.Commit()` guarantees.
+  State* StartCommit() {
+    ReleaseSlots(client_, *state_);
+    phase_ = Phase::kFinished;
+    return state_.get();
+  }
+
+  TransactionClient* client_ = nullptr;
+  std::unique_ptr<State> state_;
+  Phase phase_ = Phase::kInert;
+  Status begin_status_;
+
+ private:
+  void Release() {
+    ReleaseSlots(client_, *state_);
+    state_.reset();
+    phase_ = Phase::kFinished;
+  }
+};
+
+}  // namespace internal
+
+/// Movable RAII handle for one active transaction on one group.
+class Txn : public internal::Handle<TxnState> {
+ public:
+  /// Inert handle: every operation returns FailedPrecondition.
+  Txn() = default;
 
   TxnId id() const;
   LogPos read_pos() const;
@@ -133,31 +218,10 @@ class Txn {
   /// returned coroutine must be awaited immediately.
   sim::Coro<CommitResult> Commit();
 
-  /// Discards the transaction without committing (idempotent on inert
-  /// handles; a programming error on finished ones).
-  void Abort();
-
  private:
   friend class TransactionClient;
   friend class Session;
-
-  enum class Phase { kInert, kActive, kFinished };
-
-  /// Inert handle carrying the begin failure.
-  explicit Txn(Status begin_error) : begin_status_(std::move(begin_error)) {}
-  /// Active handle (built by TransactionClient::BeginTxn).
-  Txn(TransactionClient* client, std::unique_ptr<TxnState> state);
-
-  /// Releases the per-group active slot and drops local state.
-  void Release();
-  /// Asserts the handle is not being used after Commit/Abort; returns
-  /// whether it is usable (kActive).
-  bool Usable(const char* op) const;
-
-  TransactionClient* client_ = nullptr;
-  std::unique_ptr<TxnState> state_;
-  Phase phase_ = Phase::kInert;
-  Status begin_status_;
+  using Handle::Handle;
 };
 
 /// Retry bounds for Session::RunTransaction. Defaults follow the paper's
@@ -180,22 +244,26 @@ struct RetryPolicy {
   TimeMicros backoff_max = 200 * kMillisecond;
 };
 
-/// Unified result of Session::RunTransaction.
-struct TxnResult {
+/// Unified result of Session::RunTransaction; `CommitT` is the handle's
+/// commit result (CommitResult or CrossCommitResult).
+template <typename CommitT>
+struct RetryResult {
   TxnOutcome outcome = TxnOutcome::kUnavailable;
   /// Detail behind the outcome (OK iff committed()).
   Status status;
   /// Total begin..commit attempts made.
   int attempts = 0;
-  /// Bookkeeping of the last commit protocol run (promotions, latency,
-  /// combination — the metrics the paper's evaluation reports).
-  CommitResult commit;
+  /// Bookkeeping of the last commit protocol run (promotions, latency —
+  /// the metrics the paper's evaluation reports).
+  CommitT commit;
 
   bool committed() const {
     return outcome == TxnOutcome::kCommitted ||
            outcome == TxnOutcome::kReadOnly;
   }
 };
+
+using TxnResult = RetryResult<CommitResult>;
 
 /// The transaction body run by Session::RunTransaction: performs reads and
 /// writes through the handle and returns OK to request a commit, or any
@@ -245,14 +313,23 @@ class Session {
   /// fresh BeginCross(groups) per attempt, retrying conflict aborts
   /// (including commit-order aborts) under the same policy as the
   /// single-group overload. kUnknownOutcome is never retried.
-  sim::Coro<CrossTxnResult> RunTransaction(std::vector<std::string> groups,
-                                           CrossTxnBody body,
-                                           RetryPolicy retry = {});
+  sim::Coro<RetryResult<CrossCommitResult>> RunTransaction(
+      std::vector<std::string> groups, CrossTxnBody body,
+      RetryPolicy retry = {});
 
  private:
-  /// Immediately-inactive handles for misuse of an invalid session.
-  static sim::Coro<Txn> FailedBegin(Status status);
-  static sim::Coro<CrossTxn> FailedBeginCross(Status status);
+  /// Immediately-inactive handle for misuse of an invalid session.
+  template <typename H>
+  static sim::Coro<H> FailedBegin(Status status) {
+    co_return H(std::move(status));
+  }
+
+  /// The retry loop behind both RunTransaction overloads: each attempt
+  /// opens a fresh handle with `begin(groups)`.
+  template <typename CommitT, typename H, typename Groups>
+  sim::Coro<RetryResult<CommitT>> RunWithRetry(
+      sim::Coro<H> (TransactionClient::*begin)(Groups), Groups groups,
+      std::function<sim::Coro<Status>(H*)> body, RetryPolicy retry);
 
   TransactionClient* client_ = nullptr;
 };

@@ -247,14 +247,10 @@ PrepareInfo WriteAheadLog::PrepareFor(TxnId id) const {
   if (!row.ok()) return out;
   const kvstore::AttributeMap& attrs = *row->attributes;
   auto pos = attrs.find("pos");
-  auto ts = attrs.find("ts");
   auto groups = attrs.find("groups");
-  if (pos == attrs.end() || ts == attrs.end() || groups == attrs.end()) {
-    return out;
-  }
+  if (pos == attrs.end() || groups == attrs.end()) return out;
   out.known = true;
   out.pos = ParsePos(pos->second);
-  out.cross_ts = std::strtoull(ts->second.c_str(), nullptr, 10);
   std::string_view encoded = groups->second;
   std::string_view g;
   while (GetLengthPrefixed(&encoded, &g)) out.participants.emplace_back(g);

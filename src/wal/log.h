@@ -57,7 +57,6 @@ struct PendingPrepare {
 struct PrepareInfo {
   bool known = false;
   LogPos pos = 0;
-  uint64_t cross_ts = 0;
   std::vector<std::string> participants;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -24,13 +25,22 @@ struct RunContext {
   std::vector<std::string> group_names;
 };
 
-/// Ensures a slot exists in the by-round vectors.
-void EnsureRound(RunStats* stats, int round) {
-  while (static_cast<int>(stats->commits_by_round.size()) <= round) {
-    stats->commits_by_round.push_back(0);
-    stats->latency_by_round.emplace_back();
-  }
-}
+/// What one transaction attempt did. RunSingle and RunCross fill one per
+/// attempt and hand it to Record.
+struct Attempt {
+  DcId dc = 0;
+  TimeMicros started_at = 0;
+  bool cross = false;
+  /// Stays kUnavailable when the begin or a read fails.
+  txn::TxnOutcome fate = txn::TxnOutcome::kUnavailable;
+  int promotions = 0;
+  bool fast_path = false;
+  TimeMicros latency = 0;
+  /// Commit point of a cross commit (CrossCommitResult::decision_latency).
+  TimeMicros decision_latency = 0;
+  /// The checker's record, once the begin has minted a transaction id.
+  std::optional<core::ClientOutcome> outcome;
+};
 
 /// Availability window covering `started_at`, or nullptr when windowed
 /// accounting is off.
@@ -45,33 +55,93 @@ WindowCounts* WindowFor(RunContext* ctx, TimeMicros started_at) {
   return &ctx->stats.windows[index];
 }
 
+/// Counts one finished attempt. The only code that updates RunStats'
+/// tallies, so every attempt lands in exactly one outcome bucket of the
+/// run, of its window and of its datacenter.
+void Record(RunContext* ctx, Attempt* attempt) {
+  RunStats& stats = ctx->stats;
+  const DcId dc = attempt->dc;
+  const TimeMicros latency = attempt->latency;
+  WindowCounts unwindowed;  // sink when windowed accounting is off
+  WindowCounts* window = WindowFor(ctx, attempt->started_at);
+  if (window == nullptr) window = &unwindowed;
+  ++stats.attempted;
+  ++stats.attempted_by_dc[dc];
+  ++window->attempted;
+  if (attempt->cross) ++stats.cross_attempted;
+  if (attempt->outcome) stats.outcomes.push_back(std::move(*attempt->outcome));
+
+  switch (attempt->fate) {
+    case txn::TxnOutcome::kReadOnly:
+      ++stats.read_only;
+      ++window->read_only;
+      break;
+    case txn::TxnOutcome::kCommitted: {
+      const int round = attempt->promotions;
+      ++stats.committed;
+      ++stats.committed_by_dc[dc];
+      ++window->committed;
+      if (static_cast<int>(stats.commits_by_round.size()) <= round) {
+        stats.commits_by_round.resize(round + 1);
+        stats.latency_by_round.resize(round + 1);
+      }
+      ++stats.commits_by_round[round];
+      stats.latency_by_round[round].Record(latency);
+      stats.latency_committed.Record(latency);
+      stats.latency_by_dc[dc].Record(latency);
+      stats.max_promotions = std::max(stats.max_promotions, round);
+      if (attempt->fast_path) ++stats.fast_path_commits;
+      if (attempt->cross) {
+        ++stats.cross_committed;
+        stats.latency_cross.Record(latency);
+        stats.latency_cross_decision.Record(attempt->decision_latency);
+      } else if (ctx->group_names.size() > 1) {
+        stats.latency_single_multi.Record(latency);
+      }
+      break;
+    }
+    case txn::TxnOutcome::kConflict:
+      ++stats.aborted;
+      ++window->aborted;
+      if (attempt->cross) ++stats.cross_aborted;
+      stats.latency_aborted.Record(latency);
+      break;
+    case txn::TxnOutcome::kUnknownOutcome:
+      ++stats.failed;
+      ++window->unavailable;
+      if (attempt->cross) ++stats.cross_unknown;
+      break;
+    case txn::TxnOutcome::kUnavailable:
+      ++stats.failed;
+      ++window->unavailable;
+      if (attempt->cross) ++stats.cross_unavailable;
+      break;
+  }
+}
+
 /// Runs one single-group transaction. `planned` (multi-group runs only)
-/// supplies pre-drawn ops and the target shard; without it, ops come from
-/// generator->NextTxnOps() on the configured single group — the exact
-/// legacy path, same RNG draw order.
-sim::Coro<void> RunOneTxn(RunContext* ctx, txn::Session* session,
-                          Generator* generator,
-                          const TxnPlan* planned = nullptr) {
+/// supplies pre-drawn ops and the target shard; without it the ops come
+/// from generator->NextTxnOps() on the configured group, drawn after the
+/// begin as they always were.
+sim::Coro<void> RunSingle(RunContext* ctx, txn::Session* session,
+                          Generator* generator, const TxnPlan* planned) {
   const bool multi = planned != nullptr;
   const std::string& group = multi
                                  ? ctx->group_names[planned->groups.front()]
                                  : ctx->config.workload.group;
   const std::string& row = ctx->config.workload.row;
-  RunStats& stats = ctx->stats;
-  const DcId dc = session->home();
-
-  ++stats.attempted;
-  ++stats.attempted_by_dc[dc];
-  const TimeMicros started_at = ctx->cluster->simulator()->Now();
-  if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->attempted;
+  Attempt attempt;
+  attempt.dc = session->home();
+  attempt.started_at = ctx->cluster->simulator()->Now();
 
   txn::Txn txn = co_await session->Begin(group);
   if (!txn.active()) {
-    ++stats.failed;
-    if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
+    Record(ctx, &attempt);
     co_return;
   }
-  const TxnId id = txn.id();
+  attempt.outcome.emplace();
+  attempt.outcome->id = txn.id();
+  attempt.outcome->group = group;
 
   std::vector<Op> drawn;
   if (!multi) drawn = generator->NextTxnOps();
@@ -82,13 +152,7 @@ sim::Coro<void> RunOneTxn(RunContext* ctx, txn::Session* session,
       if (!value.ok()) {
         // Read could not be served anywhere (e.g. total outage): abandon.
         txn.Abort();
-        ++stats.failed;
-        if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
-        core::ClientOutcome outcome;
-        outcome.id = id;
-        outcome.committed = false;
-        outcome.group = group;
-        stats.outcomes.push_back(outcome);
+        Record(ctx, &attempt);
         co_return;
       }
     } else {
@@ -96,104 +160,54 @@ sim::Coro<void> RunOneTxn(RunContext* ctx, txn::Session* session,
     }
   }
 
-  txn::CommitResult result = co_await txn.Commit();
-  const txn::TxnOutcome fate = txn::ClassifyCommit(result);
-
-  core::ClientOutcome outcome;
-  outcome.id = id;
-  outcome.committed = result.committed;
-  outcome.read_only = result.read_only;
-  outcome.position = result.position;
-  outcome.unknown = fate == txn::TxnOutcome::kUnknownOutcome;
-  outcome.group = group;
-  stats.outcomes.push_back(outcome);
-
-  if (WindowCounts* w = WindowFor(ctx, started_at)) {
-    switch (fate) {
-      case txn::TxnOutcome::kReadOnly: ++w->read_only; break;
-      case txn::TxnOutcome::kCommitted: ++w->committed; break;
-      case txn::TxnOutcome::kConflict: ++w->aborted; break;
-      default: ++w->unavailable; break;
-    }
-  }
-
-  switch (fate) {
-    case txn::TxnOutcome::kReadOnly:
-      ++stats.read_only;
-      break;
-    case txn::TxnOutcome::kCommitted:
-      ++stats.committed;
-      ++stats.committed_by_dc[dc];
-      EnsureRound(&stats, result.promotions);
-      ++stats.commits_by_round[result.promotions];
-      stats.latency_by_round[result.promotions].Record(result.latency);
-      stats.latency_committed.Record(result.latency);
-      if (multi) stats.latency_single_multi.Record(result.latency);
-      stats.latency_by_dc[dc].Record(result.latency);
-      stats.max_promotions = std::max(stats.max_promotions,
-                                      result.promotions);
-      if (result.fast_path) ++stats.fast_path_commits;
-      break;
-    case txn::TxnOutcome::kConflict:
-      ++stats.aborted;
-      stats.latency_aborted.Record(result.latency);
-      break;
-    default:
-      ++stats.failed;
-      break;
-  }
+  const txn::CommitResult result = co_await txn.Commit();
+  attempt.fate = txn::ClassifyCommit(result);
+  attempt.promotions = result.promotions;
+  attempt.fast_path = result.fast_path;
+  attempt.latency = result.latency;
+  attempt.outcome->committed = result.committed;
+  attempt.outcome->read_only = result.read_only;
+  attempt.outcome->position = result.position;
+  attempt.outcome->unknown = attempt.fate == txn::TxnOutcome::kUnknownOutcome;
+  Record(ctx, &attempt);
 }
 
-/// Multi-group variant of RunOneTxn (D8): draws the generator's TxnPlan
-/// and either delegates a single-group transaction to RunOneTxn (same
-/// code path as the unsharded workload, routed to the planned shard) or
-/// runs a cross-group transaction committed via 2PC over the
-/// participants' logs.
-sim::Coro<void> RunOneTxnMulti(RunContext* ctx, txn::Session* session,
-                               Generator* generator) {
+/// Runs one cross-group transaction (D8): one leg per planned shard,
+/// committed via 2PC over the participants' logs.
+sim::Coro<void> RunCross(RunContext* ctx, txn::Session* session,
+                         const TxnPlan* plan) {
   const std::string& row = ctx->config.workload.row;
-  RunStats& stats = ctx->stats;
-  const DcId dc = session->home();
+  Attempt attempt;
+  attempt.dc = session->home();
+  attempt.started_at = ctx->cluster->simulator()->Now();
+  attempt.cross = true;
 
-  const TxnPlan plan = generator->NextTxnPlan();
-  if (!plan.cross) {
-    co_await RunOneTxn(ctx, session, generator, &plan);
-    co_return;
-  }
-
-  ++stats.attempted;
-  ++stats.attempted_by_dc[dc];
-  const TimeMicros started_at = ctx->cluster->simulator()->Now();
-  if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->attempted;
-
-  // ---- Cross-group transaction: one leg per participating shard.
-  ++stats.cross_attempted;
   std::vector<std::string> groups;
-  groups.reserve(plan.groups.size());
-  for (int g : plan.groups) groups.push_back(ctx->group_names[g]);
+  groups.reserve(plan->groups.size());
+  for (int g : plan->groups) groups.push_back(ctx->group_names[g]);
 
   txn::CrossTxn txn = co_await session->BeginCross(groups);
   if (!txn.active()) {
-    ++stats.failed;
-    ++stats.cross_unavailable;
-    if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
+    Record(ctx, &attempt);
     co_return;
   }
-  const TxnId id = txn.id();
+  attempt.outcome.emplace();
+  attempt.outcome->id = txn.id();
+  attempt.outcome->groups = groups;
   // Ops run in plan order, but each maximal run of consecutive reads is
   // batched into one ReadMany fan-out — the legs' snapshot reads go out
   // concurrently (D9). A write ends the batch, so read-your-writes
   // ordering within the transaction is untouched.
-  for (size_t op_index = 0; op_index < plan.ops.size();) {
-    if (!plan.ops[op_index].is_read) {
-      const Op& op = plan.ops[op_index];
+  for (size_t op_index = 0; op_index < plan->ops.size();) {
+    if (!plan->ops[op_index].is_read) {
+      const Op& op = plan->ops[op_index];
       (void)txn.Write(groups[op.group], row, op.attribute, op.value);
       ++op_index;
       continue;
     }
     std::vector<txn::CrossRead> batch;
-    while (op_index < plan.ops.size() && plan.ops[op_index].is_read) {
-      const Op& op = plan.ops[op_index];
+    while (op_index < plan->ops.size() && plan->ops[op_index].is_read) {
+      const Op& op = plan->ops[op_index];
       batch.push_back(txn::CrossRead{groups[op.group], row, op.attribute});
       ++op_index;
     }
@@ -204,64 +218,19 @@ sim::Coro<void> RunOneTxnMulti(RunContext* ctx, txn::Session* session,
     }
     if (read_failed) {
       txn.Abort();
-      ++stats.failed;
-      ++stats.cross_unavailable;
-      if (WindowCounts* w = WindowFor(ctx, started_at)) ++w->unavailable;
-      core::ClientOutcome outcome;
-      outcome.id = id;
-      outcome.committed = false;
-      outcome.groups = groups;
-      stats.outcomes.push_back(outcome);
+      Record(ctx, &attempt);
       co_return;
     }
   }
 
-  txn::CrossCommitResult result = co_await txn.Commit();
-  const txn::TxnOutcome fate = txn::ClassifyCrossCommit(result);
-
-  core::ClientOutcome outcome;
-  outcome.id = id;
-  outcome.committed = result.committed;
-  outcome.unknown = fate == txn::TxnOutcome::kUnknownOutcome;
-  outcome.groups = groups;
-  stats.outcomes.push_back(outcome);
-
-  if (WindowCounts* w = WindowFor(ctx, started_at)) {
-    switch (fate) {
-      case txn::TxnOutcome::kCommitted: ++w->committed; break;
-      case txn::TxnOutcome::kConflict: ++w->aborted; break;
-      default: ++w->unavailable; break;
-    }
-  }
-  switch (fate) {
-    case txn::TxnOutcome::kCommitted:
-      ++stats.committed;
-      ++stats.cross_committed;
-      ++stats.committed_by_dc[dc];
-      EnsureRound(&stats, result.promotions);
-      ++stats.commits_by_round[result.promotions];
-      stats.latency_by_round[result.promotions].Record(result.latency);
-      stats.latency_committed.Record(result.latency);
-      stats.latency_cross.Record(result.latency);
-      stats.latency_cross_decision.Record(result.decision_latency);
-      stats.latency_by_dc[dc].Record(result.latency);
-      stats.max_promotions = std::max(stats.max_promotions,
-                                      result.promotions);
-      break;
-    case txn::TxnOutcome::kConflict:
-      ++stats.aborted;
-      ++stats.cross_aborted;
-      stats.latency_aborted.Record(result.latency);
-      break;
-    case txn::TxnOutcome::kUnknownOutcome:
-      ++stats.failed;
-      ++stats.cross_unknown;
-      break;
-    default:
-      ++stats.failed;
-      ++stats.cross_unavailable;
-      break;
-  }
+  const txn::CrossCommitResult result = co_await txn.Commit();
+  attempt.fate = txn::ClassifyCommit(result);
+  attempt.promotions = result.promotions;
+  attempt.latency = result.latency;
+  attempt.decision_latency = result.decision_latency;
+  attempt.outcome->committed = result.committed;
+  attempt.outcome->unknown = attempt.fate == txn::TxnOutcome::kUnknownOutcome;
+  Record(ctx, &attempt);
 }
 
 /// Post-run recovery quiesce (paper §4.1's learning obligation): a value
@@ -359,10 +328,15 @@ sim::Task RunThread(RunContext* ctx, int thread_index, int txns,
       co_await sim::SleepFor(sim, next_start - sim->Now());
     }
     next_start += interarrival;  // open loop: schedule does not drift
-    if (multi_group) {
-      co_await RunOneTxnMulti(ctx, &session, &generator);
+    if (!multi_group) {
+      co_await RunSingle(ctx, &session, &generator, nullptr);
+      continue;
+    }
+    const TxnPlan plan = generator.NextTxnPlan();
+    if (plan.cross) {
+      co_await RunCross(ctx, &session, &plan);
     } else {
-      co_await RunOneTxn(ctx, &session, &generator);
+      co_await RunSingle(ctx, &session, &generator, &plan);
     }
   }
   ++ctx->threads_done;
@@ -403,7 +377,6 @@ RunStats RunExperiment(core::Cluster* cluster, const RunnerConfig& config) {
   cluster->network()->ResetStats();
   const TimeMicros start = cluster->simulator()->Now();
   ctx->run_start = start;
-  ctx->stats.window_width = config.availability_window;
 
   // Service-side recovery daemon (D10): when requested, every replica arms
   // deterministic timers for pending prepares throughout the run, so a

@@ -3,7 +3,10 @@
 // as the paper's evaluation does — staggered starts, a per-thread target
 // transaction rate, 500 transactions per experiment — and gathers the
 // metrics every figure reports (commits by promotion round, latency by
-// round, combinations). Every run ends with a quiesce (the decided tail is
+// round, combinations). Every attempt, single- or cross-group, is counted
+// once when it ends, by one Record call that is the only writer of the
+// RunStats tallies, so the run, window, per-datacenter and per-round
+// counts always add up. Every run ends with a quiesce (the decided tail is
 // learned, pending prepares are recovered) and the full invariant checker:
 // the serializability check is part of every experiment in this repo, so
 // it has no off switch.
@@ -49,7 +52,8 @@ struct RunnerConfig {
 };
 
 /// Outcome counts for one availability window ([i*w, (i+1)*w) since run
-/// start). attempted = committed + read_only + aborted + unavailable.
+/// start). attempted = committed + read_only + aborted + unavailable holds
+/// for every window: an attempt is counted only once it has ended.
 struct WindowCounts {
   int attempted = 0;
   int committed = 0;    // read/write commits
@@ -138,7 +142,6 @@ struct RunStats {
   /// Availability over time (populated when RunnerConfig::
   /// availability_window > 0; window i covers [i*w, (i+1)*w) of virtual
   /// time since the run began, keyed by transaction start).
-  TimeMicros window_width = 0;
   std::vector<WindowCounts> windows;
 
   std::vector<core::ClientOutcome> outcomes;

@@ -427,6 +427,23 @@ TEST(ChaosSweepTest, DecideWalksNeverTakeASecondRoundZeroGrant) {
   }
 }
 
+// Daemon seeds on which a pending prepare sat in a log hole: every replica
+// missed one decided position below its MaxDecided, the position a
+// promoted proposer skipped without applying (entity_group#0[18] in
+// 908325; entity_group#0[11] and entity_group#1[10] in 905135). The
+// recovery timers only see prepares in entries a replica holds, so the
+// prepare stayed pending until the quiesce learned the hole. The daemon's
+// hole timers now learn it during the run.
+TEST(ChaosSweepTest, DaemonLearnsHolesHidingPendingPrepares) {
+  for (uint64_t seed : {905135u, 908325u}) {
+    const ChaosResult result = RunChaos(seed, nullptr, /*max_rounds=*/32,
+                                        /*cross=*/true, /*daemon=*/true);
+    EXPECT_TRUE(result.ok()) << result.Describe();
+    EXPECT_EQ(result.stats.quiesce_pending, 0) << "seed " << seed;
+    EXPECT_EQ(result.pending_after, 0) << "seed " << seed;
+  }
+}
+
 // A crashed/timed-out client's transaction may legitimately land in the log
 // (the cohort decided it, the client just never heard) or vanish. Under a
 // hostile envelope — long response-eating loss bursts and outages — the

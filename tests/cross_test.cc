@@ -1328,6 +1328,62 @@ TEST(RecoveryDaemonTest, DaemonSurvivesServiceRestart) {
   EXPECT_TRUE(report.ok) << report.ToString();
 }
 
+TEST(RecoveryDaemonTest, DaemonLearnsAHoleHidingAPendingPrepare) {
+  // A cross prepare decided at a[1] (accepted by 2 of 3 acceptors) whose
+  // apply reached no replica, below a data entry every replica applied at
+  // a[2]: no WAL side table shows the prepare, so only the daemon's hole
+  // timer can bring it into view, and then recover it.
+  Db db(TestConfig(73));
+  ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
+  ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
+  const TxnId id = MakeTxnId(0, 1);
+  wal::TxnRecord p;
+  p.id = id;
+  p.kind = wal::RecordKind::kPrepare;
+  p.cross_ts = 5;
+  p.participants = {"a", "b"};
+  p.writes.push_back({{"row", "x"}, "prepared"});
+  wal::LogEntry prep;
+  prep.txns.push_back(p);
+  prep.winner_dc = 0;
+  wal::TxnRecord u;
+  u.id = MakeTxnId(1, 1);
+  u.writes.push_back({{"row", "x"}, "data"});
+  wal::LogEntry data;
+  data.txns.push_back(u);
+  data.winner_dc = 1;
+  const paxos::Ballot ballot{1, 0};
+  for (DcId dc : {0, 1}) {
+    paxos::Acceptor* acceptor = db.cluster()->service(dc)->GroupAcceptor("a");
+    ASSERT_TRUE(acceptor->OnPrepare(1, ballot).promised);
+    ASSERT_TRUE(acceptor->OnAccept(1, ballot, prep).accepted);
+  }
+  for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
+    ASSERT_TRUE(db.cluster()
+                    ->service(dc)
+                    ->GroupAcceptor("a")
+                    ->OnApply(2, paxos::Ballot{1, 1}, data)
+                    .ok());
+  }
+  for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
+    db.cluster()->service(dc)->StartRecoveryDaemon({});
+  }
+  db.Run();
+
+  for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
+    wal::WriteAheadLog* log_a = db.cluster()->service(dc)->GroupLog("a");
+    EXPECT_TRUE(log_a->HasEntry(1)) << "dc " << dc;
+    EXPECT_TRUE(log_a->DecisionFor(id).known) << "dc " << dc;
+    for (const char* g : {"a", "b"}) {
+      EXPECT_TRUE(
+          db.cluster()->service(dc)->GroupLog(g)->PendingPrepares().empty())
+          << "dc " << dc << " group " << g;
+    }
+  }
+  core::CheckReport report = db.Check(std::vector<std::string>{"a", "b"});
+  EXPECT_TRUE(report.ok) << report.ToString();
+}
+
 // ------------------------------------------------ post-run quiesce (D10)
 
 /// Sharded workload whose every cross coordinator crashes once one prepare

@@ -290,8 +290,8 @@ TEST(FutureTest, FirstSetWins) {
 TEST(FutureTest, SetAfterWaiterResumedIsIgnored) {
   // Pins the other half of first-wins: a Set that arrives after the waiter
   // has already been resumed (not merely after an earlier Set) must be a
-  // no-op. WhenAll's timeout races depend on this — the losing side of a
-  // race may fire arbitrarily late.
+  // no-op. Response-vs-timeout races depend on this — the losing side of
+  // a race may fire arbitrarily late.
   Simulator sim;
   Promise<int> promise(&sim);
   int out = 0;
@@ -349,7 +349,8 @@ Task DriveGather(Simulator* sim, std::vector<Coro<int>>* children,
 
 Task DriveWhenAll(Simulator* sim, std::vector<Coro<void>>* children,
                   bool* done) {
-  WhenAll all(sim, std::move(*children));
+  WhenAll all(sim);
+  for (Coro<void>& child : *children) all.Add(std::move(child));
   co_await std::move(all);
   *done = true;
 }
@@ -364,6 +365,21 @@ TEST(WhenAllTest, EmptySetCompletesThroughQueue) {
   sim.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim.Now(), 0);
+}
+
+TEST(WhenAllTest, CompletesWhenTheSlowestChildFinishes) {
+  Simulator sim;
+  int touched = 0;
+  std::vector<Coro<void>> kids;
+  kids.push_back(TouchAfter(&sim, 15, &touched));
+  kids.push_back(TouchAfter(&sim, 5, &touched));
+  bool done = false;
+  DriveWhenAll(&sim, &kids, &done);
+  EXPECT_FALSE(done);
+  sim.Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(touched, 2);
+  EXPECT_EQ(sim.Now(), 15);
 }
 
 TEST(WhenAllTest, GatherEmptyYieldsEmptyVector) {
@@ -414,60 +430,9 @@ TEST(WhenAllTest, ResultsInInputOrderForEveryCompletionPermutation) {
   } while (std::next_permutation(perm, perm + 3));
 }
 
-TEST(WhenAllTest, MixedCorosAndFuturesAllCountedOnce) {
-  Simulator sim;
-  int touched = 0;
-  Promise<int> p1(&sim), p2(&sim);
-  p1.Set(7);  // already resolved before the join is armed
-  WhenAll all(&sim);
-  all.Add(TouchAfter(&sim, 5, &touched));
-  all.Add(p1.GetFuture());
-  all.Add(p2.GetFuture());
-  all.Add(TouchAfter(&sim, 15, &touched));
-  EXPECT_EQ(all.size(), 4u);
-  Promise<bool> done(&sim);
-  std::move(all).Start(done);
-  sim.ScheduleAt(10, [&] { p2.Set(8); });
-  bool completed = false;
-  done.GetFuture().OnReady([&](bool&& v) { completed = v; });
-  sim.Run();
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(touched, 2);
-}
-
-TEST(WhenAllTest, NeverFiringDependencyLosesRaceToTimeout) {
-  // A join whose dependency never resolves must still let the caller make
-  // progress: racing the join against a timeout through one first-wins
-  // Promise, the timeout delivers false. The straggler is then resolved and
-  // the run drained, so teardown is provably leak-free (ASan-clean).
-  Simulator sim;
-  int touched = 0;
-  Promise<int> never(&sim);
-  WhenAll all(&sim);
-  all.Add(TouchAfter(&sim, 5, &touched));
-  all.Add(never.GetFuture());
-  Promise<bool> done(&sim);
-  std::move(all).Start(done);
-  sim.ScheduleAfter(1000, [done]() mutable { done.Set(false); });
-  bool completed = true;
-  bool resumed = false;
-  done.GetFuture().OnReady([&](bool&& v) {
-    completed = v;
-    resumed = true;
-  });
-  sim.Run();
-  EXPECT_TRUE(resumed);
-  EXPECT_FALSE(completed);  // timeout won
-  EXPECT_EQ(touched, 1);    // the live child still ran to completion
-  // Late resolution of the straggler: the join's Set(true) loses first-wins.
-  never.Set(0);
-  sim.Run();
-  EXPECT_FALSE(completed);
-}
-
 TEST(WhenAllTest, DestroyedWithoutAwaitLeaksNothing) {
-  // A WhenAll/Gather abandoned before being awaited or Start()ed never
-  // starts its queued children; their frames are destroyed (deferred
+  // A WhenAll/Gather abandoned before being awaited never starts its
+  // queued children; their frames are destroyed (deferred
   // through the queue) with it. ASan verifies no frame leaks.
   Simulator sim;
   int touched = 0;
@@ -475,7 +440,7 @@ TEST(WhenAllTest, DestroyedWithoutAwaitLeaksNothing) {
     WhenAll all(&sim);
     all.Add(TouchAfter(&sim, 5, &touched));
     all.Add(TouchAfter(&sim, 10, &touched));
-  }  // dropped without await/Start
+  }  // dropped without await
   {
     std::vector<Coro<int>> kids;
     kids.push_back(ValueAfter(&sim, 5, 1));

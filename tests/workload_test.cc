@@ -3,6 +3,7 @@
 
 #include <set>
 
+#include "fault/fault_plan.h"
 #include "workload/generator.h"
 #include "workload/runner.h"
 
@@ -155,6 +156,98 @@ TEST(RunnerTest, CommitRateDefinitionsAgree) {
   EXPECT_DOUBLE_EQ(total.CommitRate(), stats.CommitRate());
   // The read/write-only variant differs whenever read-only commits exist.
   EXPECT_LE(stats.ReadWriteCommitRate(), 1.0);
+}
+
+/// Every tally of `stats` against the run totals: each attempt lands in
+/// exactly one outcome bucket of the run, of its window, of its datacenter
+/// and (when committed) of its promotion round and latency histograms.
+void ExpectOneTally(const RunStats& stats) {
+  EXPECT_EQ(stats.attempted,
+            stats.committed + stats.read_only + stats.aborted + stats.failed);
+  EXPECT_EQ(stats.cross_attempted,
+            stats.cross_committed + stats.cross_aborted + stats.cross_unknown +
+                stats.cross_unavailable);
+
+  WindowCounts total;
+  for (const WindowCounts& w : stats.windows) {
+    EXPECT_EQ(w.attempted,
+              w.committed + w.read_only + w.aborted + w.unavailable);
+    total.attempted += w.attempted;
+    total.committed += w.committed;
+    total.read_only += w.read_only;
+    total.aborted += w.aborted;
+    total.unavailable += w.unavailable;
+  }
+  EXPECT_EQ(total.attempted, stats.attempted);
+  EXPECT_EQ(total.committed, stats.committed);
+  EXPECT_EQ(total.read_only, stats.read_only);
+  EXPECT_EQ(total.aborted, stats.aborted);
+  EXPECT_EQ(total.unavailable, stats.failed);
+
+  int attempted_by_dc = 0, committed_by_dc = 0, by_round = 0;
+  for (const auto& [dc, n] : stats.attempted_by_dc) attempted_by_dc += n;
+  for (const auto& [dc, n] : stats.committed_by_dc) committed_by_dc += n;
+  for (int n : stats.commits_by_round) by_round += n;
+  EXPECT_EQ(attempted_by_dc, stats.attempted);
+  EXPECT_EQ(committed_by_dc, stats.committed);
+  EXPECT_EQ(by_round, stats.committed);
+
+  EXPECT_EQ(stats.latency_committed.count(),
+            static_cast<uint64_t>(stats.committed));
+  EXPECT_EQ(stats.latency_cross.count(),
+            static_cast<uint64_t>(stats.cross_committed));
+  EXPECT_EQ(stats.latency_cross_decision.count(),
+            static_cast<uint64_t>(stats.cross_committed));
+  EXPECT_EQ(stats.latency_single_multi.count(),
+            static_cast<uint64_t>(stats.committed - stats.cross_committed));
+  EXPECT_EQ(stats.latency_aborted.count(),
+            static_cast<uint64_t>(stats.aborted));
+}
+
+TEST(RunnerTest, ShardedRunCountsEveryAttemptOnce) {
+  // A contended 3-group run, 40% cross-group, one client thread per
+  // datacenter, with dc2 down longer than a begin's failover takes (its
+  // client's begins fail); then the same run with coordinators that crash
+  // after their first prepare (unknown outcomes).
+  RunnerConfig config = SmallRun(txn::Protocol::kPaxosCP);
+  config.total_txns = 60;
+  config.num_threads = 3;
+  config.thread_dcs = {0, 1, 2};
+  config.workload.num_attributes = 8;
+  config.workload.num_groups = 3;
+  config.workload.cross_fraction = 0.4;
+  config.workload.groups_per_cross_txn = 2;
+  config.availability_window = 2 * kSecond;
+
+  RunStats runs[2];
+  for (int crash = 0; crash < 2; ++crash) {
+    core::ClusterConfig cluster_config = *core::ClusterConfig::FromCode("VVV");
+    cluster_config.seed = 13;
+    core::Cluster cluster(cluster_config);
+    fault::FaultPlan plan;
+    plan.events.push_back(
+        {2 * kSecond, fault::FaultKind::kDatacenterDown, 2, kNoDc, 0});
+    plan.events.push_back(
+        {20 * kSecond, fault::FaultKind::kDatacenterUp, 2, kNoDc, 0});
+    cluster.ApplyFaultPlan(plan);
+    config.client.crash_after_prepares = crash == 0 ? -1 : 1;
+    runs[crash] = RunExperiment(&cluster, config);
+    const RunStats& stats = runs[crash];
+    EXPECT_TRUE(stats.all_threads_finished);
+    EXPECT_TRUE(stats.check.ok) << stats.check.ToString();
+    EXPECT_EQ(stats.attempted, 60);
+    ExpectOneTally(stats);
+  }
+  // Every bucket the identities above add up is exercised.
+  auto some = [&runs](int RunStats::*field) {
+    return runs[0].*field > 0 || runs[1].*field > 0;
+  };
+  EXPECT_TRUE(some(&RunStats::committed));
+  EXPECT_TRUE(some(&RunStats::aborted));
+  EXPECT_TRUE(some(&RunStats::failed));
+  EXPECT_TRUE(some(&RunStats::cross_committed));
+  EXPECT_TRUE(some(&RunStats::cross_unavailable));
+  EXPECT_TRUE(some(&RunStats::cross_unknown));
 }
 
 TEST(RunnerTest, DeterministicAcrossRuns) {
