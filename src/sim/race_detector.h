@@ -8,7 +8,7 @@
 //
 // Model:
 //  * Cell   — a named unit of shared state ("kv/3/account:7",
-//             "wal/1/2/pending", "net/dc/0"). Layers record reads/writes
+//             "kv/1/!xpend/<group>", "net/dc/0"). Layers record reads/writes
 //             through the hooks in race_hooks.h.
 //  * Event  — one simulator callback execution, identified by its seq and
 //             carrying the creation-site tag threaded through Schedule.

@@ -1,6 +1,6 @@
 // Lightweight instrumentation hooks for the schedule-order race detector
 // (docs/ARCHITECTURE.md, design note D12). Shared-state layers (kvstore,
-// wal, net) record cell accesses through this header so they never include
+// net) record cell accesses through this header so they never include
 // the detector itself; when no detector is attached the cost of a hook site
 // is one thread-local load and a predictable branch — no string is built,
 // no function is called.
@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <string>
 #include <string_view>
 #include <type_traits>
 
@@ -51,7 +50,6 @@ inline bool Active() { return g_active_detector != nullptr; }
 struct CellPart {
   CellPart(std::string_view s) : str(s) {}
   CellPart(const char* s) : str(s) {}
-  CellPart(const std::string& s) : str(s) {}
   template <typename I, std::enable_if_t<std::is_integral_v<I>, int> = 0>
   CellPart(I v)
       : num(static_cast<uint64_t>(static_cast<int64_t>(v))), is_num(true) {}

@@ -95,7 +95,6 @@ class Simulator {
   void AttachRaceDetector(RaceDetector* detector) {
     race_detector_ = detector;
   }
-  RaceDetector* race_detector() const { return race_detector_; }
 
   /// Records a happens-before edge from `from_seq` (an already-executed
   /// event) to the most recently scheduled event. Called by the coroutine

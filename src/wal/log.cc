@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/coding.h"
-#include "sim/race_hooks.h"
 
 namespace paxoscp::wal {
 
@@ -96,10 +95,6 @@ std::string WriteAheadLog::DataKey(const std::string& row) const {
 
 Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
   assert(pos >= 1);
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kWrite,
-                      {"wal", store_->instance_id(), group_, "entry", pos});
-  }
   const std::string encoded = entry.Encode();
   if (kvstore::AttrView existing;
       store_->HasAttr(EntryKey(pos), kEntryAttr, &existing)) {
@@ -127,10 +122,6 @@ Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
 void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
   for (const TxnRecord& t : entry.txns) {
     if (t.kind == RecordKind::kPrepare) {
-      if (sim::race::Active()) {
-        sim::race::Record(sim::race::AccessKind::kWrite,
-                          {"wal", store_->instance_id(), group_, "prepare", t.id});
-      }
       std::string groups_encoded;
       for (const std::string& g : t.participants) {
         PutLengthPrefixed(&groups_encoded, g);
@@ -144,10 +135,6 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
       TxnId max_id = 0;
       MaxCrossOrder(&max_ts, &max_id);
       if (t.cross_ts > max_ts || (t.cross_ts == max_ts && t.id > max_id)) {
-        if (sim::race::Active()) {
-          sim::race::Record(sim::race::AccessKind::kWrite,
-                            {"wal", store_->instance_id(), group_, "crossmax"});
-        }
         (void)store_->Write(CrossMaxKey(),
                             {{"ts", std::to_string(t.cross_ts)},
                              {"id", std::to_string(t.id)}});
@@ -156,10 +143,6 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
       // their prepare (out-of-order learning): then the prepare is born
       // decided and never enters the pending set.
       if (!DecisionFor(t.id).known) {
-        if (sim::race::Active()) {
-          sim::race::Record(sim::race::AccessKind::kWrite,
-                            {"wal", store_->instance_id(), group_, "pending"});
-        }
         Result<kvstore::RowVersion> row = store_->Read(PendingKey());
         kvstore::AttributeMap pending =
             row.ok() ? *row->attributes : kvstore::AttributeMap{};
@@ -169,10 +152,6 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
     } else if (t.kind == RecordKind::kDecide) {
       CrossDecision existing = DecisionFor(t.id);
       if (!existing.known || pos < existing.pos) {
-        if (sim::race::Active()) {
-          sim::race::Record(sim::race::AccessKind::kWrite,
-                            {"wal", store_->instance_id(), group_, "decision", t.id});
-        }
         (void)store_->Write(DecisionKey(t.id),
                             {{"d", t.commit_decision ? "c" : "a"},
                              {"pos", std::to_string(pos)}});
@@ -188,10 +167,6 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
 }
 
 void WriteAheadLog::ClearPending(LogPos pos, TxnId id) {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kWrite,
-                      {"wal", store_->instance_id(), group_, "pending"});
-  }
   Result<kvstore::RowVersion> row = store_->Read(PendingKey());
   if (!row.ok()) return;
   kvstore::AttributeMap pending = *row->attributes;
@@ -200,10 +175,6 @@ void WriteAheadLog::ClearPending(LogPos pos, TxnId id) {
 }
 
 std::vector<PendingPrepare> WriteAheadLog::PendingPrepares() const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "pending"});
-  }
   std::vector<PendingPrepare> out;
   Result<kvstore::RowVersion> row = store_->Read(PendingKey());
   if (!row.ok()) return out;
@@ -220,10 +191,6 @@ std::vector<PendingPrepare> WriteAheadLog::PendingPrepares() const {
 }
 
 CrossDecision WriteAheadLog::DecisionFor(TxnId id) const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "decision", id});
-  }
   CrossDecision out;
   Result<kvstore::RowVersion> row = store_->Read(DecisionKey(id));
   if (!row.ok()) return out;
@@ -238,10 +205,6 @@ CrossDecision WriteAheadLog::DecisionFor(TxnId id) const {
 }
 
 PrepareInfo WriteAheadLog::PrepareFor(TxnId id) const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "prepare", id});
-  }
   PrepareInfo out;
   Result<kvstore::RowVersion> row = store_->Read(PrepareKey(id));
   if (!row.ok()) return out;
@@ -258,10 +221,6 @@ PrepareInfo WriteAheadLog::PrepareFor(TxnId id) const {
 }
 
 void WriteAheadLog::MaxCrossOrder(uint64_t* ts, TxnId* id) const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "crossmax"});
-  }
   *ts = 0;
   *id = 0;
   Result<kvstore::RowVersion> row = store_->Read(CrossMaxKey());
@@ -278,10 +237,6 @@ void WriteAheadLog::MaxCrossOrder(uint64_t* ts, TxnId* id) const {
 }
 
 LogPos WriteAheadLog::SafeReadPos() const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "pending"});
-  }
   // One store read: the whole pending set lives in one row whose
   // attribute order is prepare-position order (this runs on every begin).
   LogPos pos = MaxDecided();
@@ -295,10 +250,6 @@ LogPos WriteAheadLog::SafeReadPos() const {
 }
 
 LogPos WriteAheadLog::ContiguousFrontier() {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "frontier"});
-  }
   LogPos frontier = 0;
   Result<kvstore::AttrView> stored =
       store_->ReadAttrView(FrontierKey(), "pos");
@@ -306,10 +257,6 @@ LogPos WriteAheadLog::ContiguousFrontier() {
   const LogPos start = frontier;
   while (HasEntry(frontier + 1)) ++frontier;
   if (frontier != start) {
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kWrite,
-                        {"wal", store_->instance_id(), group_, "frontier"});
-    }
     (void)store_->Write(FrontierKey(), {{"pos", std::to_string(frontier)}});
   }
   return frontier;
@@ -323,10 +270,6 @@ bool WriteAheadLog::HasAllBetween(LogPos from, LogPos to) const {
 }
 
 Result<LogEntry> WriteAheadLog::GetEntry(LogPos pos) const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "entry", pos});
-  }
   // Decode straight from the shared version — the encoded entry is never
   // copied out of the store.
   Result<kvstore::AttrView> encoded =
@@ -336,28 +279,16 @@ Result<LogEntry> WriteAheadLog::GetEntry(LogPos pos) const {
 }
 
 bool WriteAheadLog::HasEntry(LogPos pos) const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "entry", pos});
-  }
   return store_->HasAttr(EntryKey(pos), kEntryAttr);
 }
 
 LogPos WriteAheadLog::MaxDecided() const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "meta"});
-  }
   Result<kvstore::AttrView> v = store_->ReadAttrView(MetaKey(), kMaxDecidedAttr);
   if (!v.ok()) return 0;
   return ParsePos(v->value);
 }
 
 void WriteAheadLog::BumpMaxDecided(LogPos pos) {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kWrite,
-                      {"wal", store_->instance_id(), group_, "meta"});
-  }
   // Retry loop around CheckAndWrite mirrors Algorithm 1's update pattern;
   // in the single-threaded simulation it succeeds on the first try.
   for (;;) {
@@ -372,10 +303,6 @@ void WriteAheadLog::BumpMaxDecided(LogPos pos) {
 }
 
 LogPos WriteAheadLog::AppliedThrough() const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "applied"});
-  }
   Result<kvstore::AttrView> v = store_->ReadAttrView(AppliedKey(), kAppliedAttr);
   if (!v.ok()) return 0;
   return ParsePos(v->value);
@@ -426,10 +353,6 @@ Status WriteAheadLog::ApplyThrough(LogPos target, LogPos* first_missing,
       }
     }
     for (const auto& [row, updates] : row_updates) {
-      if (sim::race::Active()) {
-        sim::race::Record(sim::race::AccessKind::kWrite,
-                          {"wal", store_->instance_id(), group_, "data", row});
-      }
       Status s = store_->MergeWrite(DataKey(row), updates,
                                     static_cast<Timestamp>(pos));
       // Conflict => this position was already applied to this row by an
@@ -438,10 +361,6 @@ Status WriteAheadLog::ApplyThrough(LogPos target, LogPos* first_missing,
     }
     // Persist the watermark after each position so recovery never re-reads
     // more than one applied entry.
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kWrite,
-                        {"wal", store_->instance_id(), group_, "applied"});
-    }
     PAXOSCP_RETURN_IF_ERROR(store_->Write(
         AppliedKey(), {{kAppliedAttr, std::to_string(pos)}}));
   }
@@ -450,10 +369,6 @@ Status WriteAheadLog::ApplyThrough(LogPos target, LogPos* first_missing,
 
 ItemRead WriteAheadLog::ReadItem(const ItemId& item, LogPos read_pos) const {
   ItemRead out;
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "data", item.row});
-  }
   Result<kvstore::RowVersion> row =
       store_->Read(DataKey(item.row), static_cast<Timestamp>(read_pos));
   if (!row.ok()) return out;  // initial state
@@ -471,10 +386,6 @@ ItemRead WriteAheadLog::ReadItem(const ItemId& item, LogPos read_pos) const {
 
 std::vector<std::pair<std::string, ItemRead>> WriteAheadLog::ReadRow(
     const std::string& row, LogPos read_pos) const {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kRead,
-                      {"wal", store_->instance_id(), group_, "data", row});
-  }
   std::vector<std::pair<std::string, ItemRead>> out;
   Result<kvstore::RowVersion> version =
       store_->Read(DataKey(row), static_cast<Timestamp>(read_pos));
@@ -499,10 +410,6 @@ std::vector<std::pair<std::string, ItemRead>> WriteAheadLog::ReadRow(
 
 Status WriteAheadLog::LoadInitialRow(const std::string& row,
                                      const kvstore::AttributeMap& attributes) {
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kWrite,
-                      {"wal", store_->instance_id(), group_, "data", row});
-  }
   return store_->MergeWrite(DataKey(row), attributes, /*timestamp=*/0);
 }
 

@@ -8,11 +8,6 @@ namespace paxoscp::wal {
 
 namespace {
 
-void EncodeItem(std::string* dst, const ItemId& item) {
-  PutLengthPrefixed(dst, item.row);
-  PutLengthPrefixed(dst, item.attribute);
-}
-
 bool DecodeItem(std::string_view* in, ItemId* item) {
   std::string_view row, attr;
   if (!GetLengthPrefixed(in, &row)) return false;
@@ -28,6 +23,65 @@ bool DecodeItem(std::string_view* in, ItemId* item) {
 /// the original v1 layout bit-for-bit — existing logs, fingerprints, and
 /// the byte-identical fig outputs are unaffected.
 constexpr int64_t kCrossFormatMarker = -2;
+
+/// The one walk over an entry's encoded layout (Decode reads it back).
+/// `Out` has the Fingerprinter's interface: Encode runs the walk over
+/// SizeBound and then StringSink, Fingerprint over the Fingerprinter.
+template <typename Out>
+void WriteLayout(const LogEntry& entry, Out* out) {
+  const bool v2 = entry.HasCrossRecords();
+  if (v2) out->AddVarsint64(kCrossFormatMarker);
+  out->AddVarsint64(entry.winner_dc);
+  out->AddVarint64(entry.txns.size());
+  for (const TxnRecord& t : entry.txns) {
+    if (v2) out->AddVarint64(static_cast<uint64_t>(t.kind));
+    out->AddFixed64(t.id);
+    out->AddVarsint64(t.origin_dc);
+    out->AddVarint64(t.read_pos);
+    out->AddVarint64(t.reads.size());
+    for (const ReadRecord& r : t.reads) {
+      out->AddLengthPrefixed(r.item.row);
+      out->AddLengthPrefixed(r.item.attribute);
+      out->AddFixed64(r.observed_writer);
+      out->AddVarint64(r.observed_pos);
+    }
+    out->AddVarint64(t.writes.size());
+    for (const WriteRecord& w : t.writes) {
+      out->AddLengthPrefixed(w.item.row);
+      out->AddLengthPrefixed(w.item.attribute);
+      out->AddLengthPrefixed(w.value);
+    }
+    if (v2 && t.kind == RecordKind::kPrepare) {
+      out->AddVarint64(t.cross_ts);
+      out->AddVarint64(t.participants.size());
+      for (const std::string& g : t.participants) out->AddLengthPrefixed(g);
+    }
+    if (v2 && t.kind == RecordKind::kDecide) {
+      out->AddVarint64(t.commit_decision ? 1 : 0);
+    }
+  }
+}
+
+/// Upper bound on the bytes of a layout: a varint counts as its longest
+/// encoding.
+struct SizeBound {
+  size_t bytes = 0;
+  void AddVarint64(uint64_t) { bytes += kMaxVarint64Bytes; }
+  void AddVarsint64(int64_t) { bytes += kMaxVarint64Bytes; }
+  void AddFixed64(uint64_t) { bytes += 8; }
+  void AddLengthPrefixed(std::string_view v) {
+    bytes += kMaxVarint64Bytes + v.size();
+  }
+};
+
+/// Appends a layout to a string through the Put* helpers.
+struct StringSink {
+  std::string* dst;
+  void AddVarint64(uint64_t v) { PutVarint64(dst, v); }
+  void AddVarsint64(int64_t v) { PutVarsint64(dst, v); }
+  void AddFixed64(uint64_t v) { PutFixed64(dst, v); }
+  void AddLengthPrefixed(std::string_view v) { PutLengthPrefixed(dst, v); }
+};
 
 }  // namespace
 
@@ -70,57 +124,13 @@ const TxnRecord* LogEntry::FindPrepare(TxnId id) const {
 }
 
 std::string LogEntry::Encode() const {
+  // Reserving the bound first means the appends never reallocate.
+  SizeBound bound;
+  WriteLayout(*this, &bound);
   std::string out;
-  const bool v2 = HasCrossRecords();
-  // Reserve a close upper bound so appends never reallocate: varints are
-  // bounded by kMaxVarint64Bytes and everything else is length-prefixed.
-  size_t bound = 3 * kMaxVarint64Bytes;
-  for (const TxnRecord& t : txns) {
-    bound += 8 + 3 * kMaxVarint64Bytes + 2 * kMaxVarint64Bytes;
-    for (const ReadRecord& r : t.reads) {
-      bound += r.item.row.size() + r.item.attribute.size() + 8 +
-               3 * kMaxVarint64Bytes;
-    }
-    for (const WriteRecord& w : t.writes) {
-      bound += w.item.row.size() + w.item.attribute.size() + w.value.size() +
-               3 * kMaxVarint64Bytes;
-    }
-    if (v2) {
-      bound += 4 * kMaxVarint64Bytes;
-      for (const std::string& g : t.participants) {
-        bound += g.size() + kMaxVarint64Bytes;
-      }
-    }
-  }
-  out.reserve(bound);
-  if (v2) PutVarsint64(&out, kCrossFormatMarker);
-  PutVarsint64(&out, winner_dc);
-  PutVarint64(&out, txns.size());
-  for (const TxnRecord& t : txns) {
-    if (v2) PutVarint64(&out, static_cast<uint64_t>(t.kind));
-    PutFixed64(&out, t.id);
-    PutVarsint64(&out, t.origin_dc);
-    PutVarint64(&out, t.read_pos);
-    PutVarint64(&out, t.reads.size());
-    for (const ReadRecord& r : t.reads) {
-      EncodeItem(&out, r.item);
-      PutFixed64(&out, r.observed_writer);
-      PutVarint64(&out, r.observed_pos);
-    }
-    PutVarint64(&out, t.writes.size());
-    for (const WriteRecord& w : t.writes) {
-      EncodeItem(&out, w.item);
-      PutLengthPrefixed(&out, w.value);
-    }
-    if (v2 && t.kind == RecordKind::kPrepare) {
-      PutVarint64(&out, t.cross_ts);
-      PutVarint64(&out, t.participants.size());
-      for (const std::string& g : t.participants) PutLengthPrefixed(&out, g);
-    }
-    if (v2 && t.kind == RecordKind::kDecide) {
-      PutVarint64(&out, t.commit_decision ? 1 : 0);
-    }
-  }
+  out.reserve(bound.bytes);
+  StringSink sink{&out};
+  WriteLayout(*this, &sink);
   return out;
 }
 
@@ -216,38 +226,8 @@ uint64_t LogEntry::Fingerprint() const {
   // Streams exactly the bytes Encode() would produce through a chunking-
   // invariant hasher, so Fingerprint() == Fingerprint64(Encode()) holds
   // (pinned by tests/wal_test.cc) without materializing the encoding.
-  const bool v2 = HasCrossRecords();
   Fingerprinter fp;
-  if (v2) fp.AddVarsint64(kCrossFormatMarker);
-  fp.AddVarsint64(winner_dc);
-  fp.AddVarint64(txns.size());
-  for (const TxnRecord& t : txns) {
-    if (v2) fp.AddVarint64(static_cast<uint64_t>(t.kind));
-    fp.AddFixed64(t.id);
-    fp.AddVarsint64(t.origin_dc);
-    fp.AddVarint64(t.read_pos);
-    fp.AddVarint64(t.reads.size());
-    for (const ReadRecord& r : t.reads) {
-      fp.AddLengthPrefixed(r.item.row);
-      fp.AddLengthPrefixed(r.item.attribute);
-      fp.AddFixed64(r.observed_writer);
-      fp.AddVarint64(r.observed_pos);
-    }
-    fp.AddVarint64(t.writes.size());
-    for (const WriteRecord& w : t.writes) {
-      fp.AddLengthPrefixed(w.item.row);
-      fp.AddLengthPrefixed(w.item.attribute);
-      fp.AddLengthPrefixed(w.value);
-    }
-    if (v2 && t.kind == RecordKind::kPrepare) {
-      fp.AddVarint64(t.cross_ts);
-      fp.AddVarint64(t.participants.size());
-      for (const std::string& g : t.participants) fp.AddLengthPrefixed(g);
-    }
-    if (v2 && t.kind == RecordKind::kDecide) {
-      fp.AddVarint64(t.commit_decision ? 1 : 0);
-    }
-  }
+  WriteLayout(*this, &fp);
   return fp.Finish();
 }
 

@@ -21,6 +21,7 @@
 #include "sim/coro.h"
 #include "sim/race_detector.h"
 #include "sim/simulator.h"
+#include "wal/log.h"
 #include "workload/runner.h"
 
 namespace paxoscp::sim {
@@ -284,6 +285,35 @@ TEST(RaceDetectorTest, KvStoreCellNamesCarryInstanceAndKey) {
   const std::string expect =
       "kv/" + std::to_string(store.instance_id()) + "/k";
   EXPECT_EQ(det.reports()[0].cell, expect);
+}
+
+TEST(RaceDetectorTest, WalConflictIsReportedOnceOnItsStoreRow) {
+  // The WAL is a view over store rows and records nothing of its own: a
+  // same-time write and read of one log position surface once, on the
+  // store row that holds the entry.
+  Simulator sim;
+  RaceDetector det;
+  sim.AttachRaceDetector(&det);
+  kvstore::MultiVersionStore store;
+  wal::WriteAheadLog log(&store, "g");
+  wal::LogEntry entry;
+  entry.txns.emplace_back();
+  sim.ScheduleAt(4, [&log, &entry] {
+    ASSERT_TRUE(log.SetEntry(1, entry).ok());
+  }, "set-entry");
+  sim.ScheduleAt(4, [&log] { (void)log.HasEntry(1); }, "has-entry");
+  sim.Run();
+  det.Finalize();
+  std::string all;
+  for (const RaceDetector::Report& rep : det.reports()) {
+    all += rep.Describe() + "\n";
+  }
+  ASSERT_EQ(det.reports().size(), 1u) << all;
+  const RaceDetector::Report& r = det.reports()[0];
+  EXPECT_EQ(r.cell, "kv/" + std::to_string(store.instance_id()) +
+                        "/!log/g/000000000001");
+  EXPECT_EQ(r.mask_first, RaceDetector::kReadBit | RaceDetector::kWriteBit);
+  EXPECT_EQ(r.mask_second, RaceDetector::kReadBit);
 }
 
 // --- real workload under the detector --------------------------------------

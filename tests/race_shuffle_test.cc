@@ -402,9 +402,9 @@ TEST(RaceShuffleTest, ShufflePreservesSafetyOnWiderChaosSeeds) {
 //    on arrival order — that is the protocol's own designed-for message
 //    race, not schedule-order leakage, and the pinned invariance seeds
 //    above are chosen where no contention lands on a tie.
-//  * apply path vs versioned reads — "/data/" rows merge-write at
+//  * apply path vs versioned reads — the store's "d/" rows merge-write at
 //    timestamp = log position (a merge at-or-below an existing timestamp
-//    is a skipped no-op), the "applied" watermark advances monotonically,
+//    is a skipped no-op), the "!applied/" watermark advances monotonically,
 //    and readers are pinned to a fixed read_pos, so same-tick apply/read
 //    order cannot change what any reader observes.
 // The invariance tests above run these exact slices under shuffled ties
@@ -413,9 +413,9 @@ bool BenignUnderShuffle(const std::string& cell) {
   auto has = [&cell](const char* sub) {
     return cell.find(sub) != std::string::npos;
   };
-  if (has("/!paxos/")) return true;                    // acceptor CAS state
-  if (has("/!applied/") || has("/applied")) return true;  // apply watermark
-  if (has("/data/") || has("/d/")) return true;        // MVCC rows
+  if (has("/!paxos/")) return true;    // acceptor CAS state
+  if (has("/!applied/")) return true;  // apply watermark
+  if (has("/d/")) return true;         // MVCC rows
   return false;
 }
 
