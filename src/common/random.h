@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace paxoscp {
@@ -39,6 +40,14 @@ class Rng {
  private:
   uint64_t s_[4];
 };
+
+/// SplitMix64 finalizer: a stream-free hash for seeds and timer jitter that
+/// must be a pure function of their inputs (drawing them from an Rng would
+/// make them depend on how many draws came before).
+uint64_t HashMix(uint64_t x);
+
+/// FNV-1a over `bytes`: folds a name into a HashMix input.
+uint64_t HashString(std::string_view bytes);
 
 /// Zipfian generator over [0, n) with parameter theta, using the
 /// Gray/YCSB rejection-free construction. theta in (0, 1); larger theta is

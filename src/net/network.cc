@@ -23,24 +23,43 @@ NetworkBase::NetworkBase(sim::Simulator* sim,
   link_epoch_.assign(n, std::vector<uint64_t>(n, 0));
 }
 
-TimeMicros NetworkBase::SampleDelay(Rng* rng, DcId from, DcId to) {
+Rng* NetworkBase::Draw(Copy copy, DelayStream* stream) {
+  // A consequential draw mutates its stream: two same-time events both
+  // drawing from one stream observe swapped values under a tie reorder.
+  // Draws from distinct streams never conflict.
+  if (copy == Copy::kDuplicate) {
+    if (sim::race::Active()) {
+      sim::race::Record(sim::race::AccessKind::kWrite, {"net/fault-rng"});
+    }
+    return &fault_rng_;
+  }
+  if (stream == nullptr) {
+    if (sim::race::Active()) {
+      sim::race::Record(sim::race::AccessKind::kWrite, {"net/rng"});
+    }
+    return &rng_;
+  }
+  if (sim::race::Active()) {
+    sim::race::Record(sim::race::AccessKind::kWrite, {"net/rng", stream->seed});
+  }
+  return &stream->rng;
+}
+
+TimeMicros NetworkBase::SampleDelay(Copy copy, DelayStream* stream,
+                                    DcId from, DcId to) {
   const TimeMicros one_way = rtt_[from][to] / 2;
   if (options_.latency_jitter <= 0 || one_way == 0) {
     return std::max<TimeMicros>(one_way, 1);
   }
-  // A consequential draw mutates the shared stream: two same-time events
-  // both sampling here observe swapped values under a tie reorder.
-  if (sim::race::Active()) {
-    sim::race::Record(sim::race::AccessKind::kWrite,
-                      {rng == &rng_ ? "net/rng" : "net/fault-rng"});
-  }
-  const double j = (rng->NextDouble() * 2 - 1) * options_.latency_jitter;
+  const double j =
+      (Draw(copy, stream)->NextDouble() * 2 - 1) * options_.latency_jitter;
   const auto delayed = static_cast<TimeMicros>(
       static_cast<double>(one_way) * (1.0 + j));
   return std::max<TimeMicros>(delayed, 1);
 }
 
-bool NetworkBase::ShouldDrop(Rng* rng, DcId from, DcId to) {
+bool NetworkBase::ShouldDrop(Copy copy, DelayStream* stream, DcId from,
+                             DcId to) {
   if (sim::race::Active()) {
     sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", from});
     sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
@@ -51,11 +70,7 @@ bool NetworkBase::ShouldDrop(Rng* rng, DcId from, DcId to) {
   if (from != to && options_.loss_probability > 0) {
     // The Bernoulli below consumes a draw (Bernoulli(0) never does, so the
     // restructuring preserves the stream position of loss-free runs).
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kWrite,
-                        {rng == &rng_ ? "net/rng" : "net/fault-rng"});
-    }
-    if (rng->Bernoulli(options_.loss_probability)) return true;
+    if (Draw(copy, stream)->Bernoulli(options_.loss_probability)) return true;
   }
   return false;
 }
@@ -77,18 +92,18 @@ TimeMicros NetworkBase::ExtraDelay() {
                  fault_rng_.Uniform(static_cast<uint64_t>(max_extra)));
 }
 
-bool NetworkBase::Depart(Copy copy, DcId from, DcId to) {
+bool NetworkBase::Depart(Copy copy, DelayStream* stream, DcId from,
+                         DcId to) {
   ++messages_sent_;
-  if (!ShouldDrop(copy == Copy::kOriginal ? &rng_ : &fault_rng_, from, to)) {
-    return true;
-  }
+  if (!ShouldDrop(copy, stream, from, to)) return true;
   ++messages_dropped_;
   return false;
 }
 
-TimeMicros NetworkBase::LegDelay(Copy copy, DcId from, DcId to) {
-  if (copy == Copy::kDuplicate) return SampleDelay(&fault_rng_, from, to);
-  const TimeMicros delay = SampleDelay(&rng_, from, to);
+TimeMicros NetworkBase::LegDelay(Copy copy, DelayStream* stream, DcId from,
+                                 DcId to) {
+  const TimeMicros delay = SampleDelay(copy, stream, from, to);
+  if (copy == Copy::kDuplicate) return delay;
   return delay + MaybeReorderExtra(from, to);
 }
 

@@ -75,6 +75,23 @@ struct NetworkOptions {
   TimeMicros reorder_extra_max = 200 * kMillisecond;
 };
 
+/// A sender's own source of message delays (docs/ARCHITECTURE.md, D10). A
+/// call sent without one draws its jitter and loss from the network's
+/// shared stream, so its delays depend on how many messages were sent
+/// before it — and messages sent in the same microsecond draw in whatever
+/// order their events run. A call sent on a DelayStream draws its request
+/// leg, its response leg and both loss decisions from that stream alone.
+/// The sender owns the stream and keeps it alive while its calls are in
+/// flight. Its race-detector cell is `net/rng/<seed>`; the shared stream's
+/// is `net/rng`.
+struct DelayStream {
+  explicit DelayStream(uint64_t stream_seed)
+      : rng(stream_seed), seed(stream_seed) {}
+
+  Rng rng;
+  uint64_t seed;
+};
+
 /// The part of the network that does not depend on the message types: it
 /// decides, for each one-way message, whether it is lost and how long it
 /// travels, and counts what it decided.
@@ -145,13 +162,14 @@ class NetworkBase {
 
   /// Send side of one one-way message: counts it and draws whether it is
   /// lost (outage, severed link, or loss from `copy`'s stream). False means
-  /// it is lost at send, counted as dropped.
-  bool Depart(Copy copy, DcId from, DcId to);
+  /// it is lost at send, counted as dropped. An original draws from
+  /// `stream`, or from the shared stream when it is null.
+  bool Depart(Copy copy, DelayStream* stream, DcId from, DcId to);
   /// One-way delay of a departed message: the original's jittered delay
-  /// plus any reorder extra, or a duplicate's jittered delay drawn from the
-  /// fault stream. A duplicated request instead trails its original by
-  /// ExtraDelay().
-  TimeMicros LegDelay(Copy copy, DcId from, DcId to);
+  /// (from `stream`, or the shared stream) plus any reorder extra, or a
+  /// duplicate's jittered delay drawn from the fault stream. A duplicated
+  /// request instead trails its original by ExtraDelay().
+  TimeMicros LegDelay(Copy copy, DelayStream* stream, DcId from, DcId to);
   /// Draws (fault stream) whether a request is also delivered a second
   /// time; counts the duplicate when it is.
   bool DrawDuplicate(DcId from, DcId to);
@@ -176,11 +194,15 @@ class NetworkBase {
   uint64_t calls_started_ = 0;
 
  private:
-  /// Samples the one-way delay from `from` to `to` using `rng`.
-  TimeMicros SampleDelay(Rng* rng, DcId from, DcId to);
+  /// The stream a draw for `copy` comes from — the fault stream for a
+  /// duplicate, else `stream`, else the shared stream — after recording the
+  /// draw as a write of that stream's race-detector cell.
+  Rng* Draw(Copy copy, DelayStream* stream);
+  /// Samples the one-way delay from `from` to `to` (see Draw).
+  TimeMicros SampleDelay(Copy copy, DelayStream* stream, DcId from, DcId to);
   /// True if the message should be dropped (loss, outage, severed link),
-  /// drawing the loss decision from `rng`.
-  bool ShouldDrop(Rng* rng, DcId from, DcId to);
+  /// drawing the loss decision as SampleDelay does.
+  bool ShouldDrop(Copy copy, DelayStream* stream, DcId from, DcId to);
   /// Extra reorder delay for one leg: 0 unless a reorder fault is active, in
   /// which case a Bernoulli(reorder_probability) draw from the fault stream
   /// holds the message back by ExtraDelay(). Never touches rng_.
@@ -215,6 +237,7 @@ class Network : public NetworkBase {
   /// destructible on this toolchain; see sim/coro.h.)
   using Handler =
       std::function<sim::Coro<Response>(DcId from, const Request* request)>;
+  using CallFuture = sim::Future<CallResult<Response>>;
   using BroadcastResult = std::vector<TargetResult<Response>>;
 
   Network(sim::Simulator* sim, std::vector<std::vector<TimeMicros>> rtt_matrix,
@@ -232,27 +255,37 @@ class Network : public NetworkBase {
   }
 
   /// Sends `request` from `from` to `to`; resolves with the response or
-  /// TimedOut. `timeout` of 0 uses the default (2 s). The request is taken
-  /// by reference and copied once, before Call returns — callers in
+  /// TimedOut. `timeout` of 0 uses the default (2 s). `stream` null draws
+  /// the delays from the shared stream (see DelayStream). The request is
+  /// taken by reference and copied once, before Call returns — callers in
   /// coroutines must pass a named object, never a temporary inside a
   /// co_await expression (see sim/coro.h on GCC 12 cross-suspension
   /// temporary hazards).
-  sim::Future<CallResult<Response>> Call(DcId from, DcId to,
-                                         const Request& request,
-                                         TimeMicros timeout = 0) {
-    return Send(from, to, std::make_shared<const Request>(request), timeout);
+  CallFuture Call(DcId from, DcId to, const Request& request,
+                  TimeMicros timeout = 0, DelayStream* stream = nullptr) {
+    return Send(from, to, std::make_shared<const Request>(request), timeout,
+                stream);
   }
 
-  /// Sends `request` to every target in parallel and resolves once every
-  /// target has responded or timed out — the paper's client keeps
-  /// collecting votes until the timeout window closes, so it sees "more
-  /// than a simple majority" of responses (§5). The result vector is
-  /// ordered as `targets`; `timeout` applies per target as in Call. Every
-  /// target is served from one copy of the request.
+  /// Sends `request` to every target in parallel, one Call each, served
+  /// from one copy of the request: the returned futures are ordered as
+  /// `targets`. A caller that only needs some answers awaits those and
+  /// drops the rest; a dropped future costs no event when its call ends.
+  std::vector<CallFuture> Multicast(DcId from,
+                                    const std::vector<DcId>& targets,
+                                    const Request& request,
+                                    TimeMicros timeout = 0,
+                                    DelayStream* stream = nullptr);
+
+  /// Multicast, resolved once every target has responded or timed out —
+  /// the paper's client keeps collecting votes until the timeout window
+  /// closes, so it sees "more than a simple majority" of responses (§5).
+  /// The result vector is ordered as `targets`.
   sim::Future<BroadcastResult> Broadcast(DcId from,
                                          const std::vector<DcId>& targets,
                                          const Request& request,
-                                         TimeMicros timeout = 0);
+                                         TimeMicros timeout = 0,
+                                         DelayStream* stream = nullptr);
 
  private:
   /// One copy of a request, from departure to its response leg. The
@@ -262,6 +295,7 @@ class Network : public NetworkBase {
     Copy copy;
     DcId from;
     DcId to;
+    DelayStream* stream;  // the sender's, or null for the shared stream
     std::shared_ptr<const Request> request;
     sim::Promise<CallResult<Response>> promise;
     uint64_t epoch = 0;  // channel epoch captured when the current leg left
@@ -271,9 +305,8 @@ class Network : public NetworkBase {
     Response response{};
   };
 
-  sim::Future<CallResult<Response>> Send(
-      DcId from, DcId to, std::shared_ptr<const Request> request,
-      TimeMicros timeout);
+  CallFuture Send(DcId from, DcId to, std::shared_ptr<const Request> request,
+                  TimeMicros timeout, DelayStream* stream);
   /// Delivers one copy of a request — the original or a duplicate — after
   /// `delay`, and hands it to the destination's handler.
   void Deliver(std::unique_ptr<Delivery> delivery, TimeMicros delay);
@@ -286,9 +319,10 @@ class Network : public NetworkBase {
 };
 
 template <typename Request, typename Response>
-sim::Future<CallResult<Response>> Network<Request, Response>::Send(
-    DcId from, DcId to, std::shared_ptr<const Request> request,
-    TimeMicros timeout) {
+auto Network<Request, Response>::Send(DcId from, DcId to,
+                                      std::shared_ptr<const Request> request,
+                                      TimeMicros timeout, DelayStream* stream)
+    -> CallFuture {
   assert(from >= 0 && from < num_datacenters());
   assert(to >= 0 && to < num_datacenters());
   if (timeout <= 0) timeout = default_timeout();
@@ -304,10 +338,10 @@ sim::Future<CallResult<Response>> Network<Request, Response>::Send(
       },
       "net/timeout");
 
-  if (!Depart(Copy::kOriginal, from, to)) return promise.GetFuture();
-  const TimeMicros delay = LegDelay(Copy::kOriginal, from, to);
-  Deliver(std::make_unique<Delivery>(Copy::kOriginal, from, to, request,
-                                     promise),
+  if (!Depart(Copy::kOriginal, stream, from, to)) return promise.GetFuture();
+  const TimeMicros delay = LegDelay(Copy::kOriginal, stream, from, to);
+  Deliver(std::make_unique<Delivery>(Copy::kOriginal, from, to, stream,
+                                     request, promise),
           delay);
 
   // Duplicate-delivery fault: the request also arrives a second time, a
@@ -315,8 +349,8 @@ sim::Future<CallResult<Response>> Network<Request, Response>::Send(
   // exactly the re-delivered prepare/decide/apply the 2PC records must
   // tolerate. The copy is a message of its own: counted, lossy, and
   // epoch-checked against the same send-time epoch as the original.
-  if (DrawDuplicate(from, to) && Depart(Copy::kDuplicate, from, to)) {
-    Deliver(std::make_unique<Delivery>(Copy::kDuplicate, from, to,
+  if (DrawDuplicate(from, to) && Depart(Copy::kDuplicate, stream, from, to)) {
+    Deliver(std::make_unique<Delivery>(Copy::kDuplicate, from, to, stream,
                                        std::move(request), promise),
             delay + ExtraDelay());
   }
@@ -354,8 +388,8 @@ sim::Task Network<Request, Response>::Serve(Delivery* raw) {
   // Response leg. A duplicate's response is invisible to the caller (the
   // promise is first-set-wins), but it still costs a message and can be
   // lost.
-  if (!Depart(d->copy, d->to, d->from)) co_return;
-  const TimeMicros delay = LegDelay(d->copy, d->to, d->from);
+  if (!Depart(d->copy, d->stream, d->to, d->from)) co_return;
+  const TimeMicros delay = LegDelay(d->copy, d->stream, d->to, d->from);
   d->epoch = ChannelEpoch(d->to, d->from);
   const char* tag =
       d->copy == Copy::kOriginal ? "net/response-leg" : "net/dup-response";
@@ -371,10 +405,27 @@ sim::Task Network<Request, Response>::Serve(Delivery* raw) {
 }
 
 template <typename Request, typename Response>
+auto Network<Request, Response>::Multicast(DcId from,
+                                           const std::vector<DcId>& targets,
+                                           const Request& request,
+                                           TimeMicros timeout,
+                                           DelayStream* stream)
+    -> std::vector<CallFuture> {
+  std::vector<CallFuture> calls;
+  calls.reserve(targets.size());
+  const auto shared = std::make_shared<const Request>(request);
+  for (const DcId to : targets) {
+    calls.push_back(Send(from, to, shared, timeout, stream));
+  }
+  return calls;
+}
+
+template <typename Request, typename Response>
 auto Network<Request, Response>::Broadcast(DcId from,
                                            const std::vector<DcId>& targets,
                                            const Request& request,
-                                           TimeMicros timeout)
+                                           TimeMicros timeout,
+                                           DelayStream* stream)
     -> sim::Future<BroadcastResult> {
   struct Aggregator {
     BroadcastResult results;
@@ -390,14 +441,14 @@ auto Network<Request, Response>::Broadcast(DcId from,
   agg->results.resize(n);
   for (int i = 0; i < n; ++i) agg->results[i].dc = targets[i];
 
-  const auto shared = std::make_shared<const Request>(request);
+  std::vector<CallFuture> calls =
+      Multicast(from, targets, request, timeout, stream);
   for (int i = 0; i < n; ++i) {
-    Send(from, targets[i], shared, timeout)
-        .OnReady([i, n, agg, promise](CallResult<Response>&& result) {
-          agg->results[i].status = result.status;
-          agg->results[i].response = std::move(result.response);
-          if (++agg->resolved == n) promise.Set(std::move(agg->results));
-        });
+    calls[i].OnReady([i, n, agg, promise](CallResult<Response>&& result) {
+      agg->results[i].status = result.status;
+      agg->results[i].response = std::move(result.response);
+      if (++agg->resolved == n) promise.Set(std::move(agg->results));
+    });
   }
   return promise.GetFuture();
 }

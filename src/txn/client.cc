@@ -16,6 +16,7 @@ TransactionClient::TransactionClient(Network* network, DcId home,
       home_(home),
       options_(options),
       rng_(seed),
+      seed_(seed),
       client_uid_(client_uid) {
   const int d = network_->num_datacenters();
   all_dcs_.resize(d);
@@ -23,13 +24,19 @@ TransactionClient::TransactionClient(Network* network, DcId home,
   majority_ = d / 2 + 1;
 }
 
-TimeMicros TransactionClient::RandomBackoff() {
+TimeMicros TransactionClient::RandomBackoff(net::DelayStream* stream) {
   // Algorithm 2: "sleep for random time period" between Paxos rounds.
-  return rng_.UniformRange(5 * kMillisecond, 50 * kMillisecond);
+  Rng* rng = stream != nullptr ? &stream->rng : &rng_;
+  return rng->UniformRange(5 * kMillisecond, 50 * kMillisecond);
 }
 
 TimeMicros TransactionClient::RandomBackoffIn(TimeMicros lo, TimeMicros hi) {
   return rng_.UniformRange(lo, hi);
+}
+
+net::DelayStream* TransactionClient::LegStream(const std::string& group) {
+  const uint64_t stream_seed = HashMix(seed_ ^ HashString(group));
+  return &leg_streams_.try_emplace(group, stream_seed).first->second;
 }
 
 void TransactionClient::ReleaseGroup(const std::string& group) {
@@ -46,21 +53,23 @@ void internal::ReleaseSlots(TransactionClient* client,
 }
 
 sim::Coro<CallResult> TransactionClient::CallWithFailover(
-    const ServiceRequest* request) {
+    const ServiceRequest* request, net::DelayStream* stream) {
   // Home datacenter first (the paper's locality optimization), then every
   // other Transaction Service until one answers.
   CallResult last{Status::Unavailable("no datacenters"), {}};
   for (int attempt = 0; attempt < network_->num_datacenters(); ++attempt) {
     const DcId target = (home_ + attempt) % network_->num_datacenters();
-    last = co_await network_->Call(home_, target, *request);
+    last = co_await network_->Call(home_, target, *request, /*timeout=*/0,
+                                   stream);
     if (last.status.ok()) co_return last;
   }
   co_return last;
 }
 
 sim::Coro<BroadcastResult> TransactionClient::BroadcastToAll(
-    const ServiceRequest* request) {
-  co_return co_await network_->Broadcast(home_, all_dcs_, *request);
+    const ServiceRequest* request, net::DelayStream* stream) {
+  co_return co_await network_->Broadcast(home_, all_dcs_, *request,
+                                         /*timeout=*/0, stream);
 }
 
 sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
@@ -103,7 +112,7 @@ sim::Coro<Result<std::string>> TransactionClient::ReadItem(
 
   ServiceRequest read_request =
       ReadRequest{state->txn.group, item, state->txn.read_pos};
-  CallResult result = co_await CallWithFailover(&read_request);
+  CallResult result = co_await CallWithFailover(&read_request, state->stream);
   if (!result.status.ok()) co_return result.status;
   const auto& read = std::get<ReadResponse>(result.response);
   if (!read.status.ok()) co_return read.status;
@@ -121,7 +130,7 @@ sim::Coro<Result<kvstore::AttributeMap>> TransactionClient::ReadRowItems(
     TxnState* state, std::string row) {
   ServiceRequest read_request =
       ReadRowRequest{state->txn.group, row, state->txn.read_pos};
-  CallResult result = co_await CallWithFailover(&read_request);
+  CallResult result = co_await CallWithFailover(&read_request, state->stream);
   if (!result.status.ok()) co_return result.status;
   const auto& read = std::get<ReadRowResponse>(result.response);
   if (!read.status.ok()) co_return read.status;
@@ -186,7 +195,7 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
 
   for (;;) {
     InstanceOutcome outcome =
-        co_await RunInstance(txn.group, pos, &own, leader);
+        co_await RunInstance(txn.group, pos, &own, leader, state->stream);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) {
       result.status =
           Status::Unavailable("commit protocol could not reach a quorum");
@@ -237,17 +246,20 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
                                   paxos::Ballot ballot,
                                   const wal::LogEntry* proposal, TxnId own_id,
                                   wal::RecordKind own_kind,
-                                  paxos::Ballot* max_seen) {
+                                  paxos::Ballot* max_seen,
+                                  net::DelayStream* stream) {
   ServiceRequest accept_request = AcceptRequest{group, pos, ballot, *proposal};
-  BroadcastResult aresults = co_await BroadcastToAll(&accept_request);
+  BroadcastResult aresults = co_await BroadcastToAll(&accept_request, stream);
   if (TallyAccepts(aresults, max_seen) < majority_) co_return std::nullopt;
 
-  // Decided. Send apply to every replica (Step 5; fire-and-forget — the
-  // client does not need the acknowledgements to report its outcome).
+  // Decided. Send apply to every replica (Step 5). The outcome does not
+  // wait for the acknowledgements; it carries them for the one caller that
+  // does, Commit's barrier on a decide entry (AwaitDecideApplied).
   const ServiceRequest apply_request =
       ApplyRequest{group, pos, ballot, *proposal};
-  network_->Broadcast(home_, all_dcs_, apply_request);
   InstanceOutcome outcome;
+  outcome.applied = network_->Multicast(home_, all_dcs_, apply_request,
+                                        /*timeout=*/0, stream);
   outcome.kind = proposal->ContainsRecord(own_id, own_kind)
                      ? InstanceOutcome::Kind::kWon
                      : InstanceOutcome::Kind::kLost;
@@ -256,8 +268,8 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
 }
 
 sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
-    std::string group, LogPos pos, const wal::LogEntry* own,
-    DcId leader_dc) {
+    std::string group, LogPos pos, const wal::LogEntry* own, DcId leader_dc,
+    net::DelayStream* stream) {
   const TxnId own_id = own->txns.front().id;
   // Won/lost is judged on (id, kind), not id alone: a recovery daemon's
   // forced-abort decide carries the txn id of the prepare it resolves, and
@@ -273,16 +285,16 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
   // leader (kNoDc) must not guess one: it runs the full protocol.
   if (options_.leader_optimization && leader_dc != kNoDc) {
     const ServiceRequest claim_request = ClaimLeaderRequest{group, pos};
-    CallResult claim =
-        co_await network_->Call(home_, leader_dc, claim_request);
+    CallResult claim = co_await network_->Call(home_, leader_dc, claim_request,
+                                               /*timeout=*/0, stream);
     if (claim.status.ok() &&
         std::get<ClaimLeaderResponse>(claim.response).granted) {
       std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
           group, pos, paxos::Ballot{0, home_}, own, own_id, own_kind,
-          &max_seen);
+          &max_seen, stream);
       if (outcome.has_value()) {
         outcome->fast_path = true;
-        co_return *outcome;
+        co_return *std::move(outcome);
       }
       // Contention: fall through to the full protocol.
     }
@@ -293,7 +305,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
     // Prepare phase (Step 1/2).
     ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
-    BroadcastResult presults = co_await BroadcastToAll(&prepare_request);
+    BroadcastResult presults =
+        co_await BroadcastToAll(&prepare_request, stream);
     PrepareTally prepares = TallyPrepares(&presults, &max_seen);
 
     // Catch-up short circuit: a replica already knows the decided value.
@@ -307,7 +320,7 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     }
 
     if (prepares.promised() < majority_) {
-      co_await sim::SleepFor(sim_, RandomBackoff());
+      co_await sim::SleepFor(sim_, RandomBackoff(stream));
       continue;
     }
 
@@ -335,10 +348,10 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
     // Accept + apply (Steps 3-5).
     std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
-        group, pos, ballot, &proposal, own_id, own_kind, &max_seen);
-    if (outcome.has_value()) co_return *outcome;
+        group, pos, ballot, &proposal, own_id, own_kind, &max_seen, stream);
+    if (outcome.has_value()) co_return *std::move(outcome);
 
-    co_await sim::SleepFor(sim_, RandomBackoff());
+    co_await sim::SleepFor(sim_, RandomBackoff(stream));
   }
 
   InstanceOutcome outcome;

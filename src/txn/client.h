@@ -11,6 +11,7 @@
 // transaction per group per client, paper §2.2) via `active_groups_`.
 #pragma once
 
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -92,6 +93,11 @@ class TransactionClient {
     /// Won through the leader fast path (skip prepare). Only a won
     /// instance can set it: a fast-path accept decides its own value.
     bool fast_path = false;
+    /// Acknowledgements of the apply this instance sent for `decided`,
+    /// indexed by datacenter. Empty when the instance learned the entry
+    /// without applying it: a replica already knew it, or a competing
+    /// value certainly won before the accept phase.
+    std::vector<CallFuture> applied;
   };
 
   /// Starts a transaction on `group` (paper step 1): reserves the
@@ -189,6 +195,11 @@ class TransactionClient {
     bool known = false;   // false => walk could not complete
     bool commit = false;  // the first decide record encountered
     LogPos pos = 0;
+    /// The entry holding that decide, and the acknowledgements of the
+    /// apply this walk sent for it (InstanceOutcome::applied; empty when
+    /// another proposer landed the entry).
+    wal::LogEntry entry;
+    std::vector<CallFuture> applied;
   };
 
   /// Walks `group`'s log from `floor`, proposing a decide record
@@ -197,23 +208,28 @@ class TransactionClient {
   /// encountered, which is then adopted (first decide wins). Decide
   /// records read nothing, so they promote past any conflict. `leader` is
   /// the leader of `floor`, or kNoDc when the caller does not know it (the
-  /// first position then skips the fast path).
+  /// first position then skips the fast path). The walk sends on the
+  /// group's leg stream.
   sim::Coro<DecideOutcome> ProposeDecide(std::string group, LogPos floor,
                                          DcId leader, TxnId id, bool commit);
 
-  /// Polls the begin-serving replica path (home datacenter first, same
-  /// failover order as CallWithFailover) until `id`'s decide record is in
-  /// that replica's log. The instance-level apply is fire-and-forget, so a
-  /// decide can be "known" by the coordinator while the replica that will
-  /// serve the next begin has not applied it yet — without this barrier a
-  /// transaction begun right after Commit returns can read below a still-
-  /// pending prepare. Bounded and best-effort: an unreachable replica is
-  /// left to recovery.
-  sim::Coro<void> AwaitDecideApplied(std::string group, TxnId id);
+  /// Commit's read-your-effects barrier on one group: completes once the
+  /// replica that serves this client's next begin — the first to answer in
+  /// CallWithFailover order, home first — acknowledged applying the entry
+  /// of `*decide`. A walk knows its decide once a majority accepted it,
+  /// before any replica applied it, so without this a begin issued right
+  /// after Commit could overtake the apply and read below a still-pending
+  /// prepare. Awaits the walk's own apply acknowledgements; when another
+  /// proposer landed the entry, sends the entry's apply to that replica
+  /// itself. False when no replica acked (a give-up, counted in
+  /// CrossCommitResult::barrier_giveups; the pending prepare is then
+  /// recovery's to clear). `*decide` is owned by the awaiting frame.
+  sim::Coro<bool> AwaitDecideApplied(std::string group,
+                                     DecideOutcome* decide);
 
   /// One Phase-2 propagation leg: lands the canonical decision in `group`
-  /// and barriers on its apply (fanned out with sim::WhenAll).
-  sim::Coro<void> PropagateDecide(std::string group, LogPos floor,
+  /// and barriers on its apply. False only when the barrier gave up.
+  sim::Coro<bool> PropagateDecide(std::string group, LogPos floor,
                                   DcId leader, TxnId id, bool commit);
 
   /// Merged QueryCross over every reachable datacenter: prepare metadata
@@ -239,7 +255,9 @@ class TransactionClient {
   /// leader fast path, and — for Paxos-CP — combination via
   /// EnhancedFindWinningValue. `leader_dc` is the leader of `pos` (the
   /// winner of the entry at pos - 1, DC 0 for position 1); kNoDc skips the
-  /// fast path.
+  /// fast path. Every message of the instance, and its backoff between
+  /// rounds, draws from `stream`: a cross-group leg's (LegStream), or null
+  /// for the shared streams of a single-group commit.
   // NOTE on coroutine parameters: never references (a caller temporary
   // bound to a reference parameter dies before the frame does) and never
   // aggregate class types by value (miscompiled parameter-copy lifetime on
@@ -248,30 +266,47 @@ class TransactionClient {
   // the child.
   sim::Coro<InstanceOutcome> RunInstance(std::string group, LogPos pos,
                                          const wal::LogEntry* own,
-                                         DcId leader_dc);
+                                         DcId leader_dc,
+                                         net::DelayStream* stream);
 
   /// Accept + apply with a given ballot and value. Returns kWon/kLost when
   /// the value is decided (checking that a record with own id AND own kind
   /// landed — id alone would mistake a recovery decide for a landed
   /// prepare), nullopt when the accept round failed to reach a majority
-  /// (caller re-prepares).
+  /// (caller re-prepares). The outcome carries the apply's
+  /// acknowledgements.
   sim::Coro<std::optional<InstanceOutcome>> AcceptAndApply(
       std::string group, LogPos pos, paxos::Ballot ballot,
       const wal::LogEntry* proposal, TxnId own_id, wal::RecordKind own_kind,
-      paxos::Ballot* max_seen);
+      paxos::Ballot* max_seen, net::DelayStream* stream);
 
   /// Calls the home service first, then fails over to the others.
-  sim::Coro<CallResult> CallWithFailover(const ServiceRequest* request);
+  sim::Coro<CallResult> CallWithFailover(const ServiceRequest* request,
+                                         net::DelayStream* stream = nullptr);
 
-  sim::Coro<BroadcastResult> BroadcastToAll(const ServiceRequest* request);
+  sim::Coro<BroadcastResult> BroadcastToAll(const ServiceRequest* request,
+                                            net::DelayStream* stream);
 
-  TimeMicros RandomBackoff();
+  /// Algorithm 2's backoff between Paxos rounds, drawn from `stream`, or
+  /// from the client's RNG when it is null.
+  TimeMicros RandomBackoff(net::DelayStream* stream);
+
+  /// The delay stream of this client's cross-group legs on `group` (D10):
+  /// begins, reads, prepare and decide walks and Commit's barrier all send
+  /// on it, so sibling legs sending in the same microsecond draw from
+  /// distinct streams. Created on first use, seeded by a hash of the
+  /// client's seed and the group name.
+  net::DelayStream* LegStream(const std::string& group);
 
   Network* network_;
   sim::Simulator* sim_;
   DcId home_;
   ClientOptions options_;
   Rng rng_;
+  uint64_t seed_;
+  /// LegStream's streams; map nodes never move, so in-flight calls may
+  /// keep pointers to them.
+  std::map<std::string, net::DelayStream> leg_streams_;
   uint32_t client_uid_;
   uint64_t next_seq_ = 1;
   std::vector<DcId> all_dcs_;

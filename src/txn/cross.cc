@@ -190,6 +190,7 @@ sim::Coro<CrossTxn> TransactionClient::BeginCrossTxn(
     leg.txn.id = state->id;
     leg.txn.read_pos = begins[i].read_pos;
     leg.txn.leader_dc = begins[i].leader_dc;
+    leg.stream = LegStream(group);
     if (begins[i].max_cross_ts >= cross_ts) {
       cross_ts = begins[i].max_cross_ts + 1;
     }
@@ -202,7 +203,8 @@ sim::Coro<TransactionClient::CrossBeginLeg> TransactionClient::BeginCrossLeg(
     std::string group) {
   CrossBeginLeg leg;
   ServiceRequest begin_request = BeginRequest{group, /*cross=*/true};
-  CallResult result = co_await CallWithFailover(&begin_request);
+  CallResult result =
+      co_await CallWithFailover(&begin_request, LegStream(group));
   if (!result.status.ok()) {
     leg.status = result.status;
     co_return leg;
@@ -325,21 +327,25 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   // the canonical decide is known: a participant-group decide is a copy
   // of the canonical one, and fanning out the *proposed* outcome early
   // could race a recovery abort in the commit group into divergence.
-  // Each leg barriers on the begin-serving replica applying its decide
-  // (AwaitDecideApplied), and the commit group gets the same barrier, so
-  // Commit's read-your-effects promise holds: a begin issued after this
-  // returns sees every group's new frontier. Best effort: an unreachable
-  // participant is resolved by recovery against the commit group's
-  // canonical decide.
-  sim::WhenAll propagate(sim_);
-  propagate.Add(AwaitDecideApplied(commit_group, id));
+  // Each leg barriers on the begin-serving replica acknowledging its
+  // decide's apply (AwaitDecideApplied), and the commit group gets the
+  // same barrier, so Commit's read-your-effects promise holds: a begin
+  // issued after this returns sees every group's new frontier. Best
+  // effort: an unreachable participant is resolved by recovery against
+  // the commit group's canonical decide.
+  std::vector<sim::Coro<bool>> barriers;
+  barriers.reserve(outcomes.size());
+  barriers.push_back(AwaitDecideApplied(commit_group, &decide));
   for (size_t i = 1; i < outcomes.size(); ++i) {
     if (!outcomes[i].attempted) continue;
-    propagate.Add(PropagateDecide(state->groups[i], outcomes[i].decide_floor,
-                                  outcomes[i].decide_leader, id,
-                                  decide.commit));
+    barriers.push_back(PropagateDecide(
+        state->groups[i], outcomes[i].decide_floor, outcomes[i].decide_leader,
+        id, decide.commit));
   }
-  co_await propagate;
+  sim::Gather<bool> propagate(sim_, std::move(barriers));
+  const std::vector<bool> acked = co_await std::move(propagate);
+  result.barrier_giveups =
+      static_cast<int>(std::count(acked.begin(), acked.end(), false));
 
   if (decide.commit) {
     result.committed = true;
@@ -384,7 +390,7 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
   out.decide_leader = leader;
   for (;;) {
     InstanceOutcome outcome =
-        co_await RunInstance(group, pos, &own, leader);
+        co_await RunInstance(group, pos, &own, leader, leg.stream);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) {
       out.kind = CrossPrepareOutcome::Kind::kUnavailable;
       out.detail = "prepare on '" + group + "' reached no quorum";
@@ -463,6 +469,7 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
   own.winner_dc = home_;
 
   DecideOutcome out;
+  net::DelayStream* stream = LegStream(group);
   LogPos pos = floor;
   // Decide records read nothing, so they can promote past any entry; the
   // cap only bounds a runaway walk across a pathologically hot log. It
@@ -473,7 +480,7 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
   constexpr int kMaxDecideWalk = 1 << 16;
   for (int step = 0; step < kMaxDecideWalk; ++step) {
     InstanceOutcome outcome =
-        co_await RunInstance(group, pos, &own, leader);
+        co_await RunInstance(group, pos, &own, leader, stream);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) co_return out;
     // First decide for this transaction in the walk — ours or someone
     // else's — is the decision (walks start at or below every possible
@@ -482,6 +489,8 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
       out.known = true;
       out.commit = found->commit_decision;
       out.pos = pos;
+      out.entry = std::move(outcome.decided);
+      out.applied = std::move(outcome.applied);
       co_return out;
     }
     leader = outcome.decided.winner_dc;
@@ -490,31 +499,40 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
   co_return out;
 }
 
-sim::Coro<void> TransactionClient::AwaitDecideApplied(std::string group,
-                                                      TxnId id) {
-  // The apply broadcast (AcceptAndApply step 5) is fire-and-forget, and
-  // message delivery is not FIFO: a begin issued right after Commit
-  // returns can overtake the in-flight apply and read below the still-
-  // pending prepare. Poll the same replica path begins use until the
-  // decide is in its log. One round suffices unless the apply is delayed;
-  // the bound only guards against a replica that never catches up (its
-  // pending prepare is then recovery's problem, not Commit's).
-  constexpr int kMaxApplyPolls = 64;
-  for (int i = 0; i < kMaxApplyPolls; ++i) {
-    ServiceRequest query = QueryCrossRequest{group, id};
-    CallResult result = co_await CallWithFailover(&query);
-    if (!result.status.ok()) co_return;
-    if (std::get<QueryCrossResponse>(result.response).has_decision) co_return;
-    co_await sim::SleepFor(sim_, RandomBackoff());
+sim::Coro<bool> TransactionClient::AwaitDecideApplied(std::string group,
+                                                      DecideOutcome* decide) {
+  if (decide->applied.empty()) {
+    // Another proposer landed the entry (say, the recovery daemon decided
+    // first) and this walk only learned it, so no acknowledgement is on
+    // its way. Deliver the entry to the begin-serving replica directly.
+    // The null ballot leaves that replica's acceptor ballots as they are.
+    const ServiceRequest apply =
+        ApplyRequest{group, decide->pos, paxos::kNullBallot, decide->entry};
+    CallResult result = co_await CallWithFailover(&apply, LegStream(group));
+    co_return result.status.ok() &&
+              std::get<ApplyResponse>(result.response).ok;
   }
+  // The walk's own apply went to every replica. Await the acknowledgements
+  // in the order a begin would try the replicas: an unreachable replica's
+  // times out like the begin would, and the next one is usually in already.
+  const int n = network_->num_datacenters();
+  for (int attempt = 0; attempt < n; ++attempt) {
+    CallFuture& ack = decide->applied[(home_ + attempt) % n];
+    const CallResult result = co_await ack;
+    if (result.status.ok() && std::get<ApplyResponse>(result.response).ok) {
+      co_return true;
+    }
+  }
+  co_return false;
 }
 
-sim::Coro<void> TransactionClient::PropagateDecide(std::string group,
+sim::Coro<bool> TransactionClient::PropagateDecide(std::string group,
                                                    LogPos floor, DcId leader,
                                                    TxnId id, bool commit) {
   DecideOutcome landed =
       co_await ProposeDecide(group, floor, leader, id, commit);
-  if (landed.known) co_await AwaitDecideApplied(group, id);
+  if (!landed.known) co_return true;  // recovery's to land, no barrier
+  co_return co_await AwaitDecideApplied(group, &landed);
 }
 
 // ------------------------------------------------------------- recovery

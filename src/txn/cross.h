@@ -73,6 +73,10 @@ struct CrossCommitResult {
   /// Commit awaits so that a transaction begun after commit returns
   /// observes the effects on every group.
   TimeMicros latency = 0;
+  /// Groups whose read-your-effects barrier gave up: no replica, in the
+  /// order a begin tries them, acknowledged applying the decide. A begin
+  /// issued right after Commit may then read below the pending prepare.
+  int barrier_giveups = 0;
   /// Wall-clock from commit start until the canonical decide landed in
   /// the commit group — the commit point, after which the outcome is
   /// durable and recovery can only confirm it. With parallel fan-out

@@ -151,6 +151,7 @@ const char* RequestName(const ServiceRequest& request);
 
 using Network = net::Network<ServiceRequest, ServiceResponse>;
 using CallResult = net::CallResult<ServiceResponse>;
+using CallFuture = Network::CallFuture;
 using BroadcastResult = Network::BroadcastResult;
 
 /// The responses of a prepare broadcast, folded by the Paxos rules: the

@@ -41,17 +41,6 @@ std::vector<DcId> AllDatacenters(int d) {
   return all;
 }
 
-/// SplitMix64 finalizer: the recovery daemon's timer jitter is a pure hash
-/// of (service seed, datacenter, txn id) — deterministic and stream-free.
-uint64_t HashMix(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
 }  // namespace
 
 TransactionService::TransactionService(DcId dc, Network* network,
@@ -611,10 +600,11 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
       BroadcastResult aresults =
           co_await network_->Broadcast(dc_, all, accept_request);
       if (TallyAccepts(aresults, &max_seen) >= majority) {
-        // Decided: propagate the outcome (fire-and-forget) and record it.
+        // Decided: propagate the outcome (nobody awaits the
+        // acknowledgements) and record it.
         const ServiceRequest apply_request =
             ApplyRequest{group, pos, ballot, *winning};
-        network_->Broadcast(dc_, all, apply_request);
+        (void)network_->Multicast(dc_, all, apply_request);
         Status applied = gs->acceptor.OnApply(pos, ballot, *winning);
         if (applied.ok()) NoteEntryLanded(group);
         co_return applied;

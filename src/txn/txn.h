@@ -32,6 +32,10 @@
 #include "txn/transaction.h"
 #include "wal/log_entry.h"
 
+namespace paxoscp::net {
+struct DelayStream;
+}  // namespace paxoscp::net
+
 namespace paxoscp::txn {
 
 class TransactionClient;
@@ -79,6 +83,10 @@ struct TxnState {
   ActiveTxn txn;
   /// Cache of snapshot values already read (for repeated reads).
   std::map<wal::ItemId, std::string> read_cache;
+  /// The delay stream this transaction's messages draw from: a cross-group
+  /// leg's (TransactionClient::LegStream), null for a single-group
+  /// transaction, which uses the network's shared stream.
+  net::DelayStream* stream = nullptr;
 };
 
 namespace internal {

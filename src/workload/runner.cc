@@ -38,6 +38,7 @@ struct Attempt {
   TimeMicros latency = 0;
   /// Commit point of a cross commit (CrossCommitResult::decision_latency).
   TimeMicros decision_latency = 0;
+  int barrier_giveups = 0;  // CrossCommitResult::barrier_giveups
   /// The checker's record, once the begin has minted a transaction id.
   std::optional<core::ClientOutcome> outcome;
 };
@@ -69,6 +70,7 @@ void Record(RunContext* ctx, Attempt* attempt) {
   ++stats.attempted_by_dc[dc];
   ++window->attempted;
   if (attempt->cross) ++stats.cross_attempted;
+  stats.barrier_giveups += attempt->barrier_giveups;
   if (attempt->outcome) stats.outcomes.push_back(std::move(*attempt->outcome));
 
   switch (attempt->fate) {
@@ -228,6 +230,7 @@ sim::Coro<void> RunCross(RunContext* ctx, txn::Session* session,
   attempt.promotions = result.promotions;
   attempt.latency = result.latency;
   attempt.decision_latency = result.decision_latency;
+  attempt.barrier_giveups = result.barrier_giveups;
   attempt.outcome->committed = result.committed;
   attempt.outcome->unknown = attempt.fate == txn::TxnOutcome::kUnknownOutcome;
   Record(ctx, &attempt);

@@ -129,6 +129,10 @@ struct RunStats {
   /// Distinct pending prepares the post-run quiesce found; 0 with the
   /// daemon on means it healed everything itself.
   int quiesce_pending = 0;
+  /// Cross commits' read-your-effects barriers that gave up, summed over
+  /// CrossCommitResult::barrier_giveups: no replica acknowledged the
+  /// decide's apply. 0 on every fault-free run.
+  int barrier_giveups = 0;
 
   uint64_t messages_sent = 0;
   double messages_per_attempt = 0;

@@ -3,12 +3,14 @@
 // entries keep the v1 bytes and fingerprints), the WAL side tables
 // (pending prepares hold SafeReadPos and the applied watermark), the
 // commit path (atomic multi-group transfer, conflict aborts, the shared
-// commit order), coordinator-crash recovery (prepared-but-undecided
+// commit order, Commit's wait for the decides' apply acknowledgements),
+// coordinator-crash recovery (prepared-but-undecided
 // transactions resolved to a canonical decision by the stateless recovery
 // core), the checker's cross-group obligations, and the Session-level
 // BeginCross / RunTransaction(groups, ...) API.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -805,6 +807,163 @@ TEST(CrossRecoveryTest, RecoveryAdoptsExistingCommitDecision) {
   EXPECT_EQ(x.value, "committed");
 }
 
+// ----------------------------------------------- Commit's apply barrier
+
+/// What a coordinator at dc 0 sees the moment its cross Commit over {a, b}
+/// returns: the decide as its begin-serving replica (dc 0, the home) holds
+/// it in each group, and where a BeginCross issued right then reads.
+struct BarrierProbe {
+  CrossCommitResult commit;
+  TxnId id = 0;
+  std::map<std::string, wal::CrossDecision> at_return;
+  std::map<std::string, LogPos> next_read_pos;
+  Status next_begin = Status::Internal("unset");
+};
+
+struct CommitThenBegin {
+  sim::Task operator()(Db* db, Session* s, BarrierProbe* out) {
+    const std::vector<std::string> ab = {"a", "b"};
+    CrossTxn txn = co_await s->BeginCross(ab);
+    EXPECT_TRUE(txn.active()) << txn.begin_status().ToString();
+    if (!txn.active()) co_return;
+    out->id = txn.id();
+    (void)txn.Write("a", "row", "x", "1");
+    (void)txn.Write("b", "row", "y", "1");
+    out->commit = co_await txn.Commit();
+    for (const std::string& g : ab) {
+      out->at_return[g] =
+          db->cluster()->service(0)->GroupLog(g)->DecisionFor(out->id);
+    }
+    CrossTxn next = co_await s->BeginCross(ab);
+    out->next_begin = next.begin_status();
+    for (const std::string& g : ab) out->next_read_pos[g] = next.read_pos(g);
+    next.Abort();
+  }
+};
+
+/// Commit's read-your-effects promise: the home held every decide when
+/// Commit returned, and the next begin read at or above each.
+void ExpectDecidedAtHome(const BarrierProbe& probe) {
+  ASSERT_TRUE(probe.next_begin.ok()) << probe.next_begin.ToString();
+  for (const char* g : {"a", "b"}) {
+    const wal::CrossDecision& decision = probe.at_return.at(g);
+    EXPECT_TRUE(decision.known) << "dc 0 lacks the decide in " << g;
+    EXPECT_GE(probe.next_read_pos.at(g), decision.pos) << g;
+  }
+}
+
+/// Stands in for a request lost on its way: answers only after the
+/// caller's 2 s RPC timeout fired, without serving the request.
+sim::Coro<txn::ServiceResponse> LostRequest(sim::Simulator* sim) {
+  co_await sim::SleepFor(sim, 3 * kSecond);
+  co_return txn::ServiceResponse{};
+}
+
+TEST(CrossBarrierTest, CommitWaitsForHomeToApplyItsOwnDecides) {
+  Db db(TestConfig());
+  ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
+  ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
+  Session session = db.Session(0);
+  BarrierProbe probe;
+  CommitThenBegin run;
+  run(&db, &session, &probe);
+  db.Run();
+
+  ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
+  EXPECT_EQ(probe.commit.barrier_giveups, 0);
+  ExpectDecidedAtHome(probe);
+}
+
+TEST(CrossBarrierTest, CommitDeliversDecidesRecoveryLandedFirst) {
+  // The coordinator's decide accept in "a" never reaches dc 1 or dc 2, and
+  // a recovery engine at dc 2, started at that moment, decides the
+  // transaction in both groups; none of recovery's applies reaches dc 0.
+  // The coordinator's walks then learn each decide from a replica that
+  // already holds it, so no apply of theirs is on its way to dc 0: Commit
+  // must deliver both entries to dc 0 itself before it returns.
+  Db db(TestConfig());
+  ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
+  ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
+  sim::Simulator* sim = db.cluster()->simulator();
+  txn::TransactionClient* engine =
+      db.cluster()->CreateClient(2, ClientOptions{});
+  BarrierProbe probe;
+  txn::recovery::RecoveryResult rec = Unrecovered();
+  bool recovery_started = false;
+  int coordinator_applies_at_home = 0;
+  for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
+    txn::TransactionService* service = db.cluster()->service(dc);
+    db.cluster()->network()->RegisterEndpoint(
+        dc, [&, service, dc](DcId from, const txn::ServiceRequest* request) {
+          const auto holds_decide = [&probe](const wal::LogEntry& entry) {
+            return probe.id != 0 && entry.FindDecide(probe.id) != nullptr;
+          };
+          if (const auto* accept = std::get_if<txn::AcceptRequest>(request);
+              accept != nullptr && from == 0 && dc != 0 &&
+              accept->group == "a" && holds_decide(accept->value)) {
+            if (!recovery_started) {
+              recovery_started = true;
+              RunRecovery(engine, "a", probe.id, &rec);
+            }
+            return LostRequest(sim);
+          }
+          if (const auto* apply = std::get_if<txn::ApplyRequest>(request);
+              apply != nullptr && dc == 0 && holds_decide(apply->value)) {
+            if (from == 2) return LostRequest(sim);
+            ++coordinator_applies_at_home;
+          }
+          return service->Handle(from, request);
+        });
+  }
+  Session session = db.Session(0);
+  CommitThenBegin run;
+  run(&db, &session, &probe);
+  db.Run();
+
+  ASSERT_TRUE(recovery_started);
+  ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
+  EXPECT_FALSE(probe.commit.unknown) << probe.commit.status.ToString();
+  EXPECT_EQ(probe.commit.committed, rec.commit);
+  EXPECT_EQ(probe.commit.barrier_giveups, 0);
+  // One delivery per group, both sent by the coordinator's barrier.
+  EXPECT_EQ(coordinator_applies_at_home, 2);
+  ExpectDecidedAtHome(probe);
+  core::CheckReport report = db.Check(std::vector<std::string>{"a", "b"});
+  EXPECT_TRUE(report.ok) << report.ToString();
+}
+
+TEST(CrossBarrierTest, BarrierGiveUpIsCounted) {
+  // Every apply of the coordinator's decides is lost: the decide is known,
+  // so the transaction commits, but no replica acknowledges it in either
+  // group, and Commit reports both barriers as given up.
+  Db db(TestConfig());
+  ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
+  ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
+  sim::Simulator* sim = db.cluster()->simulator();
+  BarrierProbe probe;
+  for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
+    txn::TransactionService* service = db.cluster()->service(dc);
+    db.cluster()->network()->RegisterEndpoint(
+        dc, [&, service](DcId from, const txn::ServiceRequest* request) {
+          if (const auto* apply = std::get_if<txn::ApplyRequest>(request);
+              apply != nullptr && probe.id != 0 &&
+              apply->value.FindDecide(probe.id) != nullptr) {
+            return LostRequest(sim);
+          }
+          return service->Handle(from, request);
+        });
+  }
+  Session session = db.Session(0);
+  CommitThenBegin run;
+  run(&db, &session, &probe);
+  db.Run();
+
+  ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
+  EXPECT_EQ(probe.commit.barrier_giveups, 2);
+  EXPECT_FALSE(probe.at_return.at("a").known);
+  EXPECT_FALSE(probe.at_return.at("b").known);
+}
+
 // ---------------------------------------------------------- determinism
 
 /// Order-independent digest of one group's decided log: fold every decided
@@ -876,6 +1035,8 @@ TEST(CrossDeterminismTest, ShardedWorkloadReplaysIdentically) {
   EXPECT_EQ(first.stats.messages_sent, second.stats.messages_sent);
   EXPECT_EQ(first.stats.virtual_duration, second.stats.virtual_duration);
   EXPECT_EQ(first.digests, second.digests);
+  // Fault-free: every read-your-effects barrier got its acknowledgement.
+  EXPECT_EQ(first.stats.barrier_giveups, 0);
 
   // The workload actually exercised the parallel cross path, and both
   // replicas of the run pass the full invariant check.

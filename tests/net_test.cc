@@ -470,6 +470,58 @@ TEST_F(NetworkTest, FaultStreamNeverPerturbsPrimarySchedule) {
   EXPECT_EQ(clean, duplicated);
 }
 
+/// Request-leg and response-leg delays of one call, "leg", sent from dc 0
+/// to dc 1 after `noise` unrelated shared-stream calls in the same
+/// microsecond, on `stream` (null: the shared stream). Jitter and loss on.
+struct LegDelays {
+  TimeMicros request = -1;
+  TimeMicros response = -1;
+  bool operator==(const LegDelays&) const = default;
+};
+LegDelays DelaysAfterNoise(int noise, DelayStream* stream) {
+  sim::Simulator sim;
+  NetworkOptions options;
+  options.seed = 3;
+  options.latency_jitter = 0.1;
+  options.loss_probability = 0.05;
+  std::vector<std::vector<TimeMicros>> rtt(3,
+                                           std::vector<TimeMicros>(3, kRtt));
+  StringNetwork network(&sim, rtt, options);
+  LegDelays delays;
+  for (DcId dc = 0; dc < 3; ++dc) {
+    network.RegisterEndpoint(
+        dc, [&sim, &delays](DcId, const std::string* request)
+                -> sim::Coro<std::string> {
+          if (*request == "leg") delays.request = sim.Now();
+          co_return *request;
+        });
+  }
+  for (int i = 0; i < noise; ++i) network.Call(0, 1 + i % 2, "noise");
+  network.Call(0, 1, "leg", 0, stream).OnReady([&](StringCall&& r) {
+    if (r.status.ok()) delays.response = sim.Now() - delays.request;
+  });
+  sim.Run();
+  return delays;
+}
+
+TEST(NetworkStreamTest, OwnStreamDelaysIgnoreSharedTraffic) {
+  // A call on its own delay stream draws its loss and both legs' jitter
+  // from that stream alone, so unrelated shared-stream traffic sent before
+  // it in the same microsecond cannot move it. On the shared stream the
+  // same traffic does.
+  DelayStream stream(22);
+  const LegDelays quiet = DelaysAfterNoise(0, &stream);
+  ASSERT_GT(quiet.request, 0);
+  ASSERT_GT(quiet.response, 0);
+  for (int noise : {1, 2, 5}) {
+    DelayStream fresh(22);
+    EXPECT_EQ(DelaysAfterNoise(noise, &fresh), quiet) << noise;
+  }
+  const LegDelays shared_quiet = DelaysAfterNoise(0, nullptr);
+  ASSERT_GT(shared_quiet.response, 0);
+  EXPECT_NE(DelaysAfterNoise(5, nullptr), shared_quiet);
+}
+
 TEST_F(NetworkTest, DuplicateRespectsOutageWindows) {
   // The duplicate captures the same channel epoch as its original (D6): a
   // flap between the primary delivery and the duplicate's later delivery

@@ -18,6 +18,7 @@
 
 #include "core/cluster.h"
 #include "kvstore/store.h"
+#include "net/network.h"
 #include "sim/coro.h"
 #include "sim/race_detector.h"
 #include "sim/simulator.h"
@@ -314,6 +315,63 @@ TEST(RaceDetectorTest, WalConflictIsReportedOnceOnItsStoreRow) {
                         "/!log/g/000000000001");
   EXPECT_EQ(r.mask_first, RaceDetector::kReadBit | RaceDetector::kWriteBit);
   EXPECT_EQ(r.mask_second, RaceDetector::kReadBit);
+}
+
+/// Reports on `net/rng...` cells when two unrelated events at t = 5 each
+/// send one call, the first on `a` and the second on `b` (null: the shared
+/// stream), over a network with jitter and loss on.
+std::vector<RaceDetector::Report> SameTimeDrawReports(net::DelayStream* a,
+                                                      net::DelayStream* b) {
+  Simulator sim;
+  RaceDetector det;
+  sim.AttachRaceDetector(&det);
+  net::NetworkOptions options;
+  options.latency_jitter = 0.1;
+  options.loss_probability = 0.01;
+  using StringNetwork = net::Network<std::string, std::string>;
+  StringNetwork network(
+      &sim, {{1000, 9000, 9000}, {9000, 1000, 9000}, {9000, 9000, 1000}},
+      options);
+  for (DcId dc = 0; dc < 3; ++dc) {
+    network.RegisterEndpoint(
+        dc, [](DcId, const std::string* request) -> Coro<std::string> {
+          co_return *request;
+        });
+  }
+  sim.ScheduleAt(5, [&network, a] { network.Call(0, 1, "a", 0, a); },
+                 "send-a");
+  sim.ScheduleAt(5, [&network, b] { network.Call(0, 2, "b", 0, b); },
+                 "send-b");
+  sim.Run();
+  det.Finalize();
+  std::vector<RaceDetector::Report> on_rng;
+  for (const RaceDetector::Report& r : det.reports()) {
+    if (r.cell.rfind("net/rng", 0) == 0) on_rng.push_back(r);
+  }
+  return on_rng;
+}
+
+TEST(RaceDetectorTest, SameTimeDrawsConflictOnlyOnASharedStream) {
+  // Two same-microsecond sends on the network's shared stream draw their
+  // loss and jitter in tie order: one conflict on net/rng. On two leg
+  // streams (sibling legs of one cross commit) the draws are independent
+  // and nothing is reported; on one leg stream they conflict on its cell.
+  net::DelayStream leg_a(11);
+  net::DelayStream leg_b(12);
+
+  const std::vector<RaceDetector::Report> shared =
+      SameTimeDrawReports(nullptr, nullptr);
+  ASSERT_EQ(shared.size(), 1u);
+  EXPECT_EQ(shared[0].cell, "net/rng");
+  EXPECT_EQ(shared[0].tag_first, "send-a");
+  EXPECT_EQ(shared[0].tag_second, "send-b");
+
+  EXPECT_TRUE(SameTimeDrawReports(&leg_a, &leg_b).empty());
+
+  const std::vector<RaceDetector::Report> one_leg =
+      SameTimeDrawReports(&leg_a, &leg_a);
+  ASSERT_EQ(one_leg.size(), 1u);
+  EXPECT_EQ(one_leg[0].cell, "net/rng/11");
 }
 
 // --- real workload under the detector --------------------------------------
