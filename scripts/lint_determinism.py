@@ -13,9 +13,9 @@ cannot check, because they are *policies*, not language rules:
     from such an iteration (message order, retry order, log append order)
     breaks bit-identical replay across toolchains and ASLR runs.
  3. Coroutine lifetime: a lambda that captures by reference and is handed
-    to the event queue (Simulator::ScheduleAfter/ScheduleAt, Future
-    callbacks, detached Task legs) outlives the enclosing scope; the
-    capture dangles unless ownership is explicitly reasoned about. Same
+    to the event queue (Simulator::ScheduleAfter/ScheduleAt, detached
+    Task legs) outlives the enclosing scope; the capture dangles unless
+    ownership is explicitly reasoned about. Same
     for `co_await`ing a Coro<T> and silently dropping the T: results in
     this codebase carry commit decisions and statuses, and dropping one
     has hidden a real bug before (decided-but-unapplied, PR 3).
@@ -298,7 +298,7 @@ def check_pointer_keyed(f):
 
 
 TASK_DECL_RE = re.compile(r"\b(?:sim\s*::\s*)?Task\s+([A-Za-z_]\w*)\s*\(")
-SCHEDULE_CALL_RE = re.compile(r"\b(ScheduleAfter|ScheduleAt|OnReady)\s*\(")
+SCHEDULE_CALL_RE = re.compile(r"\b(ScheduleAfter|ScheduleAt)\s*\(")
 LAMBDA_RE = re.compile(r"\[([^\[\]]*)\]\s*(?:\([^()]*\))?\s*"
                        r"(?:mutable\s*)?(?:noexcept\s*)?(?:->[^{]+)?\{")
 REF_CAPTURE_RE = re.compile(r"(?:^|[,\[])\s*&\s*(?:[A-Za-z_]\w*)?\s*(?:[,\]]|$)")

@@ -4,20 +4,10 @@
 
 namespace paxoscp {
 
-void PutFixed32(std::string* dst, uint32_t value) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>(value >> (8 * i));
-  dst->append(buf, 4);
-}
-
 void PutFixed64(std::string* dst, uint64_t value) {
   char buf[8];
   for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(value >> (8 * i));
   dst->append(buf, 8);
-}
-
-void PutVarint32(std::string* dst, uint32_t value) {
-  PutVarint64(dst, value);
 }
 
 void PutVarint64(std::string* dst, uint64_t value) {
@@ -34,18 +24,6 @@ void PutVarint64(std::string* dst, uint64_t value) {
 void PutLengthPrefixed(std::string* dst, std::string_view value) {
   PutVarint64(dst, value.size());
   dst->append(value.data(), value.size());
-}
-
-bool GetFixed32(std::string_view* input, uint32_t* value) {
-  if (input->size() < 4) return false;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>((*input)[i]))
-         << (8 * i);
-  }
-  *value = v;
-  input->remove_prefix(4);
-  return true;
 }
 
 bool GetFixed64(std::string_view* input, uint64_t* value) {
@@ -74,13 +52,6 @@ bool GetVarint64(std::string_view* input, uint64_t* value) {
     }
   }
   return false;  // ran out of input or > 10 bytes
-}
-
-bool GetVarint32(std::string_view* input, uint32_t* value) {
-  uint64_t v = 0;
-  if (!GetVarint64(input, &v) || v > UINT32_MAX) return false;
-  *value = static_cast<uint32_t>(v);
-  return true;
 }
 
 bool GetLengthPrefixed(std::string_view* input, std::string_view* value) {

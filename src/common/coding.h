@@ -10,16 +10,12 @@
 
 namespace paxoscp {
 
-void PutFixed32(std::string* dst, uint32_t value);
 void PutFixed64(std::string* dst, uint64_t value);
-void PutVarint32(std::string* dst, uint32_t value);
 void PutVarint64(std::string* dst, uint64_t value);
 /// Appends a varint length followed by the raw bytes.
 void PutLengthPrefixed(std::string* dst, std::string_view value);
 
-bool GetFixed32(std::string_view* input, uint32_t* value);
 bool GetFixed64(std::string_view* input, uint64_t* value);
-bool GetVarint32(std::string_view* input, uint32_t* value);
 bool GetVarint64(std::string_view* input, uint64_t* value);
 bool GetLengthPrefixed(std::string_view* input, std::string_view* value);
 

@@ -82,16 +82,6 @@ bool Rng::Bernoulli(double p) {
   return NextDouble() < p;
 }
 
-double Rng::Exponential(double mean) {
-  assert(mean > 0);
-  double u = NextDouble();
-  // Guard log(0).
-  if (u <= 0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
-Rng Rng::Fork() { return Rng(Next() ^ 0x5851f42d4c957f2dULL); }
-
 ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)
     : n_(n), theta_(theta) {
   assert(n > 0);

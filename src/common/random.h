@@ -31,12 +31,6 @@ class Rng {
   /// True with probability p (p clamped to [0, 1]).
   bool Bernoulli(double p);
 
-  /// Exponentially distributed value with the given mean (> 0).
-  double Exponential(double mean);
-
-  /// Forks an independent stream; deterministic given this Rng's state.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };

@@ -59,10 +59,6 @@ Result<ClusterConfig> ClusterConfig::FromCode(const std::string& code) {
   return config;
 }
 
-ClusterConfig ClusterConfig::PaperTestbed() {
-  return *FromCode("VVVOC");
-}
-
 std::vector<std::vector<TimeMicros>> ClusterConfig::RttMatrix() const {
   const int d = num_datacenters();
   std::vector<std::vector<TimeMicros>> rtt(

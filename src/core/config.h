@@ -56,9 +56,6 @@ struct ClusterConfig {
   /// (one letter per datacenter, paper Figure 5 naming).
   static Result<ClusterConfig> FromCode(const std::string& code);
 
-  /// The paper's five-node deployment: V, V, V, O, C.
-  static ClusterConfig PaperTestbed();
-
   /// The RTT matrix implied by the datacenter regions.
   std::vector<std::vector<TimeMicros>> RttMatrix() const;
 };

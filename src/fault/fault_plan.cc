@@ -72,12 +72,6 @@ void FaultPlan::Normalize() {
                    });
 }
 
-TimeMicros FaultPlan::Horizon() const {
-  TimeMicros horizon = 0;
-  for (const FaultEvent& e : events) horizon = std::max(horizon, e.at);
-  return horizon;
-}
-
 std::string FaultPlan::ToString() const {
   std::string out;
   for (const FaultEvent& e : events) {

@@ -61,9 +61,6 @@ struct FaultPlan {
   /// times, matching the simulator's (time, insertion-order) execution).
   void Normalize();
 
-  /// Latest event time (0 for an empty plan).
-  TimeMicros Horizon() const;
-
   /// One event per line — the replay artifact the chaos harness writes when
   /// a checker violation is found.
   std::string ToString() const;

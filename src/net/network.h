@@ -11,6 +11,10 @@
 // does not depend on the message types — topology, delay and loss model,
 // outage epochs, delivery faults and counters — is the untyped NetworkBase,
 // which the fault injector drives.
+//
+// Every call resolves a sim::Future, which its caller consumes by awaiting
+// it (sim/coro.h). Broadcast gathers its targets' results with one small
+// detached Task per target that awaits that target's call.
 #pragma once
 
 #include <cassert>
@@ -305,6 +309,17 @@ class Network : public NetworkBase {
     Response response{};
   };
 
+  /// One Broadcast in progress: the caller's promise, a result slot per
+  /// target (in target order) and how many targets are still unresolved.
+  struct Aggregator {
+    Aggregator(sim::Promise<BroadcastResult> p, size_t n)
+        : promise(std::move(p)), results(n), unresolved(n) {}
+
+    sim::Promise<BroadcastResult> promise;
+    BroadcastResult results;
+    size_t unresolved;
+  };
+
   CallFuture Send(DcId from, DcId to, std::shared_ptr<const Request> request,
                   TimeMicros timeout, DelayStream* stream);
   /// Delivers one copy of a request — the original or a duplicate — after
@@ -314,6 +329,11 @@ class Network : public NetworkBase {
   /// `raw`; a pointer parameter because coroutine parameters must be
   /// trivially destructible (sim/coro.h).
   sim::Task Serve(Delivery* raw);
+  /// Awaits target `index`'s call and fills its slot of `agg`; the last
+  /// target to resolve completes the broadcast. A result reaches the slot
+  /// through one queued event and the broadcast's waiter through one more.
+  static sim::Task Collect(CallFuture call, std::shared_ptr<Aggregator> agg,
+                           size_t index);
 
   std::vector<Handler> handlers_;
 };
@@ -427,30 +447,30 @@ auto Network<Request, Response>::Broadcast(DcId from,
                                            TimeMicros timeout,
                                            DelayStream* stream)
     -> sim::Future<BroadcastResult> {
-  struct Aggregator {
-    BroadcastResult results;
-    int resolved = 0;
-  };
   sim::Promise<BroadcastResult> promise(sim_);
-  const int n = static_cast<int>(targets.size());
-  if (n == 0) {
+  if (targets.empty()) {
     promise.Set(BroadcastResult{});
     return promise.GetFuture();
   }
-  auto agg = std::make_shared<Aggregator>();
-  agg->results.resize(n);
-  for (int i = 0; i < n; ++i) agg->results[i].dc = targets[i];
+  auto agg = std::make_shared<Aggregator>(promise, targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) agg->results[i].dc = targets[i];
 
   std::vector<CallFuture> calls =
       Multicast(from, targets, request, timeout, stream);
-  for (int i = 0; i < n; ++i) {
-    calls[i].OnReady([i, n, agg, promise](CallResult<Response>&& result) {
-      agg->results[i].status = result.status;
-      agg->results[i].response = std::move(result.response);
-      if (++agg->resolved == n) promise.Set(std::move(agg->results));
-    });
+  for (size_t i = 0; i < calls.size(); ++i) {
+    Collect(std::move(calls[i]), agg, i);
   }
   return promise.GetFuture();
+}
+
+template <typename Request, typename Response>
+sim::Task Network<Request, Response>::Collect(CallFuture call,
+                                              std::shared_ptr<Aggregator> agg,
+                                              size_t index) {
+  CallResult<Response> result = co_await call;
+  agg->results[index].status = std::move(result.status);
+  agg->results[index].response = std::move(result.response);
+  if (--agg->unresolved == 0) agg->promise.Set(std::move(agg->results));
 }
 
 }  // namespace paxoscp::net

@@ -113,13 +113,7 @@ SelectionDecision EnhancedFindWinningValue(const std::vector<LastVote>& votes,
     }
   }
   int max_votes = 0;
-  const wal::LogEntry* max_value = nullptr;
-  for (const auto& [fp, count] : tally) {
-    if (count > max_votes) {
-      max_votes = count;
-      max_value = values[fp];
-    }
-  }
+  for (const auto& [fp, count] : tally) max_votes = std::max(max_votes, count);
 
   SelectionDecision decision;
   const bool own_in_same_ballot_value =
@@ -157,7 +151,6 @@ SelectionDecision EnhancedFindWinningValue(const std::vector<LastVote>& votes,
   // A value may be ahead (max_votes > d/2 across mixed ballots) without
   // being decided; revert to the basic Paxos selection rule, which adopts
   // the highest-ballot vote and drives the instance to its outcome.
-  (void)max_value;
   std::optional<wal::LogEntry> winning = FindWinningValue(votes);
   decision.kind = SelectionKind::kPropose;
   decision.value = winning.has_value() ? *std::move(winning) : own;

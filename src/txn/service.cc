@@ -118,16 +118,21 @@ sim::Coro<ServiceResponse> TransactionService::HandleBegin(
     // cross-group prepare (identical to MaxDecided when none is pending).
     response.read_pos = gs->log.SafeReadPos();
   }
-  // Leader for the next position = datacenter of the previous winner. For
-  // position 1 of a fresh log there is no previous winner; the leader MUST
-  // still be the same at every datacenter (datacenter 0 by convention) —
-  // otherwise two clients could each obtain a round-0 fast-path grant from
-  // "their" leader and produce two distinct round-0 ballots, which the
-  // recovery rule (max ballot wins) cannot arbitrate safely.
+  // Leader for the next position = datacenter of the previous winner. The
+  // leader MUST be the same at every datacenter — otherwise two clients
+  // could each obtain a round-0 fast-path grant from "their" leader and
+  // produce two distinct round-0 ballots, which the recovery rule (max
+  // ballot wins) cannot arbitrate safely (ARCHITECTURE D3). For position 1
+  // of a fresh log there is no previous winner, and every datacenter names
+  // datacenter 0 by convention. A replica that lacks the entry at a later
+  // read position cannot know its winner, so it names none (kNoDc) and the
+  // commit skips the fast path, as decide walks with an unknown leader do.
   response.leader_dc = 0;
   if (response.read_pos > 0) {
     Result<wal::LogEntry> last = gs->log.GetEntry(response.read_pos);
-    if (last.ok() && last->winner_dc != kNoDc) {
+    if (!last.ok()) {
+      response.leader_dc = kNoDc;
+    } else if (last->winner_dc != kNoDc) {
       response.leader_dc = last->winner_dc;
     }
   }

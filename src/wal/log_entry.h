@@ -112,8 +112,6 @@ struct TxnRecord {
 
   bool operator==(const TxnRecord&) const = default;
 
-  bool IsCross() const { return kind != RecordKind::kData; }
-
   /// True if this transaction read item `it`.
   bool Reads(const ItemId& it) const;
   /// True if this transaction writes an item covered by `it`. `it` is a

@@ -72,9 +72,4 @@ std::string LatencyByRound(const RunStats& stats, int max_rounds) {
   return os.str();
 }
 
-std::string CheckSummary(const RunStats& stats) {
-  if (stats.check.ok) return "serializability OK";
-  return "INVARIANT VIOLATIONS: " + stats.check.ToString();
-}
-
 }  // namespace paxoscp::workload

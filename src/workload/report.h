@@ -26,7 +26,4 @@ std::string LatencyByRound(const RunStats& stats, int max_rounds = 4);
 
 std::string FormatDouble(double v, int precision = 1);
 
-/// One-line invariant summary ("serializability OK" or the violations).
-std::string CheckSummary(const RunStats& stats);
-
 }  // namespace paxoscp::workload

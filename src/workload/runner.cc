@@ -246,8 +246,7 @@ sim::Coro<void> RunCross(RunContext* ctx, txn::Session* session,
 /// its frontier and then forward until it hits a genuinely undecided one,
 /// materializing every decided entry so the (L1) check compares client
 /// outcomes against the history a recovered system would actually serve.
-sim::Coro<void> RecoverOneTail(core::Cluster* cluster, std::string group,
-                               DcId dc) {
+sim::Task RecoverOneTail(core::Cluster* cluster, std::string group, DcId dc) {
   txn::TransactionService* service = cluster->service(dc);
   for (LogPos pos = 1;; ++pos) {
     if (service->GroupLog(group)->HasEntry(pos)) continue;
@@ -262,18 +261,17 @@ sim::Coro<void> RecoverOneTail(core::Cluster* cluster, std::string group,
   }
 }
 
-sim::Task RecoverDecidedTail(RunContext* ctx) {
-  // One learner per (group, replica), joined with WhenAll: each learns
-  // only its own log, so the fan-out cannot interfere with itself and the
-  // quiesce costs one tail walk of wall-clock instead of groups × dcs.
+/// Starts one tail learner per (group, replica) as a detached Task; the
+/// caller's next RunToCompletion drains them. Each learns only its own log,
+/// so the learners cannot interfere with each other and the quiesce costs
+/// one tail walk of wall-clock instead of groups × dcs.
+void RecoverDecidedTail(RunContext* ctx) {
   core::Cluster* cluster = ctx->cluster;
-  sim::WhenAll all(cluster->simulator());
   for (const std::string& group : ctx->group_names) {
     for (DcId dc = 0; dc < cluster->num_datacenters(); ++dc) {
-      all.Add(RecoverOneTail(cluster, group, dc));
+      RecoverOneTail(cluster, group, dc);
     }
   }
-  co_await std::move(all);
 }
 
 /// Distinct cross transactions pending on any replica of any group.

@@ -47,14 +47,6 @@ TEST(ConfigTest, FromCodeRejectsInvalid) {
   EXPECT_FALSE(ClusterConfig::FromCode("VXW").ok());
 }
 
-TEST(ConfigTest, PaperTestbedIsFiveNodes) {
-  ClusterConfig config = ClusterConfig::PaperTestbed();
-  ASSERT_EQ(config.num_datacenters(), 5);
-  // V, V, V, O, C per the paper.
-  EXPECT_EQ(config.datacenters[3].region, Region::kOregon);
-  EXPECT_EQ(config.datacenters[4].region, Region::kCalifornia);
-}
-
 TEST(ConfigTest, RttMatrixIsSymmetricWithIntraDcDiagonal) {
   ClusterConfig config = *ClusterConfig::FromCode("VOC");
   auto rtt = config.RttMatrix();

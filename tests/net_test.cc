@@ -24,6 +24,14 @@ using StringNetwork = Network<std::string, std::string>;
 using StringCall = CallResult<std::string>;
 using StringBroadcast = StringNetwork::BroadcastResult;
 
+/// Awaits `future` and hands its result to `on_ready`: how these tests
+/// observe a call or a broadcast that none of their coroutines awaits.
+template <typename T, typename Fn>
+sim::Task AwaitThen(sim::Future<T> future, Fn on_ready) {
+  T result = co_await future;
+  on_ready(std::move(result));
+}
+
 /// Echo service: replies with "<dc>:<payload>".
 StringNetwork::Handler EchoHandler(DcId dc) {
   return [dc](DcId /*from*/,
@@ -52,8 +60,8 @@ class NetworkTest : public ::testing::Test {
 TEST_F(NetworkTest, CallDeliversResponse) {
   Build(2);
   std::optional<StringCall> result;
-  network_->Call(0, 1, "ping")
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "ping"),
+            [&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->status.ok()) << result->status.ToString();
@@ -63,8 +71,8 @@ TEST_F(NetworkTest, CallDeliversResponse) {
 TEST_F(NetworkTest, CallTakesOneRoundTrip) {
   Build(2);
   TimeMicros completed_at = -1;
-  network_->Call(0, 1, "x")
-      .OnReady([&](StringCall&&) { completed_at = sim_.Now(); });
+  AwaitThen(network_->Call(0, 1, "x"),
+            [&](StringCall&&) { completed_at = sim_.Now(); });
   sim_.RunUntil(kRtt + kMillisecond);
   EXPECT_GE(completed_at, kRtt);            // one full round trip
   EXPECT_LE(completed_at, kRtt + 2);        // plus delivery events
@@ -73,8 +81,8 @@ TEST_F(NetworkTest, CallTakesOneRoundTrip) {
 TEST_F(NetworkTest, IntraDatacenterCallIsFast) {
   Build(2);
   TimeMicros completed_at = -1;
-  network_->Call(0, 0, "x")
-      .OnReady([&](StringCall&&) { completed_at = sim_.Now(); });
+  AwaitThen(network_->Call(0, 0, "x"),
+            [&](StringCall&&) { completed_at = sim_.Now(); });
   sim_.RunUntil(5 * kMillisecond);
   EXPECT_GE(completed_at, 0);
   EXPECT_LE(completed_at, 2 * kMillisecond);
@@ -84,8 +92,8 @@ TEST_F(NetworkTest, TimeoutFiresWhenDestinationDown) {
   Build(2);
   network_->SetDatacenterDown(1, true);
   std::optional<StringCall> result;
-  network_->Call(0, 1, "x", 50 * kMillisecond)
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+            [&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->status.IsTimedOut());
@@ -94,8 +102,8 @@ TEST_F(NetworkTest, TimeoutFiresWhenDestinationDown) {
 TEST_F(NetworkTest, OutageMidFlightDropsDelivery) {
   Build(2);
   std::optional<StringCall> result;
-  network_->Call(0, 1, "x", 50 * kMillisecond)
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+            [&](StringCall&& r) { result = std::move(r); });
   // Take the destination down after the message left but before arrival.
   sim_.ScheduleAfter(kRtt / 4, [&] { network_->SetDatacenterDown(1, true); });
   sim_.Run();
@@ -107,10 +115,10 @@ TEST_F(NetworkTest, LinkDownBlocksOnlyThatPair) {
   Build(3);
   network_->SetLinkDown(0, 1, true);
   std::optional<StringCall> blocked, open;
-  network_->Call(0, 1, "x", 30 * kMillisecond)
-      .OnReady([&](StringCall&& r) { blocked = std::move(r); });
-  network_->Call(0, 2, "x", 30 * kMillisecond)
-      .OnReady([&](StringCall&& r) { open = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 30 * kMillisecond),
+            [&](StringCall&& r) { blocked = std::move(r); });
+  AwaitThen(network_->Call(0, 2, "x", 30 * kMillisecond),
+            [&](StringCall&& r) { open = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(blocked->status.IsTimedOut());
   EXPECT_TRUE(open->status.ok());
@@ -121,8 +129,8 @@ TEST_F(NetworkTest, TotalLossTimesOutEveryCall) {
   options.loss_probability = 1.0;
   Build(2, options);
   std::optional<StringCall> result;
-  network_->Call(0, 1, "x", 20 * kMillisecond)
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 20 * kMillisecond),
+            [&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(result->status.IsTimedOut());
   EXPECT_GT(network_->messages_dropped(), 0u);
@@ -131,8 +139,8 @@ TEST_F(NetworkTest, TotalLossTimesOutEveryCall) {
 TEST_F(NetworkTest, BroadcastCollectsAllTargets) {
   Build(3);
   std::optional<StringBroadcast> result;
-  network_->Broadcast(0, {0, 1, 2}, "hi")
-      .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
+  AwaitThen(network_->Broadcast(0, {0, 1, 2}, "hi"),
+            [&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->size(), 3u);
@@ -148,8 +156,8 @@ TEST_F(NetworkTest, BroadcastWithDownTargetMarksItTimedOut) {
   Build(3);
   network_->SetDatacenterDown(2, true);
   std::optional<StringBroadcast> result;
-  network_->Broadcast(0, {0, 1, 2}, "hi", 30 * kMillisecond)
-      .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
+  AwaitThen(network_->Broadcast(0, {0, 1, 2}, "hi", 30 * kMillisecond),
+            [&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE((*result)[0].status.ok());
@@ -160,11 +168,35 @@ TEST_F(NetworkTest, BroadcastWithDownTargetMarksItTimedOut) {
 TEST_F(NetworkTest, EmptyBroadcastResolvesImmediately) {
   Build(2);
   std::optional<StringBroadcast> result;
-  network_->Broadcast(0, {}, "hi")
-      .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
+  AwaitThen(network_->Broadcast(0, {}, "hi"),
+            [&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->empty());
+}
+
+/// Awaits one broadcast to dcs 0-2 and records how many simulator events
+/// had run when it resumed.
+sim::Task AwaitBroadcast(StringNetwork* network, uint64_t* events_at_resume) {
+  const std::vector<DcId> targets = {0, 1, 2};
+  const std::string request = "hi";
+  sim::Future<StringBroadcast> broadcast =
+      network->Broadcast(0, targets, request);
+  co_await broadcast;
+  *events_at_resume = network->simulator()->EventsExecuted();
+}
+
+TEST_F(NetworkTest, BroadcastCostsFourEventsPerTargetAndOneResume) {
+  // Per target: the request leg, the deferred destroy of the handler's
+  // frame, the response leg and the event that hands the result to the
+  // broadcast; then one event resumes the awaiting coroutine. Each
+  // target's timeout fires later, as a no-op.
+  Build(3);
+  uint64_t events_at_resume = 0;
+  AwaitBroadcast(network_.get(), &events_at_resume);
+  sim_.Run();
+  EXPECT_EQ(events_at_resume, 13u);
+  EXPECT_EQ(sim_.EventsExecuted(), 16u);
 }
 
 TEST_F(NetworkTest, MessageStatsCount) {
@@ -189,11 +221,10 @@ TEST_F(NetworkTest, JitterStaysWithinBounds) {
     TimeMicros start = sim_.Now();
     std::optional<StringCall> result;
     TimeMicros completed_at = -1;
-    network.Call(0, 1, "x")
-        .OnReady([&](StringCall&& r) {
-          result = std::move(r);
-          completed_at = sim_.Now();
-        });
+    AwaitThen(network.Call(0, 1, "x"), [&](StringCall&& r) {
+      result = std::move(r);
+      completed_at = sim_.Now();
+    });
     sim_.Run();  // drains the response and the (losing) timeout event
     ASSERT_TRUE(result->status.ok());
     const TimeMicros elapsed = completed_at - start;
@@ -212,8 +243,8 @@ TEST_F(NetworkTest, JitterStaysWithinBounds) {
 TEST_F(NetworkTest, DownUpFlapWithinFlightWindowLosesMessage) {
   Build(2);
   std::optional<StringCall> result;
-  network_->Call(0, 1, "x", 50 * kMillisecond)
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+            [&](StringCall&& r) { result = std::move(r); });
   // One-way delay is kRtt/2 = 5 ms. The destination flaps down at 1 ms and
   // is back UP at 2 ms — well before the delivery event at 5 ms. The
   // message crossed an outage window, so it must be lost; a delivery-time
@@ -239,16 +270,16 @@ TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
   }
   // Sent before the first flap, delivery (5 ms) after the last: lost.
   std::optional<StringCall> flapped;
-  network_->Call(0, 1, "a", 50 * kMillisecond)
-      .OnReady([&](StringCall&& r) { flapped = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "a", 50 * kMillisecond),
+            [&](StringCall&& r) { flapped = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(flapped.has_value());
   EXPECT_TRUE(flapped->status.IsTimedOut());
 
   // Sent after the last recovery, same timeout window: clean round trip.
   std::optional<StringCall> clean;
-  network_->Call(0, 1, "b", 50 * kMillisecond)
-      .OnReady([&](StringCall&& r) { clean = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "b", 50 * kMillisecond),
+            [&](StringCall&& r) { clean = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(clean.has_value());
   EXPECT_TRUE(clean->status.ok()) << clean->status.ToString();
@@ -257,8 +288,8 @@ TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
 TEST_F(NetworkTest, BroadcastTargetFlappingMidFlightIsLostOthersStand) {
   Build(3);
   std::optional<StringBroadcast> result;
-  network_->Broadcast(0, {0, 1, 2}, "hi", 50 * kMillisecond)
-      .OnReady([&](StringBroadcast&& r) { result = std::move(r); });
+  AwaitThen(network_->Broadcast(0, {0, 1, 2}, "hi", 50 * kMillisecond),
+            [&](StringBroadcast&& r) { result = std::move(r); });
   // dc2 goes down while the broadcast's requests are in flight and is back
   // before their arrival; dc0/dc1 deliveries already under way are
   // unaffected and their responses stand.
@@ -276,8 +307,8 @@ TEST_F(NetworkTest, BroadcastTargetFlappingMidFlightIsLostOthersStand) {
 TEST_F(NetworkTest, ResponseInFlightFromDownedSourceStillArrives) {
   Build(2);
   std::optional<StringCall> result;
-  network_->Call(0, 1, "x", 50 * kMillisecond)
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+            [&](StringCall&& r) { result = std::move(r); });
   // The response leaves dc1 at ~5 ms (instant handler); dc1 dies at 7 ms
   // while its response is in flight. The message already left the downed
   // datacenter, so it is delivered.
@@ -308,8 +339,8 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
 
   // 0 -> 1: the request itself travels the cut direction, never arrives.
   std::optional<StringCall> forward;
-  network_->Call(0, 1, "x", 30 * kMillisecond)
-      .OnReady([&](StringCall&& r) { forward = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 30 * kMillisecond),
+            [&](StringCall&& r) { forward = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(forward->status.IsTimedOut());
   EXPECT_EQ(handled_at_1, 0);
@@ -318,24 +349,24 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
   // travels 0 -> 1) is black-holed. The caller sees the same timeout but
   // the side effect happened — the asymmetry 2PC/Paxos must tolerate.
   std::optional<StringCall> reverse;
-  network_->Call(1, 0, "y", 30 * kMillisecond)
-      .OnReady([&](StringCall&& r) { reverse = std::move(r); });
+  AwaitThen(network_->Call(1, 0, "y", 30 * kMillisecond),
+            [&](StringCall&& r) { reverse = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(reverse->status.IsTimedOut());
   EXPECT_EQ(handled_at_0, 1);
 
   // Unrelated pairs are untouched.
   std::optional<StringCall> other;
-  network_->Call(2, 1, "z", 30 * kMillisecond)
-      .OnReady([&](StringCall&& r) { other = std::move(r); });
+  AwaitThen(network_->Call(2, 1, "z", 30 * kMillisecond),
+            [&](StringCall&& r) { other = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(other->status.ok());
 
   // Healing restores the direction.
   network_->SetLinkOneWayDown(0, 1, false);
   std::optional<StringCall> healed;
-  network_->Call(0, 1, "w", 30 * kMillisecond)
-      .OnReady([&](StringCall&& r) { healed = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "w", 30 * kMillisecond),
+            [&](StringCall&& r) { healed = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(healed->status.ok());
   EXPECT_EQ(handled_at_1, 2);
@@ -344,8 +375,8 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
 TEST_F(NetworkTest, OneWayCutMidFlightDropsTheResponse) {
   Build(2);
   std::optional<StringCall> result;
-  network_->Call(0, 1, "x", 50 * kMillisecond)
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+            [&](StringCall&& r) { result = std::move(r); });
   // Cut the response direction (1 -> 0) at 7 ms, while the response is in
   // flight (left dc1 at ~5 ms, due at ~10 ms); heal immediately after. The
   // in-flight response is lost even though the link is up at delivery time.
@@ -375,8 +406,8 @@ TEST_F(NetworkTest, DuplicateDeliversHandlerTwice) {
         co_return "pong";
       });
   std::optional<StringCall> result;
-  network_->Call(0, 1, "x")
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x"),
+            [&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->status.ok()) << result->status.ToString();
@@ -391,11 +422,10 @@ TEST_F(NetworkTest, ReorderHoldsMessageBackWithinBound) {
   Build(2, options);
   std::optional<StringCall> result;
   TimeMicros completed_at = -1;
-  network_->Call(0, 1, "x", 2 * kSecond)
-      .OnReady([&](StringCall&& r) {
-        result = std::move(r);
-        completed_at = sim_.Now();
-      });
+  AwaitThen(network_->Call(0, 1, "x", 2 * kSecond), [&](StringCall&& r) {
+    result = std::move(r);
+    completed_at = sim_.Now();
+  });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->status.ok());
@@ -424,8 +454,8 @@ TEST_F(NetworkTest, DeliveryFaultsAreDeterministicPerSeed) {
       network.RegisterEndpoint(dc, EchoHandler(dc));
     }
     for (int i = 0; i < 40; ++i) {
-      network.Call(0, 1 + i % 2, std::to_string(i))
-          .OnReady([&](StringCall&&) { completions->push_back(sim.Now()); });
+      AwaitThen(network.Call(0, 1 + i % 2, std::to_string(i)),
+                [&](StringCall&&) { completions->push_back(sim.Now()); });
       sim.Run();
     }
     *duplicated = network.messages_duplicated();
@@ -459,8 +489,8 @@ TEST_F(NetworkTest, FaultStreamNeverPerturbsPrimarySchedule) {
     StringNetwork network(&sim, rtt, options);
     network.RegisterEndpoint(1, EchoHandler(1));
     for (int i = 0; i < 30; ++i) {
-      network.Call(0, 1, std::to_string(i))
-          .OnReady([&](StringCall&&) { completions->push_back(sim.Now()); });
+      AwaitThen(network.Call(0, 1, std::to_string(i)),
+                [&](StringCall&&) { completions->push_back(sim.Now()); });
       sim.Run();
     }
   };
@@ -497,7 +527,7 @@ LegDelays DelaysAfterNoise(int noise, DelayStream* stream) {
         });
   }
   for (int i = 0; i < noise; ++i) network.Call(0, 1 + i % 2, "noise");
-  network.Call(0, 1, "leg", 0, stream).OnReady([&](StringCall&& r) {
+  AwaitThen(network.Call(0, 1, "leg", 0, stream), [&](StringCall&& r) {
     if (r.status.ok()) delays.response = sim.Now() - delays.request;
   });
   sim.Run();
@@ -537,8 +567,8 @@ TEST_F(NetworkTest, DuplicateRespectsOutageWindows) {
         co_return "pong";
       });
   std::optional<StringCall> result;
-  network_->Call(0, 1, "x", 100 * kMillisecond)
-      .OnReady([&](StringCall&& r) { result = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "x", 100 * kMillisecond),
+            [&](StringCall&& r) { result = std::move(r); });
   // Primary arrives at 5 ms; the duplicate lags it by (0, 20 ms]. Flap the
   // destination down/up in between: epoch bumped, duplicate dead on
   // arrival.
@@ -557,14 +587,14 @@ TEST_F(NetworkTest, RecoveredDatacenterServesAgain) {
   Build(2);
   network_->SetDatacenterDown(1, true);
   std::optional<StringCall> first, second;
-  network_->Call(0, 1, "a", 20 * kMillisecond)
-      .OnReady([&](StringCall&& r) { first = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "a", 20 * kMillisecond),
+            [&](StringCall&& r) { first = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(first->status.IsTimedOut());
 
   network_->SetDatacenterDown(1, false);
-  network_->Call(0, 1, "b", 20 * kMillisecond)
-      .OnReady([&](StringCall&& r) { second = std::move(r); });
+  AwaitThen(network_->Call(0, 1, "b", 20 * kMillisecond),
+            [&](StringCall&& r) { second = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(second->status.ok());
 }
@@ -614,12 +644,13 @@ std::string GoldenScheduleTranscript(uint64_t seed) {
     sim.ScheduleAt(i * 2 * kMillisecond, [&, i] {
       const DcId from = i % 3;
       const DcId to = (i / 3) % 3;
-      network.Call(from, to, std::to_string(i), 40 * kMillisecond)
-          .OnReady([&, i](StringCall&& r) {
-            std::ostringstream line;
-            line << sim.Now() << "=" << (r.status.ok() ? r.response : "T");
-            calls[i] = line.str();
-          });
+      AwaitThen(network.Call(from, to, std::to_string(i), 40 * kMillisecond),
+                [&, i](StringCall&& r) {
+                  std::ostringstream line;
+                  line << sim.Now() << "="
+                       << (r.status.ok() ? r.response : "T");
+                  calls[i] = line.str();
+                });
     });
   }
   // dc2 is down from 30 ms to 50 ms, in the middle of the calls.
@@ -628,15 +659,16 @@ std::string GoldenScheduleTranscript(uint64_t seed) {
                  [&] { network.SetDatacenterDown(2, false); });
   std::string broadcast = "-";
   sim.ScheduleAt(100 * kMillisecond, [&] {
-    network.Broadcast(1, {0, 1, 2}, "b", 40 * kMillisecond)
-        .OnReady([&](StringBroadcast&& r) {
-          std::ostringstream line;
-          line << sim.Now();
-          for (const auto& t : r) {
-            line << " " << t.dc << "=" << (t.status.ok() ? t.response : "T");
-          }
-          broadcast = line.str();
-        });
+    AwaitThen(network.Broadcast(1, {0, 1, 2}, "b", 40 * kMillisecond),
+              [&](StringBroadcast&& r) {
+                std::ostringstream line;
+                line << sim.Now();
+                for (const auto& t : r) {
+                  line << " " << t.dc << "="
+                       << (t.status.ok() ? t.response : "T");
+                }
+                broadcast = line.str();
+              });
   });
   sim.Run();
 
@@ -741,10 +773,10 @@ TEST(NetworkCopyTest, BroadcastSharesOneRequestCopyAndMovesResponses) {
   }
   const Counted request(&request_copies);
   std::optional<CountedNetwork::BroadcastResult> result;
-  network.Broadcast(0, {0, 1, 2, 3, 4}, request)
-      .OnReady([&](CountedNetwork::BroadcastResult&& r) {
-        result = std::move(r);
-      });
+  AwaitThen(network.Broadcast(0, {0, 1, 2, 3, 4}, request),
+            [&](CountedNetwork::BroadcastResult&& r) {
+              result = std::move(r);
+            });
   sim.Run();
 
   ASSERT_TRUE(result.has_value());

@@ -233,6 +233,46 @@ TEST(ServiceTest, StaleReplicaBeginServesOldSnapshotSafely) {
   EXPECT_TRUE(checker.CheckAllCross({kGroup}, {}).ok);
 }
 
+/// Sends a single-group begin for kGroup from `dc` to its own service.
+sim::Task DriveBegin(Network* network, DcId dc, BeginResponse* out) {
+  const ServiceRequest request(BeginRequest{kGroup, /*cross=*/false});
+  sim::Future<CallResult> call = network->Call(dc, dc, request);
+  const CallResult result = co_await call;
+  if (result.status.ok()) *out = std::get<BeginResponse>(result.response);
+}
+
+TEST(ServiceTest, BeginAtAHoleNamesNoLeader) {
+  // dc 0 holds entries 1 and 3 but not 2, and entry 3 carries a pending
+  // cross prepare, so its read position is held at 2 — the hole. It cannot
+  // know who won position 2, so it must name no leader for position 3:
+  // naming DC 0 lets a second round-0 grant for that position go out when
+  // another datacenter leads it (ARCHITECTURE D3).
+  Cluster cluster(TestConfig("VVV"));
+  wal::WriteAheadLog* log = cluster.service(0)->GroupLog(kGroup);
+  wal::LogEntry data;
+  data.txns.push_back(wal::TxnRecord{});
+  data.txns[0].id = MakeTxnId(1, 1);
+  data.txns[0].writes.push_back({{"r", "a"}, "1"});
+  data.winner_dc = 1;
+  ASSERT_TRUE(log->SetEntry(1, data).ok());
+  wal::LogEntry prepare;
+  prepare.txns.push_back(wal::TxnRecord{});
+  prepare.txns[0].id = MakeTxnId(2, 1);
+  prepare.txns[0].kind = wal::RecordKind::kPrepare;
+  prepare.txns[0].cross_ts = 1;
+  prepare.txns[0].participants = {kGroup, "h"};
+  prepare.winner_dc = 2;
+  ASSERT_TRUE(log->SetEntry(3, prepare).ok());
+  ASSERT_FALSE(log->HasEntry(2));
+  ASSERT_EQ(log->PendingPrepares().size(), 1u);
+
+  BeginResponse begin;
+  DriveBegin(cluster.network(), 0, &begin);
+  cluster.RunToCompletion();
+  EXPECT_EQ(begin.read_pos, 2);
+  EXPECT_EQ(begin.leader_dc, kNoDc);
+}
+
 // ------------------------------------------------------ background applier
 
 TEST(BackgroundApplierTest, AppliesLogWithoutReads) {

@@ -305,37 +305,16 @@ TEST(FutureTest, SetAfterWaiterResumedIsIgnored) {
   EXPECT_TRUE(promise.IsSet());
 }
 
-TEST(FutureTest, CallbackModeDeliversThroughQueue) {
-  Simulator sim;
-  Promise<std::string> promise(&sim);
-  std::string got;
-  promise.GetFuture().OnReady([&](std::string&& v) { got = std::move(v); });
-  promise.Set("hello");
-  EXPECT_EQ(got, "");  // not yet: delivery goes through the event queue
-  sim.Run();
-  EXPECT_EQ(got, "hello");
-}
-
-TEST(FutureTest, CallbackAttachedAfterSet) {
-  Simulator sim;
-  Promise<int> promise(&sim);
-  promise.Set(5);
-  int got = 0;
-  promise.GetFuture().OnReady([&](int&& v) { got = v; });
-  sim.Run();
-  EXPECT_EQ(got, 5);
-}
-
-// ----------------------------------------------------- WhenAll / Gather --
+// ------------------------------------------------------------- Gather --
 
 Coro<int> ValueAfter(Simulator* sim, TimeMicros delay, int v) {
   co_await SleepFor(sim, delay);
   co_return v;
 }
 
-Coro<void> TouchAfter(Simulator* sim, TimeMicros delay, int* counter) {
+Coro<int> CountAfter(Simulator* sim, TimeMicros delay, int* counter) {
   co_await SleepFor(sim, delay);
-  ++*counter;
+  co_return ++*counter;
 }
 
 // NOTE: drivers take pointers, never aggregate class types by value, per the
@@ -347,53 +326,21 @@ Task DriveGather(Simulator* sim, std::vector<Coro<int>>* children,
   *done = true;
 }
 
-Task DriveWhenAll(Simulator* sim, std::vector<Coro<void>>* children,
-                  bool* done) {
-  WhenAll all(sim);
-  for (Coro<void>& child : *children) all.Add(std::move(child));
-  co_await std::move(all);
-  *done = true;
-}
-
-TEST(WhenAllTest, EmptySetCompletesThroughQueue) {
-  Simulator sim;
-  std::vector<Coro<void>> none;
-  bool done = false;
-  DriveWhenAll(&sim, &none, &done);
-  // Even an empty join resumes its waiter via the event queue, never inline.
-  EXPECT_FALSE(done);
-  sim.Run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(sim.Now(), 0);
-}
-
-TEST(WhenAllTest, CompletesWhenTheSlowestChildFinishes) {
-  Simulator sim;
-  int touched = 0;
-  std::vector<Coro<void>> kids;
-  kids.push_back(TouchAfter(&sim, 15, &touched));
-  kids.push_back(TouchAfter(&sim, 5, &touched));
-  bool done = false;
-  DriveWhenAll(&sim, &kids, &done);
-  EXPECT_FALSE(done);
-  sim.Run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(touched, 2);
-  EXPECT_EQ(sim.Now(), 15);
-}
-
-TEST(WhenAllTest, GatherEmptyYieldsEmptyVector) {
+TEST(GatherTest, EmptySetCompletesThroughQueue) {
   Simulator sim;
   std::vector<Coro<int>> none;
   std::vector<int> out{1, 2, 3};  // sentinel: must be replaced by empty
   bool done = false;
   DriveGather(&sim, &none, &out, &done);
+  // Even an empty join resumes its waiter via the event queue, never inline.
+  EXPECT_FALSE(done);
   sim.Run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(out.empty());
+  EXPECT_EQ(sim.Now(), 0);
 }
 
-TEST(WhenAllTest, SingleChild) {
+TEST(GatherTest, SingleChild) {
   Simulator sim;
   std::vector<Coro<int>> kids;
   kids.push_back(ValueAfter(&sim, 25, 42));
@@ -407,7 +354,7 @@ TEST(WhenAllTest, SingleChild) {
   EXPECT_EQ(sim.Now(), 25);
 }
 
-TEST(WhenAllTest, ResultsInInputOrderForEveryCompletionPermutation) {
+TEST(GatherTest, ResultsInInputOrderForEveryCompletionPermutation) {
   // Three children with delays assigned by permutation: whatever order they
   // complete in, Gather returns results by input index and the join fires
   // exactly when the slowest child resolves.
@@ -430,20 +377,16 @@ TEST(WhenAllTest, ResultsInInputOrderForEveryCompletionPermutation) {
   } while (std::next_permutation(perm, perm + 3));
 }
 
-TEST(WhenAllTest, DestroyedWithoutAwaitLeaksNothing) {
-  // A WhenAll/Gather abandoned before being awaited never starts its
-  // queued children; their frames are destroyed (deferred
-  // through the queue) with it. ASan verifies no frame leaks.
+TEST(GatherTest, DestroyedWithoutAwaitLeaksNothing) {
+  // A Gather abandoned before being awaited never starts its children;
+  // their frames are destroyed (deferred through the queue) with it. ASan
+  // verifies no frame leaks.
   Simulator sim;
   int touched = 0;
   {
-    WhenAll all(&sim);
-    all.Add(TouchAfter(&sim, 5, &touched));
-    all.Add(TouchAfter(&sim, 10, &touched));
-  }  // dropped without await
-  {
     std::vector<Coro<int>> kids;
-    kids.push_back(ValueAfter(&sim, 5, 1));
+    kids.push_back(CountAfter(&sim, 5, &touched));
+    kids.push_back(CountAfter(&sim, 10, &touched));
     Gather<int> g(&sim, std::move(kids));
   }  // dropped without await
   sim.Run();  // drains the deferred frame destructions
