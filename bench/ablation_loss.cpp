@@ -1,7 +1,9 @@
 // Ablation: sensitivity to message loss (the paper's UDP transport with
-// 2-second loss-detection timeouts, §6). Loss stretches tail latency (a
-// lost prepare/accept stalls that round until the timeout) but must never
-// break serializability; the invariant checker runs on every cell.
+// 2-second loss-detection timeouts, §6). Loss stretches tail latency, but
+// only where a round is still undecided: a lost prepare or accept message
+// stalls its round until the timeout unless the answers that did arrive
+// already decide it (docs/ARCHITECTURE.md, D13). Loss must never break
+// serializability; the invariant checker runs on every cell.
 #include "experiment_common.h"
 
 using namespace paxoscp;
@@ -10,8 +12,8 @@ int main(int argc, char** argv) {
   bench::PerfReporter perf(&argc, argv, "ablation_loss");
   workload::PrintExperimentHeader(
       "Ablation - message loss rate (VVV, 100 attrs, 500 txns)",
-      "repo-specific ablation; loss adds timeout stalls, never "
-      "inconsistency");
+      "repo-specific ablation; loss stalls undecided rounds until the "
+      "timeout, never causes inconsistency");
 
   std::vector<std::vector<std::string>> rows;
   for (double loss : {0.0, 0.01, 0.05, 0.10}) {

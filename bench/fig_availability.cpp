@@ -5,13 +5,14 @@
 // kills one datacenter mid-run and reports the commit rate per 10-second
 // window before / during / after the outage for basic Paxos and Paxos-CP.
 //
-// Expected shape: both protocols stay available (no window of zero commits
-// for Paxos-CP), but during the outage every commit phase waits out the
-// 2-second RPC timeout of the dead replica, so transactions pile up and
-// contention spikes; basic Paxos — which aborts every conflict loser —
-// degrades far more than Paxos-CP, which keeps combining and promoting the
-// pile-up into committed log entries. After recovery both return to their
-// baseline, and the recovered datacenter catches up via learning instances.
+// Expected shape (the paper's claim): a minority outage leaves the majority
+// committing at its fault-free rate. A Paxos round ends once the live
+// majority has decided it (docs/ARCHITECTURE.md, D13), so the dead
+// replica's 2-second RPC timeout is paid only by a round that is still
+// undecided. Paxos-CP commits in every outage window, at no less than 0.9x
+// its rate before the outage, and more than basic Paxos, which aborts
+// every conflict loser. After recovery the recovered datacenter catches up
+// via learning instances.
 //
 //   ./build/bench/fig_availability [--json <path>]
 #include "core/checker.h"
@@ -40,9 +41,8 @@ int main(int argc, char** argv) {
   workload::PrintExperimentHeader(
       "Availability - commit rate across a single-datacenter outage "
       "(VVV, dc2 down 40s-80s, 500 txns)",
-      "majority commit keeps both protocols live through the outage; "
-      "basic's commit rate collapses under the pile-up, Paxos-CP keeps "
-      "committing (paper SS1/SS5)");
+      "a minority outage leaves the majority committing at its fault-free "
+      "rate; Paxos-CP stays ahead of basic (paper SS1/SS5)");
 
   fault::FaultPlan plan;
   plan.events.push_back(
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<std::string>> rows;
   const size_t windows = std::max(basic.windows.size(), cp.windows.size());
-  workload::WindowCounts basic_outage, cp_outage;
+  workload::WindowCounts basic_outage, cp_outage, cp_before;
   bool cp_committed_every_outage_window = true;
   for (size_t i = 0; i < windows; ++i) {
     const TimeMicros window_start = static_cast<TimeMicros>(i) * kWindow;
@@ -80,6 +80,10 @@ int main(int argc, char** argv) {
     // RunStats since the unification), so columns stay internally
     // consistent (read-only commits are ~1/1024 of this workload, but a
     // commit is a commit).
+    if (Phase(window_start)[0] == 'u') {
+      cp_before.attempted += c.attempted;
+      cp_before.committed += c.committed + c.read_only;
+    }
     if (Phase(window_start)[0] == 'D') {
       basic_outage.attempted += b.attempted;
       basic_outage.committed += b.committed + b.read_only;
@@ -115,15 +119,22 @@ int main(int argc, char** argv) {
       cp_outage.committed > 0 && cp_committed_every_outage_window;
   const bool cp_beats_basic_during_outage =
       cp_outage.committed > basic_outage.committed;
+  // The live majority keeps its fault-free rate: the dead replica costs a
+  // round its timeout only while the round is undecided.
+  const bool cp_keeps_its_rate =
+      cp_outage.CommitRate() >= 0.9 * cp_before.CommitRate();
   std::printf(
-      "\nduring outage: basic committed %d/%d, Paxos-CP committed %d/%d "
+      "\nbefore outage: Paxos-CP committed %d/%d\n"
+      "during outage: basic committed %d/%d, Paxos-CP committed %d/%d "
       "-> %s\n",
-      basic_outage.committed, basic_outage.attempted, cp_outage.committed,
-      cp_outage.attempted,
-      cp_available_throughout && cp_beats_basic_during_outage
-          ? "Paxos-CP stays available and ahead (paper SS5 shape)"
+      cp_before.committed, cp_before.attempted, basic_outage.committed,
+      basic_outage.attempted, cp_outage.committed, cp_outage.attempted,
+      cp_available_throughout && cp_beats_basic_during_outage &&
+              cp_keeps_its_rate
+          ? "Paxos-CP stays available, at its fault-free rate, and ahead "
+            "(paper SS5 shape)"
           : "UNEXPECTED: availability shape not reproduced");
   const bool ok = basic.check.ok && cp.check.ok && cp_available_throughout &&
-                  cp_beats_basic_during_outage;
+                  cp_beats_basic_during_outage && cp_keeps_its_rate;
   return ok ? 0 : 1;
 }

@@ -14,7 +14,9 @@
 //
 // Every call resolves a sim::Future, which its caller consumes by awaiting
 // it (sim/coro.h). Broadcast gathers its targets' results with one small
-// detached Task per target that awaits that target's call.
+// detached Task per target that awaits that target's call, and resolves once
+// every target answered or timed out, or sooner, once the caller's settle
+// predicate holds on the answers so far (docs/ARCHITECTURE.md, D13).
 #pragma once
 
 #include <cassert>
@@ -243,6 +245,8 @@ class Network : public NetworkBase {
       std::function<sim::Coro<Response>(DcId from, const Request* request)>;
   using CallFuture = sim::Future<CallResult<Response>>;
   using BroadcastResult = std::vector<TargetResult<Response>>;
+  /// Whether a broadcast's answers so far decide it (see Broadcast).
+  using Settle = std::function<bool(const BroadcastResult&)>;
 
   Network(sim::Simulator* sim, std::vector<std::vector<TimeMicros>> rtt_matrix,
           NetworkOptions options)
@@ -283,13 +287,17 @@ class Network : public NetworkBase {
 
   /// Multicast, resolved once every target has responded or timed out —
   /// the paper's client keeps collecting votes until the timeout window
-  /// closes, so it sees "more than a simple majority" of responses (§5).
-  /// The result vector is ordered as `targets`.
+  /// closes, so it sees "more than a simple majority" of responses (§5) —
+  /// or, when `settle` is given, at the first response after which
+  /// `settle` holds on the results so far. Targets still in flight then
+  /// read Unavailable; their answers still arrive, and are dropped. The
+  /// result vector is ordered as `targets`.
   sim::Future<BroadcastResult> Broadcast(DcId from,
                                          const std::vector<DcId>& targets,
                                          const Request& request,
                                          TimeMicros timeout = 0,
-                                         DelayStream* stream = nullptr);
+                                         DelayStream* stream = nullptr,
+                                         Settle settle = nullptr);
 
  private:
   /// One copy of a request, from departure to its response leg. The
@@ -310,14 +318,19 @@ class Network : public NetworkBase {
   };
 
   /// One Broadcast in progress: the caller's promise, a result slot per
-  /// target (in target order) and how many targets are still unresolved.
+  /// target (in target order, Unavailable until the target resolves), how
+  /// many targets are still unresolved, and the caller's settle predicate.
   struct Aggregator {
-    Aggregator(sim::Promise<BroadcastResult> p, size_t n)
-        : promise(std::move(p)), results(n), unresolved(n) {}
+    Aggregator(sim::Promise<BroadcastResult> p, size_t n, Settle s)
+        : promise(std::move(p)),
+          results(n),
+          unresolved(n),
+          settle(std::move(s)) {}
 
     sim::Promise<BroadcastResult> promise;
     BroadcastResult results;
     size_t unresolved;
+    Settle settle;
   };
 
   CallFuture Send(DcId from, DcId to, std::shared_ptr<const Request> request,
@@ -330,8 +343,10 @@ class Network : public NetworkBase {
   /// trivially destructible (sim/coro.h).
   sim::Task Serve(Delivery* raw);
   /// Awaits target `index`'s call and fills its slot of `agg`; the last
-  /// target to resolve completes the broadcast. A result reaches the slot
-  /// through one queued event and the broadcast's waiter through one more.
+  /// target to resolve, or the first after which the settle predicate
+  /// holds, completes the broadcast, and later results are dropped. A
+  /// result reaches the slot through one queued event and the broadcast's
+  /// waiter through one more.
   static sim::Task Collect(CallFuture call, std::shared_ptr<Aggregator> agg,
                            size_t index);
 
@@ -445,15 +460,19 @@ auto Network<Request, Response>::Broadcast(DcId from,
                                            const std::vector<DcId>& targets,
                                            const Request& request,
                                            TimeMicros timeout,
-                                           DelayStream* stream)
+                                           DelayStream* stream, Settle settle)
     -> sim::Future<BroadcastResult> {
   sim::Promise<BroadcastResult> promise(sim_);
   if (targets.empty()) {
     promise.Set(BroadcastResult{});
     return promise.GetFuture();
   }
-  auto agg = std::make_shared<Aggregator>(promise, targets.size());
-  for (size_t i = 0; i < targets.size(); ++i) agg->results[i].dc = targets[i];
+  auto agg = std::make_shared<Aggregator>(promise, targets.size(),
+                                          std::move(settle));
+  for (size_t i = 0; i < targets.size(); ++i) {
+    agg->results[i].dc = targets[i];
+    agg->results[i].status = Status::Unavailable("in flight");
+  }
 
   std::vector<CallFuture> calls =
       Multicast(from, targets, request, timeout, stream);
@@ -468,9 +487,12 @@ sim::Task Network<Request, Response>::Collect(CallFuture call,
                                               std::shared_ptr<Aggregator> agg,
                                               size_t index) {
   CallResult<Response> result = co_await call;
+  if (agg->promise.IsSet()) co_return;  // settled without this target
   agg->results[index].status = std::move(result.status);
   agg->results[index].response = std::move(result.response);
-  if (--agg->unresolved == 0) agg->promise.Set(std::move(agg->results));
+  if (--agg->unresolved == 0 || (agg->settle && agg->settle(agg->results))) {
+    agg->promise.Set(std::move(agg->results));
+  }
 }
 
 }  // namespace paxoscp::net

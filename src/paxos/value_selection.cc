@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 
 namespace paxoscp::paxos {
 
@@ -85,51 +86,44 @@ SelectionDecision EnhancedFindWinningValue(const std::vector<LastVote>& votes,
                                            const wal::LogEntry& own,
                                            const CombinePolicy& policy) {
   const int d = total_datacenters;
-  // Tally votes per distinct value (by fingerprint) — used for the
-  // combination window — and per (ballot, value) pair — used for the
-  // promotion trigger. The paper promotes whenever one value has more than
-  // D/2 votes across any mix of ballots, but only a majority of votes at
-  // the *same* ballot proves the value is chosen (votes for one value cast
-  // at different ballots can still lose to a competing adoption), so we
-  // promote on the sound same-ballot condition and otherwise fall through
-  // to the basic rule, which drives the instance to its decided outcome —
-  // after which the client promotes with certainty (see
-  // docs/ARCHITECTURE.md, note D1).
+  // The paper promotes whenever one value has more than D/2 votes across
+  // any mix of ballots, but only a majority of votes at the *same* ballot
+  // proves the value is chosen (votes for one value cast at different
+  // ballots can still lose to a competing adoption), so we promote on the
+  // sound same-ballot condition and otherwise fall through to the basic
+  // rule, which drives the instance to its decided outcome — after which
+  // the client promotes with certainty (see docs/ARCHITECTURE.md, note D1).
+  const wal::LogEntry* chosen =
+      ChosenAtOneBallot(votes, d / 2 + 1, [](const LastVote& v) {
+        return std::pair(v.ballot, v.value ? &*v.value : nullptr);
+      });
+  const bool own_in_chosen =
+      chosen != nullptr && !own.txns.empty() &&
+      std::all_of(own.txns.begin(), own.txns.end(),
+                  [&](const wal::TxnRecord& t) {
+                    // Id AND kind: a recovery decide reuses the id of the
+                    // prepare it resolves, and must read as a loss here.
+                    return chosen->ContainsRecord(t.id, t.kind);
+                  });
+  SelectionDecision decision;
+  if (chosen != nullptr && !own_in_chosen) {
+    decision.kind = SelectionKind::kLost;
+    decision.value = *chosen;
+    return decision;
+  }
+
+  // Tally votes per distinct value (by fingerprint) for the combination
+  // window.
   std::map<uint64_t, int> tally;
   std::map<uint64_t, const wal::LogEntry*> values;
-  std::map<std::pair<int64_t, uint64_t>, int> ballot_tally;
-  int max_same_ballot = 0;
-  const wal::LogEntry* same_ballot_value = nullptr;
   for (const LastVote& v : votes) {
     if (!v.value.has_value()) continue;
     const uint64_t fp = v.value->Fingerprint();
     tally[fp]++;
     values[fp] = &*v.value;
-    const int n = ++ballot_tally[{v.ballot.round * 1000 + v.ballot.proposer,
-                                  fp}];
-    if (n > max_same_ballot) {
-      max_same_ballot = n;
-      same_ballot_value = &*v.value;
-    }
   }
   int max_votes = 0;
   for (const auto& [fp, count] : tally) max_votes = std::max(max_votes, count);
-
-  SelectionDecision decision;
-  const bool own_in_same_ballot_value =
-      same_ballot_value != nullptr && !own.txns.empty() &&
-      std::all_of(own.txns.begin(), own.txns.end(),
-                  [&](const wal::TxnRecord& t) {
-                    // Id AND kind: a recovery decide reuses the id of the
-                    // prepare it resolves, and must read as a loss here.
-                    return same_ballot_value->ContainsRecord(t.id, t.kind);
-                  });
-  if (max_same_ballot > d / 2 && !own_in_same_ballot_value) {
-    // A majority voted for this value at one ballot: it is decided.
-    decision.kind = SelectionKind::kLost;
-    decision.value = *same_ballot_value;
-    return decision;
-  }
 
   if (max_votes + (d - responses_received) <= d / 2) {
     // No value can have reached a majority: the proposer may choose freely,

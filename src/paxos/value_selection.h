@@ -4,6 +4,7 @@
 // unit-testable without a network.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -19,6 +20,38 @@ struct LastVote {
   Ballot ballot;                          // null if the acceptor never voted
   std::optional<wal::LogEntry> value;     // nullopt == bottom
 };
+
+/// The same-ballot test (docs/ARCHITECTURE.md, D1): the value that at least
+/// `majority` of `votes` carry at one ballot, which is therefore chosen, or
+/// null when no ballot has such a majority. `vote_of(element)` yields its
+/// (Ballot, const wal::LogEntry*) pair, the value null for bottom or for an
+/// element that carries no vote. Votes are counted per ballot first, and
+/// values are compared only at a ballot that a majority voted at.
+template <typename Votes, typename VoteOf>
+const wal::LogEntry* ChosenAtOneBallot(const Votes& votes, int majority,
+                                       VoteOf vote_of) {
+  for (auto it = votes.begin(); it != votes.end(); ++it) {
+    const auto [ballot, value] = vote_of(*it);
+    if (value == nullptr) continue;
+    int at_ballot = 0;
+    for (auto later = it; later != votes.end(); ++later) {
+      const auto [b, v] = vote_of(*later);
+      if (v != nullptr && b == ballot) ++at_ballot;
+    }
+    if (at_ballot < majority) continue;
+    const uint64_t fingerprint = value->Fingerprint();
+    int same_value = 0;
+    for (auto later = it; later != votes.end(); ++later) {
+      const auto [b, v] = vote_of(*later);
+      if (v != nullptr && b == ballot &&
+          (v == value || v->Fingerprint() == fingerprint)) {
+        ++same_value;
+      }
+    }
+    if (same_value >= majority) return value;
+  }
+  return nullptr;
+}
 
 /// Basic Paxos: the value of the highest-ballot vote, or nullopt when every
 /// response carried bottom (in which case the proposer is free to use its

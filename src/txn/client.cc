@@ -1,6 +1,7 @@
 #include "txn/client.h"
 
 #include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 #include "paxos/value_selection.h"
@@ -67,9 +68,11 @@ sim::Coro<CallResult> TransactionClient::CallWithFailover(
 }
 
 sim::Coro<BroadcastResult> TransactionClient::BroadcastToAll(
-    const ServiceRequest* request, net::DelayStream* stream) {
+    const ServiceRequest* request, net::DelayStream* stream,
+    Network::Settle settle) {
   co_return co_await network_->Broadcast(home_, all_dcs_, *request,
-                                         /*timeout=*/0, stream);
+                                         /*timeout=*/0, stream,
+                                         std::move(settle));
 }
 
 sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
@@ -249,7 +252,8 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
                                   paxos::Ballot* max_seen,
                                   net::DelayStream* stream) {
   ServiceRequest accept_request = AcceptRequest{group, pos, ballot, *proposal};
-  BroadcastResult aresults = co_await BroadcastToAll(&accept_request, stream);
+  BroadcastResult aresults = co_await BroadcastToAll(
+      &accept_request, stream, AcceptSettle(majority_));
   if (TallyAccepts(aresults, max_seen) < majority_) co_return std::nullopt;
 
   // Decided. Send apply to every replica (Step 5). The outcome does not
@@ -305,8 +309,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
     // Prepare phase (Step 1/2).
     ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
-    BroadcastResult presults =
-        co_await BroadcastToAll(&prepare_request, stream);
+    BroadcastResult presults = co_await BroadcastToAll(
+        &prepare_request, stream, PrepareSettle(majority_));
     PrepareTally prepares = TallyPrepares(&presults, &max_seen);
 
     // Catch-up short circuit: a replica already knows the decided value.

@@ -284,8 +284,12 @@ class TransactionClient {
   sim::Coro<CallResult> CallWithFailover(const ServiceRequest* request,
                                          net::DelayStream* stream = nullptr);
 
+  /// Broadcasts to every datacenter; the round ends once `settle` holds
+  /// on the responses so far (D13), or once every replica has answered or
+  /// timed out.
   sim::Coro<BroadcastResult> BroadcastToAll(const ServiceRequest* request,
-                                            net::DelayStream* stream);
+                                            net::DelayStream* stream,
+                                            Network::Settle settle);
 
   /// Algorithm 2's backoff between Paxos rounds, drawn from `stream`, or
   /// from the client's RNG when it is null.

@@ -1,6 +1,7 @@
 #include "txn/messages.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace paxoscp::txn {
 
@@ -52,6 +53,41 @@ int TallyAccepts(const BroadcastResult& results, paxos::Ballot* max_seen) {
     }
   }
   return accepted;
+}
+
+Network::Settle AcceptSettle(int majority) {
+  return [majority](const BroadcastResult& results) {
+    paxos::Ballot unused;
+    return TallyAccepts(results, &unused) >= majority;
+  };
+}
+
+namespace {
+
+/// A prepare response's vote as the same-ballot test reads it: the value is
+/// null for bottom, a refusal, or a response still in flight.
+std::pair<paxos::Ballot, const wal::LogEntry*> PromisedVote(
+    const net::TargetResult<ServiceResponse>& target) {
+  if (!target.status.ok()) return {};
+  const paxos::PrepareResult& pr =
+      std::get<PrepareResponse>(target.response).result;
+  if (!pr.promised || !pr.vote_value.has_value()) return {};
+  return {pr.vote_ballot, &*pr.vote_value};
+}
+
+}  // namespace
+
+Network::Settle PrepareSettle(int majority) {
+  return [majority](const BroadcastResult& results) {
+    for (const net::TargetResult<ServiceResponse>& target : results) {
+      if (!target.status.ok()) continue;
+      if (std::get<PrepareResponse>(target.response).result.decided) {
+        return true;
+      }
+    }
+    return paxos::ChosenAtOneBallot(results, majority, PromisedVote) !=
+           nullptr;
+  };
 }
 
 }  // namespace paxoscp::txn

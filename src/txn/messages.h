@@ -172,4 +172,18 @@ PrepareTally TallyPrepares(BroadcastResult* results, paxos::Ballot* max_seen);
 /// `*max_seen` to its next_bal.
 int TallyAccepts(const BroadcastResult& results, paxos::Ballot* max_seen);
 
+// The settle rules (docs/ARCHITECTURE.md, D13): when the responses so far
+// decide a round, so its broadcast stops waiting for the rest. Responses
+// still in flight read non-OK, which the rules and the tallies skip.
+
+/// An accept round is decided once `majority` replicas accepted.
+Network::Settle AcceptSettle(int majority);
+
+/// A prepare round is decided once a replica reports the decided value, or
+/// once `majority` promises carry one value at one ballot (D1), which is
+/// then chosen. Nothing else settles it: with bottoms or split votes the
+/// client keeps collecting, since §5's combination needs to see that no
+/// value can have reached a majority.
+Network::Settle PrepareSettle(int majority);
+
 }  // namespace paxoscp::txn

@@ -582,7 +582,8 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
     // Prepare phase: discover the decided value or the highest vote.
     const ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
     BroadcastResult presults =
-        co_await network_->Broadcast(dc_, all, prepare_request);
+        co_await network_->Broadcast(dc_, all, prepare_request, /*timeout=*/0,
+                                     nullptr, PrepareSettle(majority));
     paxos::Ballot max_seen = ballot;
     PrepareTally prepares = TallyPrepares(&presults, &max_seen);
     if (prepares.decided.has_value()) {
@@ -603,7 +604,8 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
       const ServiceRequest accept_request =
           AcceptRequest{group, pos, ballot, *winning};
       BroadcastResult aresults =
-          co_await network_->Broadcast(dc_, all, accept_request);
+          co_await network_->Broadcast(dc_, all, accept_request, /*timeout=*/0,
+                                       nullptr, AcceptSettle(majority));
       if (TallyAccepts(aresults, &max_seen) >= majority) {
         // Decided: propagate the outcome (nobody awaits the
         // acknowledgements) and record it.

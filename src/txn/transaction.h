@@ -61,8 +61,10 @@ struct CommitResult {
 /// Knobs of the client commit protocol. Defaults reproduce the paper's
 /// configuration; every field is one some bench or test varies. What the
 /// paper fixes is not a knob: a message times out after the network's
-/// default (two seconds, §2.2), a broadcast waits for every target, and the
-/// sleep between Paxos rounds is uniform in [5, 50) ms (Algorithm 2).
+/// default (two seconds, §2.2), a Paxos round keeps collecting answers
+/// until every replica answered or timed out unless the answers so far
+/// decide it (§5, docs/ARCHITECTURE.md D13), and the sleep between Paxos
+/// rounds is uniform in [5, 50) ms (Algorithm 2).
 struct ClientOptions {
   /// Basic Paxos or Paxos-CP (the figure benches compare both).
   Protocol protocol = Protocol::kPaxosCP;

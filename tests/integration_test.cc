@@ -224,7 +224,7 @@ TEST(IntegrationTest, FiveReplicaCommit) {
 
 TEST(IntegrationTest, CommitSurvivesMinorityOutage) {
   // One of three datacenters is down; commits must still succeed (majority
-  // alive), paying the straggler timeout.
+  // alive).
   Cluster cluster(TestConfig("VVV"));
   ASSERT_TRUE(cluster.LoadInitialRow(kGroup, kRow, {{"a", "0"}}).ok());
   cluster.SetDatacenterDown(2, true);
@@ -248,6 +248,44 @@ TEST(IntegrationTest, CommitSurvivesMinorityOutage) {
   // stayed consistent.
   Checker checker(&cluster);
   EXPECT_TRUE(checker.CheckAllCross({kGroup}, {}).ok);
+}
+
+/// Commits one write-only transaction from dc 0 of a fresh VVV cluster
+/// whose dc 2 is down, checks the replicas, and returns the outcome.
+CommitResult CommitWithDc2Down(bool leader_optimization) {
+  Cluster cluster(TestConfig("VVV"));
+  EXPECT_TRUE(cluster.LoadInitialRow(kGroup, kRow, {{"a", "0"}}).ok());
+  cluster.SetDatacenterDown(2, true);
+  ClientOptions options = OptionsFor(Protocol::kPaxosCP);
+  options.leader_optimization = leader_optimization;
+  Session client = cluster.CreateSession(0, options);
+  CommitResult result;
+  RunSimpleTxn(&client, "", "a", "1", &result);
+  cluster.RunToCompletion();
+  Checker checker(&cluster);
+  const core::CheckReport report = checker.CheckAllCross({kGroup}, {});
+  EXPECT_TRUE(report.ok) << report.ToString();
+  return result;
+}
+
+TEST(IntegrationTest, DecidedRoundDoesNotWaitForADeadReplica) {
+  // The fast-path accept is decided once dc 0 and dc 1 accepted (D13), so
+  // the commit does not wait out dc 2's 2 s timeout.
+  const CommitResult result = CommitWithDc2Down(/*leader_optimization=*/true);
+  ASSERT_TRUE(result.committed) << result.status.ToString();
+  EXPECT_TRUE(result.fast_path);
+  EXPECT_LT(result.latency, 50 * kMillisecond);
+}
+
+TEST(IntegrationTest, UndecidedPrepareKeepsCollectingUntilTheTimeout) {
+  // Without the fast path, the first commit at a fresh position prepares
+  // and sees only bottom votes. Nothing is decided, so the client keeps
+  // collecting votes (§5) until dc 2's timeout before it proposes.
+  const CommitResult result =
+      CommitWithDc2Down(/*leader_optimization=*/false);
+  ASSERT_TRUE(result.committed) << result.status.ToString();
+  EXPECT_FALSE(result.fast_path);
+  EXPECT_GE(result.latency, 2 * kSecond);
 }
 
 TEST(IntegrationTest, MajorityOutageBlocksCommit) {

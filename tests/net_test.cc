@@ -199,6 +199,89 @@ TEST_F(NetworkTest, BroadcastCostsFourEventsPerTargetAndOneResume) {
   EXPECT_EQ(sim_.EventsExecuted(), 16u);
 }
 
+/// What the awaiting side of a broadcast saw when it resumed.
+struct Resumed {
+  std::optional<StringBroadcast> result;
+  TimeMicros at = -1;
+  uint64_t event = 0;
+};
+
+/// Broadcasts from dc 0 to dcs 0-2, whose answers arrive at about 1, 10 and
+/// 30 ms, and records when the awaiting coroutine resumed and what it got.
+Resumed BroadcastToStaggeredTargets(StringNetwork::Settle settle,
+                                    int* settle_calls) {
+  sim::Simulator sim;
+  NetworkOptions options;
+  options.latency_jitter = 0;
+  const std::vector<std::vector<TimeMicros>> rtt = {
+      {1000, 10 * kMillisecond, 30 * kMillisecond},
+      {10 * kMillisecond, 1000, kRtt},
+      {30 * kMillisecond, kRtt, 1000}};
+  StringNetwork network(&sim, rtt, options);
+  for (DcId dc = 0; dc < 3; ++dc) network.RegisterEndpoint(dc, EchoHandler(dc));
+  Resumed resumed;
+  AwaitThen(network.Broadcast(0, {0, 1, 2}, "hi", /*timeout=*/0, nullptr,
+                              [&, settle](const StringBroadcast& so_far) {
+                                ++*settle_calls;
+                                return settle(so_far);
+                              }),
+            [&](StringBroadcast&& r) {
+              resumed.result = std::move(r);
+              resumed.at = sim.Now();
+              resumed.event = sim.EventsExecuted();
+            });
+  sim.Run();
+  // Every target's four events and its timeout ran, as without a settle
+  // predicate (BroadcastCostsFourEventsPerTargetAndOneResume).
+  EXPECT_EQ(sim.EventsExecuted(), 16u);
+  EXPECT_EQ(network.messages_sent(), 6u);
+  return resumed;
+}
+
+TEST(NetworkSettleTest, ResolvesInTheEventOfTheDecidingResponse) {
+  int calls = 0;
+  const Resumed resumed = BroadcastToStaggeredTargets(
+      [](const StringBroadcast& so_far) {
+        int answered = 0;
+        for (const auto& t : so_far) answered += t.status.ok() ? 1 : 0;
+        return answered >= 2;
+      },
+      &calls);
+  // dc 1's answer (10 ms) satisfies the predicate: the awaiting coroutine
+  // resumes in the event right after dc 1's result reached the broadcast
+  // (events 1-4 serve dc 0, 5-8 dc 1), not after dc 2's at 30 ms.
+  EXPECT_EQ(calls, 2);
+  EXPECT_GE(resumed.at, 10 * kMillisecond);
+  EXPECT_LT(resumed.at, 11 * kMillisecond);
+  EXPECT_EQ(resumed.event, 9u);
+  ASSERT_TRUE(resumed.result.has_value());
+  const StringBroadcast& result = *resumed.result;
+  ASSERT_EQ(result.size(), 3u);
+  EXPECT_EQ(result[0].response, "0:hi");
+  EXPECT_EQ(result[1].response, "1:hi");
+  // dc 2 was still in flight: its slot reads non-OK and keeps reading so
+  // after its answer arrived and was dropped.
+  EXPECT_EQ(result[2].dc, 2);
+  EXPECT_TRUE(result[2].status.IsUnavailable()) << result[2].status.ToString();
+  EXPECT_TRUE(result[2].response.empty());
+}
+
+TEST(NetworkSettleTest, UnsatisfiedPredicateWaitsForEveryTarget) {
+  int calls = 0;
+  const Resumed resumed = BroadcastToStaggeredTargets(
+      [](const StringBroadcast&) { return false; }, &calls);
+  // Consulted after each of the first two answers; the last one completes
+  // the broadcast whatever the predicate says.
+  EXPECT_EQ(calls, 2);
+  EXPECT_GE(resumed.at, 30 * kMillisecond);
+  EXPECT_EQ(resumed.event, 13u);
+  ASSERT_TRUE(resumed.result.has_value());
+  for (const auto& t : *resumed.result) {
+    EXPECT_TRUE(t.status.ok()) << t.dc;
+    EXPECT_EQ(t.response, std::to_string(t.dc) + ":hi");
+  }
+}
+
 TEST_F(NetworkTest, MessageStatsCount) {
   Build(2);
   network_->Call(0, 1, "x");
