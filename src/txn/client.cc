@@ -1,5 +1,6 @@
 #include "txn/client.h"
 
+#include <iterator>
 #include <numeric>
 #include <utility>
 
@@ -195,10 +196,11 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
 
   LogPos pos = txn.read_pos + 1;  // commit position = read position + 1
   DcId leader = txn.leader_dc;
+  DecidedRun run;
 
   for (;;) {
-    InstanceOutcome outcome =
-        co_await RunInstance(txn.group, pos, &own, leader, state->stream);
+    InstanceOutcome outcome = co_await RunInstance(txn.group, pos, &own,
+                                                   leader, &run, state->stream);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) {
       result.status =
           Status::Unavailable("commit protocol could not reach a quorum");
@@ -261,19 +263,25 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
   // does, Commit's barrier on a decide entry (AwaitDecideApplied).
   const ServiceRequest apply_request =
       ApplyRequest{group, pos, ballot, *proposal};
-  InstanceOutcome outcome;
+  InstanceOutcome outcome = Decided(*proposal, own_id, own_kind);
   outcome.applied = network_->Multicast(home_, all_dcs_, apply_request,
                                         /*timeout=*/0, stream);
-  outcome.kind = proposal->ContainsRecord(own_id, own_kind)
+  co_return outcome;
+}
+
+TransactionClient::InstanceOutcome TransactionClient::Decided(
+    wal::LogEntry decided, TxnId own_id, wal::RecordKind own_kind) {
+  InstanceOutcome outcome;
+  outcome.kind = decided.ContainsRecord(own_id, own_kind)
                      ? InstanceOutcome::Kind::kWon
                      : InstanceOutcome::Kind::kLost;
-  outcome.decided = *proposal;
-  co_return outcome;
+  outcome.decided = std::move(decided);
+  return outcome;
 }
 
 sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     std::string group, LogPos pos, const wal::LogEntry* own, DcId leader_dc,
-    net::DelayStream* stream) {
+    DecidedRun* run, net::DelayStream* stream) {
   const TxnId own_id = own->txns.front().id;
   // Won/lost is judged on (id, kind), not id alone: a recovery daemon's
   // forced-abort decide carries the txn id of the prepare it resolves, and
@@ -281,6 +289,17 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
   // prepare would commit above a canonical abort (split-brain).
   const wal::RecordKind own_kind = own->txns.front().kind;
   paxos::Ballot max_seen;  // null
+
+  // Decided-run short circuit (D14): an earlier refused claim of this walk
+  // returned this position's entry. Served only at the run's own position.
+  if (run->pos != pos) run->entries.clear();
+  if (!run->entries.empty()) {
+    InstanceOutcome outcome =
+        Decided(std::move(run->entries.front()), own_id, own_kind);
+    run->entries.pop_front();
+    ++run->pos;
+    co_return outcome;
+  }
 
   // Leader fast path (§4.1): ask the leader of this position whether we are
   // first; if so, skip the prepare phase and propose with ballot round 0.
@@ -291,16 +310,25 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     const ServiceRequest claim_request = ClaimLeaderRequest{group, pos};
     CallResult claim = co_await network_->Call(home_, leader_dc, claim_request,
                                                /*timeout=*/0, stream);
-    if (claim.status.ok() &&
-        std::get<ClaimLeaderResponse>(claim.response).granted) {
-      std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
-          group, pos, paxos::Ballot{0, home_}, own, own_id, own_kind,
-          &max_seen, stream);
-      if (outcome.has_value()) {
-        outcome->fast_path = true;
-        co_return *std::move(outcome);
+    if (claim.status.ok()) {
+      auto& reply = std::get<ClaimLeaderResponse>(claim.response);
+      if (reply.granted) {
+        std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
+            group, pos, paxos::Ballot{0, home_}, own, own_id, own_kind,
+            &max_seen, stream);
+        if (outcome.has_value()) {
+          outcome->fast_path = true;
+          co_return *std::move(outcome);
+        }
+        // Contention: fall through to the full protocol.
+      } else if (!reply.run.empty()) {
+        // Refused by a leader that holds this position's entry: it answers
+        // the position, and the entries after it wait in the run.
+        run->pos = pos + 1;
+        run->entries.assign(std::make_move_iterator(reply.run.begin() + 1),
+                            std::make_move_iterator(reply.run.end()));
+        co_return Decided(std::move(reply.run.front()), own_id, own_kind);
       }
-      // Contention: fall through to the full protocol.
     }
   }
 
@@ -315,12 +343,7 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
     // Catch-up short circuit: a replica already knows the decided value.
     if (prepares.decided.has_value()) {
-      InstanceOutcome outcome;
-      outcome.kind = prepares.decided->ContainsRecord(own_id, own_kind)
-                         ? InstanceOutcome::Kind::kWon
-                         : InstanceOutcome::Kind::kLost;
-      outcome.decided = *std::move(prepares.decided);
-      co_return outcome;
+      co_return Decided(*std::move(prepares.decided), own_id, own_kind);
     }
 
     if (prepares.promised() < majority_) {

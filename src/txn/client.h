@@ -11,6 +11,7 @@
 // transaction per group per client, paper §2.2) via `active_groups_`.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -98,6 +99,22 @@ class TransactionClient {
     /// without applying it: a replica already knew it, or a competing
     /// value certainly won before the accept phase.
     std::vector<CallFuture> applied;
+  };
+
+  /// The outcome of an instance whose decided entry is `decided`: kWon iff
+  /// it holds a record with own id AND own kind (see RunInstance), else
+  /// kLost, with no apply acknowledgements.
+  static InstanceOutcome Decided(wal::LogEntry decided, TxnId own_id,
+                                 wal::RecordKind own_kind);
+
+  /// Decided entries a refused leader claim returned (D14), not yet walked:
+  /// `entries.front()` is the entry at `pos`, the next at pos + 1, and so
+  /// on. Owned by the frame of the walking caller (CommitTxn,
+  /// PrepareCrossLeg or ProposeDecide), which hands it to every RunInstance
+  /// of its walk.
+  struct DecidedRun {
+    LogPos pos = 0;
+    std::deque<wal::LogEntry> entries;
   };
 
   /// Starts a transaction on `group` (paper step 1): reserves the
@@ -255,9 +272,13 @@ class TransactionClient {
   /// leader fast path, and — for Paxos-CP — combination via
   /// EnhancedFindWinningValue. `leader_dc` is the leader of `pos` (the
   /// winner of the entry at pos - 1, DC 0 for position 1); kNoDc skips the
-  /// fast path. Every message of the instance, and its backoff between
-  /// rounds, draws from `stream`: a cross-group leg's (LegStream), or null
-  /// for the shared streams of a single-group commit.
+  /// fast path. `*run` is the walk's decided run (D14): when its first entry
+  /// is at `pos`, that entry answers the position and no message is sent;
+  /// a run at any other position is dropped. A refused claim refills it
+  /// with the leader's log from `pos` on and answers `pos` from it. Every
+  /// message of the instance, and its backoff between rounds, draws from
+  /// `stream`: a cross-group leg's (LegStream), or null for the shared
+  /// streams of a single-group commit.
   // NOTE on coroutine parameters: never references (a caller temporary
   // bound to a reference parameter dies before the frame does) and never
   // aggregate class types by value (miscompiled parameter-copy lifetime on
@@ -266,7 +287,7 @@ class TransactionClient {
   // the child.
   sim::Coro<InstanceOutcome> RunInstance(std::string group, LogPos pos,
                                          const wal::LogEntry* own,
-                                         DcId leader_dc,
+                                         DcId leader_dc, DecidedRun* run,
                                          net::DelayStream* stream);
 
   /// Accept + apply with a given ballot and value. Returns kWon/kLost when

@@ -388,9 +388,10 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
   DcId leader = leg.txn.leader_dc;
   out.decide_floor = pos;
   out.decide_leader = leader;
+  DecidedRun run;
   for (;;) {
     InstanceOutcome outcome =
-        co_await RunInstance(group, pos, &own, leader, leg.stream);
+        co_await RunInstance(group, pos, &own, leader, &run, leg.stream);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) {
       out.kind = CrossPrepareOutcome::Kind::kUnavailable;
       out.detail = "prepare on '" + group + "' reached no quorum";
@@ -478,9 +479,10 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
   // partition), and a walk that gives up inside the decided prefix would
   // leave the pending prepare holding the group's read frontier forever.
   constexpr int kMaxDecideWalk = 1 << 16;
+  DecidedRun run;
   for (int step = 0; step < kMaxDecideWalk; ++step) {
     InstanceOutcome outcome =
-        co_await RunInstance(group, pos, &own, leader, stream);
+        co_await RunInstance(group, pos, &own, leader, &run, stream);
     if (outcome.kind == InstanceOutcome::Kind::kUnavailable) co_return out;
     // First decide for this transaction in the walk — ours or someone
     // else's — is the decision (walks start at or below every possible

@@ -129,12 +129,19 @@ struct ApplyResponse {
 
 /// Leader fast-path claim (paper §4.1): the first claimant of a position at
 /// the leader datacenter may skip the prepare phase and use ballot round 0.
+/// A refused claim also returns `run`: the decided entries the leader holds
+/// from `pos` up to its first missing position, so a proposer that lost
+/// those positions long ago promotes through them without a Paxos round
+/// (D14). A grant carries no run.
 struct ClaimLeaderRequest {
   std::string group;
   LogPos pos = 0;
 };
 struct ClaimLeaderResponse {
   bool granted = false;
+  /// Refusals only: the entries at pos, pos + 1, ... (empty when the leader
+  /// does not hold the entry at pos).
+  std::vector<wal::LogEntry> run;
 };
 
 using ServiceRequest =

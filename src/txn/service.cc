@@ -208,6 +208,18 @@ sim::Coro<ServiceResponse> TransactionService::HandleClaimLeader(
   GroupState* gs = Group(request->group);
   ClaimLeaderResponse response;
   response.granted = gs->acceptor.TryClaimLeadership(request->pos);
+  if (!response.granted) {
+    // A refusal reads the decided log from the claimed position on (D14):
+    // one more storage operation, charged like the claim itself. It grants
+    // nothing and touches no acceptor state; every entry it returns is
+    // decided.
+    co_await sim::SleepFor(network_->simulator(), model_.claim);
+    for (LogPos pos = request->pos;; ++pos) {
+      Result<wal::LogEntry> entry = gs->log.GetEntry(pos);
+      if (!entry.ok()) break;
+      response.run.push_back(*std::move(entry));
+    }
+  }
   co_return ServiceResponse(std::move(response));
 }
 

@@ -171,6 +171,10 @@ class TransactionService {
   sim::Coro<ServiceResponse> HandlePrepare(const PrepareRequest* request);
   sim::Coro<ServiceResponse> HandleAccept(const AcceptRequest* request);
   sim::Coro<ServiceResponse> HandleApply(const ApplyRequest* request);
+  /// Grants round 0 of `pos` to its first claimant for one `claim` of
+  /// service time. A refusal costs a second `claim` and returns the decided
+  /// entries this replica holds from `pos` up to its first missing one
+  /// (D14).
   sim::Coro<ServiceResponse> HandleClaimLeader(
       const ClaimLeaderRequest* request);
   sim::Coro<ServiceResponse> HandleQueryCross(const QueryCrossRequest* request);

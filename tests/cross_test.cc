@@ -653,13 +653,13 @@ TEST(CrossRecoveryTest, CoordinatorCrashBetweenPrepareAndDecideIsRecovered) {
 TEST(CrossRecoveryTest, ParallelPartialPrepareCrashIsRecovered) {
   // The partial-prepare window of the parallel fan-out (D9): the
   // coordinator crashes once one prepare has landed, with both prepare
-  // legs in flight. A single-group writer on "b", started 10 ms ahead,
-  // makes the "b" leg lose its first position on some seeds, so across the
-  // seeds both shapes occur: (a) only the commit group "a" holds a prepare and "b" has no
-  // trace of the txn on any replica — recovery then propagates into "b"
-  // from its safe read position; (b) both prepares landed. Either way
-  // recovery must force abort through the commit group and release every
-  // pending prepare.
+  // legs in flight. On even seeds a single-group writer on "b", started
+  // 10 ms ahead, makes the "b" leg lose its first position, so across the
+  // seeds both shapes occur: (a) only the commit group "a" holds a prepare
+  // and "b" has no trace of the txn on any replica — recovery then
+  // propagates into "b" from its safe read position; (b) both prepares
+  // landed. Either way recovery must force abort through the commit group
+  // and release every pending prepare.
   bool saw_one_landed = false;
   bool saw_both_landed = false;
   for (const uint64_t seed : {41, 42, 43, 44, 45, 46}) {
@@ -699,7 +699,7 @@ TEST(CrossRecoveryTest, ParallelPartialPrepareCrashIsRecovered) {
       }
     } rival_run;
     crash_run(&doomed, &probe, db.simulator());
-    rival_run(&rival);
+    if (seed % 2 == 0) rival_run(&rival);
     db.Run();
 
     ASSERT_TRUE(probe.crash_commit.unknown)

@@ -273,6 +273,60 @@ TEST(ServiceTest, BeginAtAHoleNamesNoLeader) {
   EXPECT_EQ(begin.leader_dc, kNoDc);
 }
 
+/// Serves one claim for kGroup[`pos`] at `service` and records the reply
+/// and how long the service took to answer it.
+sim::Task DriveClaim(TransactionService* service, sim::Simulator* sim,
+                     LogPos pos, ClaimLeaderResponse* out,
+                     TimeMicros* took) {
+  const ServiceRequest request(ClaimLeaderRequest{kGroup, pos});
+  const TimeMicros start = sim->Now();
+  ServiceResponse response = co_await service->Handle(/*from=*/1, &request);
+  *took = sim->Now() - start;
+  *out = std::get<ClaimLeaderResponse>(std::move(response));
+}
+
+TEST(ServiceTest, RefusedClaimReturnsTheDecidedRunFromItsPosition) {
+  // A grant costs one claim of service time and reads no log. A refusal
+  // costs a second one, which reads the entries this replica holds from
+  // the claimed position up to its first missing one (ARCHITECTURE D14).
+  Cluster cluster(TestConfig("VVV"));
+  TransactionService* service = cluster.service(0);
+  const TimeMicros claim = cluster.config().service_times.claim;
+  ASSERT_EQ(claim, 5 * kMillisecond);
+  ClaimLeaderResponse reply;
+  TimeMicros took = 0;
+
+  DriveClaim(service, cluster.simulator(), 3, &reply, &took);
+  cluster.RunToCompletion();
+  EXPECT_TRUE(reply.granted);
+  EXPECT_TRUE(reply.run.empty());
+  EXPECT_EQ(took, claim);
+
+  DriveClaim(service, cluster.simulator(), 3, &reply, &took);
+  cluster.RunToCompletion();
+  EXPECT_FALSE(reply.granted);
+  EXPECT_TRUE(reply.run.empty());
+  EXPECT_EQ(took, 2 * claim);
+
+  // Entries 3, 4 and 6 land; 5 is a hole.
+  wal::WriteAheadLog* log = service->GroupLog(kGroup);
+  for (const LogPos pos : {3, 4, 6}) {
+    wal::LogEntry entry;
+    entry.txns.push_back(wal::TxnRecord{});
+    entry.txns[0].id = MakeTxnId(1, pos);
+    entry.txns[0].writes.push_back({{"r", "a"}, std::to_string(pos)});
+    entry.winner_dc = 1;
+    ASSERT_TRUE(log->SetEntry(pos, entry).ok());
+  }
+  DriveClaim(service, cluster.simulator(), 3, &reply, &took);
+  cluster.RunToCompletion();
+  EXPECT_FALSE(reply.granted);
+  EXPECT_EQ(took, 2 * claim);
+  ASSERT_EQ(reply.run.size(), 2u);
+  EXPECT_EQ(reply.run[0], *log->GetEntry(3));
+  EXPECT_EQ(reply.run[1], *log->GetEntry(4));
+}
+
 // ------------------------------------------------------ background applier
 
 TEST(BackgroundApplierTest, AppliesLogWithoutReads) {

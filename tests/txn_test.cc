@@ -4,6 +4,10 @@
 // client access goes through the Session/Txn handle API (txn/txn.h).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/checker.h"
 #include "core/cluster.h"
 #include "sim/coro.h"
@@ -370,6 +374,147 @@ TEST(InterleavingTest, MultipleGroupsAreIndependent) {
   EXPECT_TRUE(r2.committed);
   EXPECT_EQ(cluster.service(0)->GroupLog("g1")->MaxDecided(), 1u);
   EXPECT_EQ(cluster.service(0)->GroupLog("g2")->MaxDecided(), 1u);
+}
+
+// ----------------------------------- promotion through a refused claim's run
+
+/// What a stale commit sent and was answered: every request by
+/// RequestName, and each claim reply, counted from the moment it commits.
+struct StaleCommitProbe {
+  CommitResult commit;
+  std::map<std::string, int> requests;
+  std::vector<ClaimLeaderResponse> claims;
+  bool counting = false;
+};
+
+/// Serves `request` at `service`, counting it (and keeping a claim's
+/// reply) in `*probe` while the probe counts.
+sim::Coro<ServiceResponse> CountedHandle(TransactionService* service,
+                                         DcId from,
+                                         const ServiceRequest* request,
+                                         StaleCommitProbe* probe) {
+  const bool counted = probe->counting;
+  if (counted) ++probe->requests[RequestName(*request)];
+  ServiceResponse response = co_await service->Handle(from, request);
+  if (const auto* claim = std::get_if<ClaimLeaderResponse>(&response);
+      counted && claim != nullptr) {
+    probe->claims.push_back(*claim);
+  }
+  co_return response;
+}
+
+/// Begins on kGroup at dc 0 and reads `read_attr` at read position 0, then
+/// waits while a Paxos-CP client at dc 1 commits w0, w1 and w2 at positions
+/// 1-3, then writes "y" and commits.
+sim::Task StaleCommit(Session* session, sim::Simulator* sim,
+                      std::string read_attr, StaleCommitProbe* out) {
+  Txn txn = co_await session->Begin(kGroup);
+  if (!txn.active()) {
+    out->commit.status = txn.begin_status();
+    co_return;
+  }
+  EXPECT_EQ(txn.read_pos(), 0u);
+  (void)co_await txn.Read(kRow, read_attr);
+  co_await sim::SleepFor(sim, 2 * kSecond);
+  (void)txn.Write(kRow, "y", "1");
+  out->counting = true;
+  out->commit = co_await txn.Commit();
+  out->counting = false;
+}
+
+sim::Task ThreeWrites(Session* session, sim::Simulator* sim) {
+  co_await sim::SleepFor(sim, 100 * kMillisecond);
+  for (const char* attr : {"w0", "w1", "w2"}) {
+    Txn txn = co_await session->Begin(kGroup);
+    (void)txn.Write(kRow, attr, "1");
+    const CommitResult result = co_await txn.Commit();
+    EXPECT_TRUE(result.committed) << result.status.ToString();
+  }
+}
+
+StaleCommitProbe RunStaleCommit(const std::string& read_attr,
+                                Protocol protocol) {
+  Cluster cluster(TestConfig("VVV", 7));
+  EXPECT_TRUE(cluster
+                  .LoadInitialRow(kGroup, kRow,
+                                  {{"x", "0"}, {"w0", "0"}, {"w1", "0"},
+                                   {"w2", "0"}, {"y", "0"}})
+                  .ok());
+  StaleCommitProbe probe;
+  for (DcId dc = 0; dc < cluster.num_datacenters(); ++dc) {
+    TransactionService* service = cluster.service(dc);
+    cluster.network()->RegisterEndpoint(
+        dc, [service, &probe](DcId from, const ServiceRequest* request) {
+          return CountedHandle(service, from, request, &probe);
+        });
+  }
+  ClientOptions options;
+  options.protocol = protocol;
+  Session stale = cluster.CreateSession(0, options);
+  Session writer = cluster.CreateSession(1);
+  StaleCommit(&stale, cluster.simulator(), read_attr, &probe);
+  ThreeWrites(&writer, cluster.simulator());
+  cluster.RunToCompletion();
+
+  EXPECT_EQ(cluster.service(0)->GroupLog(kGroup)->MaxDecided(),
+            probe.commit.committed ? 4u : 3u);
+  // Every refused claim's run is the leader's log from the claimed
+  // position: here dc 0's entries 1-3.
+  for (const ClaimLeaderResponse& claim : probe.claims) {
+    if (claim.granted) {
+      EXPECT_TRUE(claim.run.empty());
+      continue;
+    }
+    EXPECT_EQ(claim.run.size(), 3u);
+    for (LogPos pos = 1; pos <= claim.run.size(); ++pos) {
+      EXPECT_EQ(claim.run[pos - 1],
+                *cluster.service(0)->GroupLog(kGroup)->GetEntry(pos));
+    }
+  }
+  core::Checker checker(&cluster);
+  EXPECT_TRUE(checker.CheckAllCross({kGroup}, {}).ok);
+  return probe;
+}
+
+TEST(DecidedRunTest, StaleCommitPromotesThroughTheRunWithoutAPrepare) {
+  // The transaction lost positions 1-3 long before it commits. The leader
+  // of position 1 (dc 0) refuses its claim and returns its log from there;
+  // the three entries answer positions 1-3, so the walk's next message is
+  // the claim for position 4 at that position's leader (dc 1, the winner
+  // of position 3), which grants round 0. No prepare is sent.
+  StaleCommitProbe probe = RunStaleCommit("x", Protocol::kPaxosCP);
+  ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
+  EXPECT_EQ(probe.commit.position, 4u);
+  EXPECT_EQ(probe.commit.promotions, 3);
+  EXPECT_TRUE(probe.commit.fast_path);
+  EXPECT_EQ(probe.requests["claim_leader"], 2);
+  EXPECT_EQ(probe.requests["prepare"], 0);
+  ASSERT_EQ(probe.claims.size(), 2u);
+  EXPECT_FALSE(probe.claims[0].granted);
+  EXPECT_TRUE(probe.claims[1].granted);
+}
+
+TEST(DecidedRunTest, ConflictInTheRunAbortsAtItsPosition) {
+  // Position 2 wrote w1, which the transaction read: the walk answers
+  // position 1 from the run, promotes, and aborts on position 2's entry
+  // without sending anything after the refused claim.
+  StaleCommitProbe probe = RunStaleCommit("w1", Protocol::kPaxosCP);
+  EXPECT_FALSE(probe.commit.committed);
+  EXPECT_EQ(probe.commit.status.message(),
+            "read-write conflict with winner of position 2");
+  EXPECT_EQ(probe.commit.promotions, 1);
+  EXPECT_EQ(probe.requests["claim_leader"], 1);
+  EXPECT_EQ(probe.requests["prepare"], 0);
+}
+
+TEST(DecidedRunTest, BasicPaxosAbortsAtTheRefusedPosition) {
+  // Basic Paxos aborts at the first position it loses, which the refused
+  // claim's run already answers: no prepare round is needed to learn it.
+  StaleCommitProbe probe = RunStaleCommit("x", Protocol::kBasicPaxos);
+  EXPECT_FALSE(probe.commit.committed);
+  EXPECT_EQ(probe.commit.status.message(), "lost log position 1");
+  EXPECT_EQ(probe.requests["claim_leader"], 1);
+  EXPECT_EQ(probe.requests["prepare"], 0);
 }
 
 }  // namespace
