@@ -7,6 +7,10 @@
 //     experiment, and the average number of combinations was only 6.8";
 //   * message complexity — Paxos-CP "requires the same per instance message
 //     complexity as the basic Paxos protocol".
+//
+// Shape gate: exits non-zero unless the checker is OK in every run, more
+// than half of Paxos-CP's commits land within 2 promotions, and no
+// committed transaction promoted more than 7 times.
 #include "experiment_common.h"
 
 using namespace paxoscp;
@@ -24,6 +28,7 @@ int main(int argc, char** argv) {
   int total_combined_entries = 0, total_combined_txns = 0;
   int max_promotions = 0;
   double basic_msgs = 0, cp_msgs = 0;
+  bool all_ok = true;
 
   for (int run = 0; run < kRuns; ++run) {
     workload::RunnerConfig basic =
@@ -32,6 +37,7 @@ int main(int argc, char** argv) {
         "run" + std::to_string(run) + "/basic",
         bench::PaperCluster("VVV", 200 + run), basic);
     basic_msgs += basic_stats.messages_per_attempt;
+    all_ok = all_ok && basic_stats.check.ok;
 
     workload::RunnerConfig cp =
         bench::PaperWorkload(txn::Protocol::kPaxosCP, 100 + run);
@@ -39,6 +45,7 @@ int main(int argc, char** argv) {
         "run" + std::to_string(run) + "/cp",
         bench::PaperCluster("VVV", 200 + run), cp);
     cp_msgs += stats.messages_per_attempt;
+    all_ok = all_ok && stats.check.ok;
     total_combined_entries += stats.combined_entries;
     total_combined_txns += stats.combined_txns;
     max_promotions = std::max(max_promotions, stats.max_promotions);
@@ -53,10 +60,11 @@ int main(int argc, char** argv) {
   std::printf("\nPaxos-CP commits by promotion round (%d runs x 500 txns):\n",
               kRuns);
   std::vector<std::vector<std::string>> rows;
-  int cumulative = 0, total = 0;
+  int cumulative = 0, total = 0, within_two = 0;
   for (int c : round_histogram) total += c;
   for (size_t r = 0; r < round_histogram.size(); ++r) {
     cumulative += round_histogram[r];
+    if (r <= 2) within_two = cumulative;
     rows.push_back({"round " + std::to_string(r),
                     std::to_string(round_histogram[r]),
                     workload::FormatDouble(100.0 * cumulative / total, 1) +
@@ -64,7 +72,7 @@ int main(int argc, char** argv) {
   }
   workload::PrintTable({"promotions", "commits", "cumulative"}, rows);
 
-  std::printf("\nmax promotions observed before abort/commit: %d\n",
+  std::printf("\nmax promotions of a committed transaction: %d\n",
               max_promotions);
   std::printf("combined entries per run (avg): %.1f  (txns merged: %.1f)\n",
               double(total_combined_entries) / kRuns,
@@ -73,5 +81,15 @@ int main(int argc, char** argv) {
               "(+%.0f%%)\n",
               basic_msgs / kRuns, cp_msgs / kRuns,
               100.0 * (cp_msgs - basic_msgs) / basic_msgs);
-  return 0;
+
+  // Shape gates: the §6 statements the header prints.
+  const bool settle_early = 2 * within_two > total;
+  const bool bounded = max_promotions <= 7;
+  std::printf("\nmajority of Paxos-CP commits within 2 promotions -> %s\n",
+              settle_early ? "yes" : "NO");
+  std::printf("no commit after more than 7 promotions -> %s\n",
+              bounded ? "yes" : "NO");
+  std::printf("serializability in every run -> %s\n",
+              all_ok ? "OK" : "VIOLATED");
+  return all_ok && settle_early && bounded ? 0 : 1;
 }

@@ -13,16 +13,19 @@
 // which the fault injector drives.
 //
 // Every call resolves a sim::Future, which its caller consumes by awaiting
-// it (sim/coro.h). Broadcast gathers its targets' results with one small
-// detached Task per target that awaits that target's call, and resolves once
-// every target answered or timed out, or sooner, once the caller's settle
-// predicate holds on the answers so far (docs/ARCHITECTURE.md, D13).
+// it (sim/coro.h). A one-way message is a call without the answer: its
+// handler runs, but nothing waits for it (docs/ARCHITECTURE.md, D15).
+// Broadcast gathers its targets' results with one small detached Task per
+// target that awaits that target's call, and resolves once every target
+// answered or timed out, or sooner, once the caller's settle predicate
+// holds on the answers so far (docs/ARCHITECTURE.md, D13).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -247,6 +250,12 @@ class Network : public NetworkBase {
   using BroadcastResult = std::vector<TargetResult<Response>>;
   /// Whether a broadcast's answers so far decide it (see Broadcast).
   using Settle = std::function<bool(const BroadcastResult&)>;
+  /// Which targets of a Multicast answer; the others get a one-way copy.
+  enum class Answering : uint8_t {
+    kAll,     // every target (Broadcast)
+    kSender,  // only the target in the sender's own datacenter (an apply)
+    kNone,    // no target (the learner's apply)
+  };
 
   Network(sim::Simulator* sim, std::vector<std::vector<TimeMicros>> rtt_matrix,
           NetworkOptions options)
@@ -275,23 +284,30 @@ class Network : public NetworkBase {
                 stream);
   }
 
-  /// Sends `request` to every target in parallel, one Call each, served
-  /// from one copy of the request: the returned futures are ordered as
-  /// `targets`. A caller that only needs some answers awaits those and
-  /// drops the rest; a dropped future costs no event when its call ends.
+  /// Sends `request` to every target in parallel, served from one copy of
+  /// the request. Each target `answering` selects gets a Call, and the
+  /// returned futures are theirs, ordered as `targets`. Every other target
+  /// gets a one-way message: like a call's request leg it is counted in
+  /// messages_sent(), can be lost, reordered or duplicated, is checked
+  /// against outage epochs, and runs its handler; unlike a call it has no
+  /// promise, no timeout and no response leg, and is not counted in
+  /// calls_started(). A caller that only needs some answers awaits those
+  /// and drops the rest; a dropped future costs no event when its call
+  /// ends.
   std::vector<CallFuture> Multicast(DcId from,
                                     const std::vector<DcId>& targets,
                                     const Request& request,
+                                    Answering answering,
                                     TimeMicros timeout = 0,
                                     DelayStream* stream = nullptr);
 
-  /// Multicast, resolved once every target has responded or timed out —
-  /// the paper's client keeps collecting votes until the timeout window
-  /// closes, so it sees "more than a simple majority" of responses (§5) —
-  /// or, when `settle` is given, at the first response after which
-  /// `settle` holds on the results so far. Targets still in flight then
-  /// read Unavailable; their answers still arrive, and are dropped. The
-  /// result vector is ordered as `targets`.
+  /// Multicast with every target answering, resolved once every target has
+  /// responded or timed out — the paper's client keeps collecting votes
+  /// until the timeout window closes, so it sees "more than a simple
+  /// majority" of responses (§5) — or, when `settle` is given, at the first
+  /// response after which `settle` holds on the results so far. Targets
+  /// still in flight then read Unavailable; their answers still arrive, and
+  /// are dropped. The result vector is ordered as `targets`.
   sim::Future<BroadcastResult> Broadcast(DcId from,
                                          const std::vector<DcId>& targets,
                                          const Request& request,
@@ -309,7 +325,8 @@ class Network : public NetworkBase {
     DcId to;
     DelayStream* stream;  // the sender's, or null for the shared stream
     std::shared_ptr<const Request> request;
-    sim::Promise<CallResult<Response>> promise;
+    /// The call's; empty for a one-way message, which has no response leg.
+    std::optional<sim::Promise<CallResult<Response>>> promise;
     uint64_t epoch = 0;  // channel epoch captured when the current leg left
     /// The endpoint as registered on arrival: re-registering it (a service
     /// restart) while this copy is served keeps the running closure alive.
@@ -335,12 +352,17 @@ class Network : public NetworkBase {
 
   CallFuture Send(DcId from, DcId to, std::shared_ptr<const Request> request,
                   TimeMicros timeout, DelayStream* stream);
+  /// Sends the request leg of a call, or a one-way message when `promise`
+  /// is empty, and a duplicate copy when the fault stream draws one.
+  void Dispatch(DcId from, DcId to, std::shared_ptr<const Request> request,
+                DelayStream* stream,
+                std::optional<sim::Promise<CallResult<Response>>> promise);
   /// Delivers one copy of a request — the original or a duplicate — after
   /// `delay`, and hands it to the destination's handler.
   void Deliver(std::unique_ptr<Delivery> delivery, TimeMicros delay);
-  /// Runs the handler, then sends the response leg. Takes ownership of
-  /// `raw`; a pointer parameter because coroutine parameters must be
-  /// trivially destructible (sim/coro.h).
+  /// Runs the handler, then sends the response leg of a call's copy. Takes
+  /// ownership of `raw`; a pointer parameter because coroutine parameters
+  /// must be trivially destructible (sim/coro.h).
   sim::Task Serve(Delivery* raw);
   /// Awaits target `index`'s call and fills its slot of `agg`; the last
   /// target to resolve, or the first after which the settle predicate
@@ -358,8 +380,6 @@ auto Network<Request, Response>::Send(DcId from, DcId to,
                                       std::shared_ptr<const Request> request,
                                       TimeMicros timeout, DelayStream* stream)
     -> CallFuture {
-  assert(from >= 0 && from < num_datacenters());
-  assert(to >= 0 && to < num_datacenters());
   if (timeout <= 0) timeout = default_timeout();
   ++calls_started_;
 
@@ -373,7 +393,18 @@ auto Network<Request, Response>::Send(DcId from, DcId to,
       },
       "net/timeout");
 
-  if (!Depart(Copy::kOriginal, stream, from, to)) return promise.GetFuture();
+  Dispatch(from, to, std::move(request), stream, promise);
+  return promise.GetFuture();
+}
+
+template <typename Request, typename Response>
+void Network<Request, Response>::Dispatch(
+    DcId from, DcId to, std::shared_ptr<const Request> request,
+    DelayStream* stream,
+    std::optional<sim::Promise<CallResult<Response>>> promise) {
+  assert(from >= 0 && from < num_datacenters());
+  assert(to >= 0 && to < num_datacenters());
+  if (!Depart(Copy::kOriginal, stream, from, to)) return;
   const TimeMicros delay = LegDelay(Copy::kOriginal, stream, from, to);
   Deliver(std::make_unique<Delivery>(Copy::kOriginal, from, to, stream,
                                      request, promise),
@@ -386,10 +417,9 @@ auto Network<Request, Response>::Send(DcId from, DcId to,
   // epoch-checked against the same send-time epoch as the original.
   if (DrawDuplicate(from, to) && Depart(Copy::kDuplicate, stream, from, to)) {
     Deliver(std::make_unique<Delivery>(Copy::kDuplicate, from, to, stream,
-                                       std::move(request), promise),
+                                       std::move(request), std::move(promise)),
             delay + ExtraDelay());
   }
-  return promise.GetFuture();
 }
 
 template <typename Request, typename Response>
@@ -420,6 +450,7 @@ template <typename Request, typename Response>
 sim::Task Network<Request, Response>::Serve(Delivery* raw) {
   std::unique_ptr<Delivery> d(raw);
   d->response = co_await d->handler(d->from, d->request.get());
+  if (!d->promise) co_return;  // one-way: nobody waits for the answer
   // Response leg. A duplicate's response is invisible to the caller (the
   // promise is first-set-wins), but it still costs a message and can be
   // lost.
@@ -432,7 +463,7 @@ sim::Task Network<Request, Response>::Serve(Delivery* raw) {
       delay,
       [this, d = std::move(d)]() mutable {
         if (Arrives(d->to, d->from, d->epoch)) {
-          d->promise.Set(
+          d->promise->Set(
               CallResult<Response>{Status::OK(), std::move(d->response)});
         }
       },
@@ -443,14 +474,20 @@ template <typename Request, typename Response>
 auto Network<Request, Response>::Multicast(DcId from,
                                            const std::vector<DcId>& targets,
                                            const Request& request,
+                                           Answering answering,
                                            TimeMicros timeout,
                                            DelayStream* stream)
     -> std::vector<CallFuture> {
   std::vector<CallFuture> calls;
-  calls.reserve(targets.size());
+  if (answering == Answering::kAll) calls.reserve(targets.size());
   const auto shared = std::make_shared<const Request>(request);
   for (const DcId to : targets) {
-    calls.push_back(Send(from, to, shared, timeout, stream));
+    if (answering == Answering::kAll ||
+        (answering == Answering::kSender && to == from)) {
+      calls.push_back(Send(from, to, shared, timeout, stream));
+    } else {
+      Dispatch(from, to, shared, stream, std::nullopt);
+    }
   }
   return calls;
 }
@@ -475,7 +512,7 @@ auto Network<Request, Response>::Broadcast(DcId from,
   }
 
   std::vector<CallFuture> calls =
-      Multicast(from, targets, request, timeout, stream);
+      Multicast(from, targets, request, Answering::kAll, timeout, stream);
   for (size_t i = 0; i < calls.size(); ++i) {
     Collect(std::move(calls[i]), agg, i);
   }

@@ -55,17 +55,28 @@ void internal::ReleaseSlots(TransactionClient* client,
 }
 
 sim::Coro<CallResult> TransactionClient::CallWithFailover(
-    const ServiceRequest* request, net::DelayStream* stream) {
+    const ServiceRequest* request, net::DelayStream* stream, int first) {
   // Home datacenter first (the paper's locality optimization), then every
   // other Transaction Service until one answers.
   CallResult last{Status::Unavailable("no datacenters"), {}};
-  for (int attempt = 0; attempt < network_->num_datacenters(); ++attempt) {
+  for (int attempt = first; attempt < network_->num_datacenters();
+       ++attempt) {
     const DcId target = (home_ + attempt) % network_->num_datacenters();
     last = co_await network_->Call(home_, target, *request, /*timeout=*/0,
                                    stream);
     if (last.status.ok()) co_return last;
   }
   co_return last;
+}
+
+bool TransactionClient::ApplyAcked(const CallResult& result) {
+  return result.status.ok() && std::get<ApplyResponse>(result.response).ok;
+}
+
+CallFuture TransactionClient::TakeCommitApply(const std::string& group) {
+  const auto it = commit_applies_.find(group);
+  if (it == commit_applies_.end()) return {};
+  return std::move(it->second.applied);
 }
 
 sim::Coro<BroadcastResult> TransactionClient::BroadcastToAll(
@@ -82,6 +93,15 @@ sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
         "client already has an active transaction on group '" + group + "'"));
   }
   active_groups_.insert(group);
+  // Read-your-own-commit (D15): a begin that overtook home's apply of this
+  // client's last commit would read below it. The answer is usually in by
+  // now, and then the await does not suspend. When it failed, the begin
+  // goes ahead as if it had not waited.
+  CallFuture applied = TakeCommitApply(group);
+  if (applied.valid()) {
+    const CallResult ack = co_await applied;
+    if (!ApplyAcked(ack)) ++begin_giveups_;
+  }
   ServiceRequest begin_request = BeginRequest{group};
   CallResult result = co_await CallWithFailover(&begin_request);
   if (!result.status.ok()) {
@@ -208,6 +228,17 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
     }
     if (outcome.kind == InstanceOutcome::Kind::kWon ||
         outcome.decided.ContainsRecord(record.id, record.kind)) {
+      // The client's next begin on the group waits for home to answer this
+      // commit's apply (D15); waiting for the highest of overlapping commits
+      // suffices. A record that landed in another proposer's entry sent no
+      // apply, so there is nothing to wait for.
+      if (outcome.applied.valid()) {
+        CommitApply& kept = commit_applies_[txn.group];
+        if (pos >= kept.pos) {
+          kept.pos = pos;
+          kept.applied = std::move(outcome.applied);
+        }
+      }
       result.status = Status::OK();
       result.committed = true;
       result.position = pos;
@@ -258,14 +289,16 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
       &accept_request, stream, AcceptSettle(majority_));
   if (TallyAccepts(aresults, max_seen) < majority_) co_return std::nullopt;
 
-  // Decided. Send apply to every replica (Step 5). The outcome does not
-  // wait for the acknowledgements; it carries them for the one caller that
-  // does, Commit's barrier on a decide entry (AwaitDecideApplied).
+  // Decided. Send apply to every replica (Step 5), and ask only home to
+  // answer (D15): Commit's barriers read home's answer, and nothing reads
+  // the others'. The outcome carries that answer without waiting for it.
   const ServiceRequest apply_request =
       ApplyRequest{group, pos, ballot, *proposal};
   InstanceOutcome outcome = Decided(*proposal, own_id, own_kind);
-  outcome.applied = network_->Multicast(home_, all_dcs_, apply_request,
-                                        /*timeout=*/0, stream);
+  std::vector<CallFuture> home =
+      network_->Multicast(home_, all_dcs_, apply_request,
+                          Network::Answering::kSender, /*timeout=*/0, stream);
+  outcome.applied = std::move(home.front());
   co_return outcome;
 }
 

@@ -73,6 +73,11 @@ class TransactionClient {
     return active_groups_.count(group) > 0;
   }
 
+  /// Waits that begins gave up, one per group (D15): a begin on a group
+  /// waits for home to answer the apply of this client's last
+  /// single-group commit there, and goes ahead when that answer failed.
+  int begin_giveups() const { return begin_giveups_; }
+
  private:
   // The handle API is the only caller of the per-transaction operations.
   friend class Txn;
@@ -94,16 +99,17 @@ class TransactionClient {
     /// Won through the leader fast path (skip prepare). Only a won
     /// instance can set it: a fast-path accept decides its own value.
     bool fast_path = false;
-    /// Acknowledgements of the apply this instance sent for `decided`,
-    /// indexed by datacenter. Empty when the instance learned the entry
-    /// without applying it: a replica already knew it, or a competing
-    /// value certainly won before the accept phase.
-    std::vector<CallFuture> applied;
+    /// Home's answer to the apply this instance sent for `decided`: the
+    /// apply went to every replica, and only home was asked to answer
+    /// (D15). Invalid when the instance learned the entry without applying
+    /// it: a replica already knew it, or a competing value certainly won
+    /// before the accept phase.
+    CallFuture applied;
   };
 
   /// The outcome of an instance whose decided entry is `decided`: kWon iff
   /// it holds a record with own id AND own kind (see RunInstance), else
-  /// kLost, with no apply acknowledgements.
+  /// kLost, with no apply answer.
   static InstanceOutcome Decided(wal::LogEntry decided, TxnId own_id,
                                  wal::RecordKind own_kind);
 
@@ -118,7 +124,8 @@ class TransactionClient {
   };
 
   /// Starts a transaction on `group` (paper step 1): reserves the
-  /// per-group slot, fetches the read position from the local Transaction
+  /// per-group slot, waits for home to apply this client's last commit on
+  /// the group (D15), fetches the read position from the local Transaction
   /// Service (failing over to remote ones), and returns the owning
   /// handle. On failure the handle is inactive and carries the status.
   sim::Coro<Txn> BeginTxn(std::string group);
@@ -136,13 +143,15 @@ class TransactionClient {
 
   /// Runs the commit protocol for the transaction in `*state`. The caller
   /// (Txn::Commit) has already released the group slot; the state is
-  /// consumed (moved from) by this call.
+  /// consumed (moved from) by this call. A commit keeps home's answer to
+  /// its apply for the client's next begin on the group (D15).
   sim::Coro<CommitResult> CommitTxn(TxnState* state);
 
   /// Starts a cross-group transaction (D8): reserves every group's slot,
-  /// begins a leg per group (cross begins return the contiguous frontier
-  /// and the commit-order watermark), and fixes cross_ts above every
-  /// watermark. Requires Protocol::kPaxosCP.
+  /// waits on each group as BeginTxn does (D15), begins a leg per group
+  /// (cross begins return the contiguous frontier and the commit-order
+  /// watermark), and fixes cross_ts above every watermark. Requires
+  /// Protocol::kPaxosCP.
   sim::Coro<CrossTxn> BeginCrossTxn(std::vector<std::string> groups);
 
   /// Runs 2PC for the cross-group transaction in `*state` (see
@@ -212,11 +221,11 @@ class TransactionClient {
     bool known = false;   // false => walk could not complete
     bool commit = false;  // the first decide record encountered
     LogPos pos = 0;
-    /// The entry holding that decide, and the acknowledgements of the
-    /// apply this walk sent for it (InstanceOutcome::applied; empty when
-    /// another proposer landed the entry).
+    /// The entry holding that decide, and home's answer to the apply this
+    /// walk sent for it (InstanceOutcome::applied; invalid when the walk
+    /// only learned the entry, because another proposer landed it).
     wal::LogEntry entry;
-    std::vector<CallFuture> applied;
+    CallFuture applied;
   };
 
   /// Walks `group`'s log from `floor`, proposing a decide record
@@ -236,11 +245,13 @@ class TransactionClient {
   /// of `*decide`. A walk knows its decide once a majority accepted it,
   /// before any replica applied it, so without this a begin issued right
   /// after Commit could overtake the apply and read below a still-pending
-  /// prepare. Awaits the walk's own apply acknowledgements; when another
-  /// proposer landed the entry, sends the entry's apply to that replica
-  /// itself. False when no replica acked (a give-up, counted in
-  /// CrossCommitResult::barrier_giveups; the pending prepare is then
-  /// recovery's to clear). `*decide` is owned by the awaiting frame.
+  /// prepare. Awaits home's answer to the walk's own apply. When that
+  /// answer failed, or the walk only learned the entry, delivers the entry
+  /// itself with CallWithFailover and the null ballot, starting after home
+  /// when home already failed (D15). False when no replica acked (a
+  /// give-up, counted in CrossCommitResult::barrier_giveups; the pending
+  /// prepare is then recovery's to clear). `*decide` is owned by the
+  /// awaiting frame.
   sim::Coro<bool> AwaitDecideApplied(std::string group,
                                      DecideOutcome* decide);
 
@@ -294,16 +305,26 @@ class TransactionClient {
   /// the value is decided (checking that a record with own id AND own kind
   /// landed — id alone would mistake a recovery decide for a landed
   /// prepare), nullopt when the accept round failed to reach a majority
-  /// (caller re-prepares). The outcome carries the apply's
-  /// acknowledgements.
+  /// (caller re-prepares). The apply goes to every replica, and only home
+  /// answers, because only home's answer is read (D15): the outcome
+  /// carries that answer without waiting for it.
   sim::Coro<std::optional<InstanceOutcome>> AcceptAndApply(
       std::string group, LogPos pos, paxos::Ballot ballot,
       const wal::LogEntry* proposal, TxnId own_id, wal::RecordKind own_kind,
       paxos::Ballot* max_seen, net::DelayStream* stream);
 
-  /// Calls the home service first, then fails over to the others.
+  /// Calls the home service first, then fails over to the others. `first`
+  /// skips the first datacenters of that order (1: start after home).
   sim::Coro<CallResult> CallWithFailover(const ServiceRequest* request,
-                                         net::DelayStream* stream = nullptr);
+                                         net::DelayStream* stream = nullptr,
+                                         int first = 0);
+
+  /// True when `result` is a replica's acknowledgement of an apply.
+  static bool ApplyAcked(const CallResult& result);
+
+  /// Hands out the answer CommitTxn kept for `group`, once; invalid when
+  /// there is none.
+  CallFuture TakeCommitApply(const std::string& group);
 
   /// Broadcasts to every datacenter; the round ends once `settle` holds
   /// on the responses so far (D13), or once every replica has answered or
@@ -340,6 +361,16 @@ class TransactionClient {
   /// Groups with a live `Txn` handle (the state itself lives in the
   /// handle; only the exclusivity slot is tracked here).
   std::set<std::string> active_groups_;
+
+  /// This client's highest single-group commit on a group, kept for the
+  /// next begin there to wait for (D15): the position and home's answer
+  /// to its apply, never the entry.
+  struct CommitApply {
+    LogPos pos = 0;
+    CallFuture applied;
+  };
+  std::map<std::string, CommitApply> commit_applies_;
+  int begin_giveups_ = 0;
 };
 
 }  // namespace paxoscp::txn

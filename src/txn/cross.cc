@@ -157,6 +157,13 @@ sim::Coro<CrossTxn> TransactionClient::BeginCrossTxn(
     }
   }
   for (const std::string& group : groups) active_groups_.insert(group);
+  // Each group's wait, as in BeginTxn (D15).
+  for (const std::string& group : groups) {
+    CallFuture applied = TakeCommitApply(group);
+    if (!applied.valid()) continue;
+    const CallResult ack = co_await applied;
+    if (!ApplyAcked(ack)) ++begin_giveups_;
+  }
 
   auto state = std::make_unique<CrossTxnState>();
   state->id = MakeTxnId(
@@ -503,29 +510,24 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
 
 sim::Coro<bool> TransactionClient::AwaitDecideApplied(std::string group,
                                                       DecideOutcome* decide) {
-  if (decide->applied.empty()) {
-    // Another proposer landed the entry (say, the recovery daemon decided
-    // first) and this walk only learned it, so no acknowledgement is on
-    // its way. Deliver the entry to the begin-serving replica directly.
-    // The null ballot leaves that replica's acceptor ballots as they are.
-    const ServiceRequest apply =
-        ApplyRequest{group, decide->pos, paxos::kNullBallot, decide->entry};
-    CallResult result = co_await CallWithFailover(&apply, LegStream(group));
-    co_return result.status.ok() &&
-              std::get<ApplyResponse>(result.response).ok;
+  // The walk's own apply went to every replica, and home answers it. When
+  // home acknowledged, the replica a begin tries first has the entry.
+  int first = 0;
+  if (decide->applied.valid()) {
+    const CallResult ack = co_await decide->applied;
+    if (ApplyAcked(ack)) co_return true;
+    first = 1;  // home already cost one timeout: fail over past it
   }
-  // The walk's own apply went to every replica. Await the acknowledgements
-  // in the order a begin would try the replicas: an unreachable replica's
-  // times out like the begin would, and the next one is usually in already.
-  const int n = network_->num_datacenters();
-  for (int attempt = 0; attempt < n; ++attempt) {
-    CallFuture& ack = decide->applied[(home_ + attempt) % n];
-    const CallResult result = co_await ack;
-    if (result.status.ok() && std::get<ApplyResponse>(result.response).ok) {
-      co_return true;
-    }
-  }
-  co_return false;
+  // Home's answer failed, or another proposer landed the entry (say, the
+  // recovery daemon decided first) and this walk only learned it, so no
+  // answer is on its way. Deliver the entry to the begin-serving replica
+  // directly, in the order a begin tries the replicas. The null ballot
+  // leaves that replica's acceptor ballots as they are.
+  const ServiceRequest apply =
+      ApplyRequest{group, decide->pos, paxos::kNullBallot, decide->entry};
+  CallResult result =
+      co_await CallWithFailover(&apply, LegStream(group), first);
+  co_return ApplyAcked(result);
 }
 
 sim::Coro<bool> TransactionClient::PropagateDecide(std::string group,

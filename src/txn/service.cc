@@ -619,11 +619,12 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
           co_await network_->Broadcast(dc_, all, accept_request, /*timeout=*/0,
                                        nullptr, AcceptSettle(majority));
       if (TallyAccepts(aresults, &max_seen) >= majority) {
-        // Decided: propagate the outcome (nobody awaits the
-        // acknowledgements) and record it.
+        // Decided: propagate the outcome one-way (nobody reads an answer,
+        // D15) and record it.
         const ServiceRequest apply_request =
             ApplyRequest{group, pos, ballot, *winning};
-        (void)network_->Multicast(dc_, all, apply_request);
+        network_->Multicast(dc_, all, apply_request,
+                            Network::Answering::kNone);
         Status applied = gs->acceptor.OnApply(pos, ballot, *winning);
         if (applied.ok()) NoteEntryLanded(group);
         co_return applied;

@@ -88,8 +88,10 @@ class TransactionService {
 
   /// Makes sure this replica knows the decided entry at `pos`, running a
   /// learning Paxos instance against the other datacenters if necessary.
-  /// Unavailable when no quorum is reachable; NotFound when the position is
-  /// genuinely undecided.
+  /// An instance that decides the entry sends its apply to every replica
+  /// as a one-way message: nobody reads an answer (D15). Unavailable when
+  /// no quorum is reachable; NotFound when the position is genuinely
+  /// undecided.
   sim::Coro<Status> LearnEntry(std::string group, LogPos pos);
 
   /// Statistics.

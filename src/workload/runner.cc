@@ -39,6 +39,9 @@ struct Attempt {
   /// Commit point of a cross commit (CrossCommitResult::decision_latency).
   TimeMicros decision_latency = 0;
   int barrier_giveups = 0;  // CrossCommitResult::barrier_giveups
+  /// Waits this begin gave up, one per group (TransactionClient::
+  /// begin_giveups, D15).
+  int begin_giveups = 0;
   /// The checker's record, once the begin has minted a transaction id.
   std::optional<core::ClientOutcome> outcome;
 };
@@ -70,7 +73,8 @@ void Record(RunContext* ctx, Attempt* attempt) {
   ++stats.attempted_by_dc[dc];
   ++window->attempted;
   if (attempt->cross) ++stats.cross_attempted;
-  stats.barrier_giveups += attempt->barrier_giveups;
+  stats.barrier_giveups += attempt->barrier_giveups + attempt->begin_giveups;
+  stats.begin_barrier_giveups += attempt->begin_giveups;
   if (attempt->outcome) stats.outcomes.push_back(std::move(*attempt->outcome));
 
   switch (attempt->fate) {
@@ -136,7 +140,9 @@ sim::Coro<void> RunSingle(RunContext* ctx, txn::Session* session,
   attempt.dc = session->home();
   attempt.started_at = ctx->cluster->simulator()->Now();
 
+  const int giveups = session->client()->begin_giveups();
   txn::Txn txn = co_await session->Begin(group);
+  attempt.begin_giveups = session->client()->begin_giveups() - giveups;
   if (!txn.active()) {
     Record(ctx, &attempt);
     co_return;
@@ -188,7 +194,9 @@ sim::Coro<void> RunCross(RunContext* ctx, txn::Session* session,
   groups.reserve(plan->groups.size());
   for (int g : plan->groups) groups.push_back(ctx->group_names[g]);
 
+  const int giveups = session->client()->begin_giveups();
   txn::CrossTxn txn = co_await session->BeginCross(groups);
+  attempt.begin_giveups = session->client()->begin_giveups() - giveups;
   if (!txn.active()) {
     Record(ctx, &attempt);
     co_return;

@@ -129,10 +129,14 @@ struct RunStats {
   /// Distinct pending prepares the post-run quiesce found; 0 with the
   /// daemon on means it healed everything itself.
   int quiesce_pending = 0;
-  /// Cross commits' read-your-effects barriers that gave up, summed over
+  /// Read-your-effects barriers that gave up: cross commits' (summed over
   /// CrossCommitResult::barrier_giveups: no replica acknowledged the
-  /// decide's apply. 0 on every fault-free run.
+  /// decide's apply), plus the waits begins gave up, one per group, when
+  /// home's answer to the session's last commit failed (D15). 0 on every
+  /// fault-free run.
   int barrier_giveups = 0;
+  /// The begins' part of barrier_giveups.
+  int begin_barrier_giveups = 0;
 
   uint64_t messages_sent = 0;
   double messages_per_attempt = 0;

@@ -964,6 +964,49 @@ TEST(CrossBarrierTest, BarrierGiveUpIsCounted) {
   EXPECT_FALSE(probe.at_return.at("b").known);
 }
 
+TEST(CrossBarrierTest, BarrierFailsOverPastAHomeThatDidNotAnswer) {
+  // dc 0 never answers an apply of the coordinator's decide in time. Home
+  // is the only replica asked to answer the walk's apply, so Commit's
+  // barrier re-delivers the entry to the next replica, dc 1, once home's
+  // 2 s timeout fired: Commit returns about 2 s after the decide, with no
+  // give-up. A fallback that tried home again would take about 4 s.
+  Db db(TestConfig());
+  ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
+  ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
+  sim::Simulator* sim = db.cluster()->simulator();
+  BarrierProbe probe;
+  int redelivered_at_dc1 = 0;
+  for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
+    txn::TransactionService* service = db.cluster()->service(dc);
+    db.cluster()->network()->RegisterEndpoint(
+        dc, [&, service, dc](DcId from, const txn::ServiceRequest* request) {
+          const auto* apply = std::get_if<txn::ApplyRequest>(request);
+          if (apply != nullptr && probe.id != 0 &&
+              apply->value.FindDecide(probe.id) != nullptr) {
+            if (dc == 0) return LostRequest(sim);
+            if (dc == 1 && apply->ballot.IsNull()) {
+              ++redelivered_at_dc1;
+            }
+          }
+          return service->Handle(from, request);
+        });
+  }
+  Session session = db.Session(0);
+  CommitThenBegin run;
+  run(&db, &session, &probe);
+  db.Run();
+
+  ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
+  EXPECT_EQ(probe.commit.barrier_giveups, 0);
+  EXPECT_EQ(redelivered_at_dc1, 2);  // one per group
+  const TimeMicros after_decide =
+      probe.commit.latency - probe.commit.decision_latency;
+  EXPECT_GE(after_decide, 2 * kSecond);
+  EXPECT_LT(after_decide, 3 * kSecond);
+  core::CheckReport report = db.Check(std::vector<std::string>{"a", "b"});
+  EXPECT_TRUE(report.ok) << report.ToString();
+}
+
 // ---------------------------------------------------------- determinism
 
 /// Order-independent digest of one group's decided log: fold every decided

@@ -1,6 +1,6 @@
 // Unit tests for the simulated network: latency, timeouts, loss, outages,
-// broadcasts, delivery faults, a golden delivery schedule, and how
-// often requests and responses are copied.
+// broadcasts, one-way messages, delivery faults, a golden delivery
+// schedule, and how often requests and responses are copied.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -680,6 +680,94 @@ TEST_F(NetworkTest, RecoveredDatacenterServesAgain) {
             [&](StringCall&& r) { second = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(second->status.ok());
+}
+
+// ---- One-way messages (ARCHITECTURE.md design note D15) -------------------
+// A Multicast target that is not asked to answer gets a one-way message: a
+// request leg like a call's, with its loss, outage and duplicate faults and
+// its handler run, but no promise, no timeout and no response leg.
+
+class OneWayTest : public NetworkTest {
+ protected:
+  /// Jitter-free 3-datacenter network whose handlers take 10 ms and count
+  /// their runs per datacenter.
+  void Build3(NetworkOptions options = {}) {
+    Build(3, options);
+    for (DcId dc = 0; dc < 3; ++dc) {
+      network_->RegisterEndpoint(
+          dc, [this, dc](DcId, const std::string* request)
+                  -> sim::Coro<std::string> {
+            ++handled_[dc];
+            co_await sim::SleepFor(&sim_, 10 * kMillisecond);
+            co_return std::to_string(dc) + ":" + *request;
+          });
+    }
+  }
+
+  std::vector<StringNetwork::CallFuture> MulticastFromDc0(
+      StringNetwork::Answering answering) {
+    return network_->Multicast(0, {0, 1, 2}, "m", answering);
+  }
+
+  int handled_[3] = {0, 0, 0};
+};
+
+TEST_F(OneWayTest, OnlyTheSenderAnswers) {
+  Build3();
+  std::vector<StringNetwork::CallFuture> calls =
+      MulticastFromDc0(StringNetwork::Answering::kSender);
+  ASSERT_EQ(calls.size(), 1u);
+  std::optional<StringCall> answer;
+  AwaitThen(std::move(calls[0]), [&](StringCall&& r) { answer = std::move(r); });
+  sim_.Run();
+  EXPECT_EQ(handled_[0], 1);
+  EXPECT_EQ(handled_[1], 1);
+  EXPECT_EQ(handled_[2], 1);
+  // Three request legs and dc 0's response leg; dc 0's is the one call.
+  EXPECT_EQ(network_->messages_sent(), 4u);
+  EXPECT_EQ(network_->calls_started(), 1u);
+  ASSERT_TRUE(answer.has_value());
+  ASSERT_TRUE(answer->status.ok()) << answer->status.ToString();
+  EXPECT_EQ(answer->response, "0:m");
+}
+
+TEST_F(OneWayTest, NoEventOutlivesTheLastHandler) {
+  // Nothing waits for a one-way message, so once the last handler (dc 1's
+  // and dc 2's: 5 ms out, 10 ms served) returns, the queue is empty: the
+  // run ends about 15 ms in, not at the 2 s timeout a call would arm.
+  Build3();
+  EXPECT_TRUE(MulticastFromDc0(StringNetwork::Answering::kNone).empty());
+  sim_.Run();
+  EXPECT_EQ(handled_[0] + handled_[1] + handled_[2], 3);
+  EXPECT_EQ(network_->messages_sent(), 3u);
+  EXPECT_EQ(network_->calls_started(), 0u);
+  EXPECT_GE(sim_.Now(), 15 * kMillisecond);
+  EXPECT_LT(sim_.Now(), 16 * kMillisecond);
+}
+
+TEST_F(OneWayTest, OutageDropsTheOneWayCopy) {
+  Build3();
+  network_->SetDatacenterDown(2, true);
+  EXPECT_EQ(MulticastFromDc0(StringNetwork::Answering::kSender).size(), 1u);
+  sim_.Run();
+  EXPECT_EQ(handled_[0], 1);
+  EXPECT_EQ(handled_[1], 1);
+  EXPECT_EQ(handled_[2], 0);
+  EXPECT_EQ(network_->messages_sent(), 4u);
+  EXPECT_EQ(network_->messages_dropped(), 1u);
+}
+
+TEST_F(OneWayTest, DuplicateRunsTheHandlerTwiceAndStillSendsNoAnswer) {
+  NetworkOptions options;
+  options.duplicate_probability = 1.0;
+  Build3(options);
+  EXPECT_TRUE(network_->Multicast(0, {1}, "m", StringNetwork::Answering::kNone)
+                  .empty());
+  sim_.Run();
+  EXPECT_EQ(handled_[1], 2);
+  EXPECT_EQ(network_->messages_duplicated(), 1u);
+  EXPECT_EQ(network_->messages_sent(), 2u);  // two request legs, no answer
+  EXPECT_EQ(network_->calls_started(), 0u);
 }
 
 

@@ -1,7 +1,9 @@
 // Transaction-tier tests: handle read semantics (A1/A2), conflict helpers,
-// promotion/abort decisions, and forced protocol interleavings (including
-// the combination scenario that is rare under realistic timing). All
-// client access goes through the Session/Txn handle API (txn/txn.h).
+// promotion/abort decisions, forced protocol interleavings (including
+// the combination scenario that is rare under realistic timing), a
+// commit's message count, and a session's begin waiting for its own last
+// commit. All client access goes through the Session/Txn handle API
+// (txn/txn.h).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -515,6 +517,71 @@ TEST(DecidedRunTest, BasicPaxosAbortsAtTheRefusedPosition) {
   EXPECT_EQ(probe.commit.status.message(), "lost log position 1");
   EXPECT_EQ(probe.requests["claim_leader"], 1);
   EXPECT_EQ(probe.requests["prepare"], 0);
+}
+
+// ------------------------------------ who answers an apply (D15)
+
+TEST(ApplyAnswerTest, OnlyHomeAnswersTheApply) {
+  // A round-0 commit at dc 0: the begin and the leader claim are one call
+  // each, the accept broadcast is three, and the apply reaches all three
+  // replicas but only home answers it: one call and two one-way messages.
+  // With every replica answering, 16 messages and 8 calls.
+  Cluster cluster(TestConfig("VVV", 7));
+  ASSERT_TRUE(cluster.LoadInitialRow(kGroup, kRow, {{"a", "0"}}).ok());
+  Session session = cluster.CreateSession(0);
+  CommitResult result;
+  WriteOnlyTxn(&session, "a", &result);
+  cluster.RunToCompletion();
+  ASSERT_TRUE(result.committed) << result.status.ToString();
+  EXPECT_EQ(result.promotions, 0);
+  EXPECT_TRUE(result.fast_path);
+  EXPECT_EQ(cluster.network()->messages_sent(), 14u);
+  EXPECT_EQ(cluster.network()->calls_started(), 6u);
+  for (DcId dc = 0; dc < cluster.num_datacenters(); ++dc) {
+    EXPECT_EQ(cluster.service(dc)->GroupLog(kGroup)->MaxDecided(), 1u) << dc;
+  }
+}
+
+/// Commits a write-only transaction on w0, w1 and w2 in turn, each begun
+/// as soon as the previous Commit returned.
+sim::Task BackToBackWrites(Session* session, std::vector<CommitResult>* out) {
+  for (const char* attr : {"w0", "w1", "w2"}) {
+    Txn txn = co_await session->Begin(kGroup);
+    if (!txn.active()) {
+      out->emplace_back().status = txn.begin_status();
+      continue;
+    }
+    (void)txn.Write(kRow, attr, "1");
+    out->push_back(co_await txn.Commit());
+  }
+}
+
+TEST(SessionBeginTest, NextBeginWaitsForHomeToApplyTheLastCommit) {
+  // Commit returns once a majority accepted, before home applied the
+  // entry. A begin that overtook home's apply read below the session's own
+  // commit, and under basic Paxos the next transaction then lost that
+  // position: the second aborted with "lost log position 1" and the third
+  // committed at position 2.
+  Cluster cluster(TestConfig("VVV", 7));
+  ASSERT_TRUE(cluster
+                  .LoadInitialRow(kGroup, kRow,
+                                  {{"w0", "0"}, {"w1", "0"}, {"w2", "0"}})
+                  .ok());
+  ClientOptions options;
+  options.protocol = Protocol::kBasicPaxos;
+  Session session = cluster.CreateSession(1, options);
+  std::vector<CommitResult> results;
+  BackToBackWrites(&session, &results);
+  cluster.RunToCompletion();
+  ASSERT_EQ(results.size(), 3u);
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].committed)
+        << "txn " << i << ": " << results[i].status.ToString();
+    EXPECT_EQ(results[i].position, i + 1) << "txn " << i;
+  }
+  EXPECT_EQ(session.client()->begin_giveups(), 0);
+  Checker checker(&cluster);
+  EXPECT_TRUE(checker.CheckAllCross({kGroup}, {}).ok);
 }
 
 }  // namespace
