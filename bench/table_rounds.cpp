@@ -10,7 +10,8 @@
 //
 // Shape gate: exits non-zero unless the checker is OK in every run, more
 // than half of Paxos-CP's commits land within 2 promotions, and no
-// committed transaction promoted more than 7 times.
+// transaction promoted more than 7 times, committed or aborted by a
+// conflict.
 #include "experiment_common.h"
 
 using namespace paxoscp;
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   constexpr int kRuns = 5;
   std::vector<int> round_histogram;
   int total_combined_entries = 0, total_combined_txns = 0;
-  int max_promotions = 0;
+  int max_promotions = 0, max_promotions_aborted = 0;
   double basic_msgs = 0, cp_msgs = 0;
   bool all_ok = true;
 
@@ -49,6 +50,8 @@ int main(int argc, char** argv) {
     total_combined_entries += stats.combined_entries;
     total_combined_txns += stats.combined_txns;
     max_promotions = std::max(max_promotions, stats.max_promotions);
+    max_promotions_aborted =
+        std::max(max_promotions_aborted, stats.max_promotions_aborted);
     if (stats.commits_by_round.size() > round_histogram.size()) {
       round_histogram.resize(stats.commits_by_round.size(), 0);
     }
@@ -74,6 +77,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nmax promotions of a committed transaction: %d\n",
               max_promotions);
+  std::printf("max promotions of a transaction aborted by a conflict: %d\n",
+              max_promotions_aborted);
   std::printf("combined entries per run (avg): %.1f  (txns merged: %.1f)\n",
               double(total_combined_entries) / kRuns,
               double(total_combined_txns) / kRuns);
@@ -85,11 +90,14 @@ int main(int argc, char** argv) {
   // Shape gates: the §6 statements the header prints.
   const bool settle_early = 2 * within_two > total;
   const bool bounded = max_promotions <= 7;
+  const bool aborts_bounded = max_promotions_aborted <= 7;
   std::printf("\nmajority of Paxos-CP commits within 2 promotions -> %s\n",
               settle_early ? "yes" : "NO");
   std::printf("no commit after more than 7 promotions -> %s\n",
               bounded ? "yes" : "NO");
+  std::printf("no abort after more than 7 promotions -> %s\n",
+              aborts_bounded ? "yes" : "NO");
   std::printf("serializability in every run -> %s\n",
               all_ok ? "OK" : "VIOLATED");
-  return all_ok && settle_early && bounded ? 0 : 1;
+  return all_ok && settle_early && bounded && aborts_bounded ? 0 : 1;
 }

@@ -316,6 +316,13 @@ class Network : public NetworkBase {
                                          Settle settle = nullptr);
 
  private:
+  /// The caller's side of a call: its promise, and its timeout event,
+  /// which the first answer cancels.
+  struct Reply {
+    sim::Promise<CallResult<Response>> promise;
+    sim::EventId timeout;
+  };
+
   /// One copy of a request, from departure to its response leg. The
   /// request-leg event, the handler run and the response-leg event own it
   /// in turn.
@@ -326,7 +333,7 @@ class Network : public NetworkBase {
     DelayStream* stream;  // the sender's, or null for the shared stream
     std::shared_ptr<const Request> request;
     /// The call's; empty for a one-way message, which has no response leg.
-    std::optional<sim::Promise<CallResult<Response>>> promise;
+    std::optional<Reply> reply;
     uint64_t epoch = 0;  // channel epoch captured when the current leg left
     /// The endpoint as registered on arrival: re-registering it (a service
     /// restart) while this copy is served keeps the running closure alive.
@@ -352,11 +359,10 @@ class Network : public NetworkBase {
 
   CallFuture Send(DcId from, DcId to, std::shared_ptr<const Request> request,
                   TimeMicros timeout, DelayStream* stream);
-  /// Sends the request leg of a call, or a one-way message when `promise`
+  /// Sends the request leg of a call, or a one-way message when `reply`
   /// is empty, and a duplicate copy when the fault stream draws one.
   void Dispatch(DcId from, DcId to, std::shared_ptr<const Request> request,
-                DelayStream* stream,
-                std::optional<sim::Promise<CallResult<Response>>> promise);
+                DelayStream* stream, std::optional<Reply> reply);
   /// Delivers one copy of a request — the original or a duplicate — after
   /// `delay`, and hands it to the destination's handler.
   void Deliver(std::unique_ptr<Delivery> delivery, TimeMicros delay);
@@ -385,29 +391,28 @@ auto Network<Request, Response>::Send(DcId from, DcId to,
 
   sim::Promise<CallResult<Response>> promise(sim_);
 
-  // Timeout: fires unless a response won the race first.
-  sim_->ScheduleAfter(
+  // Timeout: fires unless an answer arrives first and cancels it.
+  const sim::EventId timeout_event = sim_->ScheduleAfter(
       timeout,
       [promise] {
         promise.Set(CallResult<Response>{Status::TimedOut("rpc timeout"), {}});
       },
       "net/timeout");
 
-  Dispatch(from, to, std::move(request), stream, promise);
+  Dispatch(from, to, std::move(request), stream, Reply{promise, timeout_event});
   return promise.GetFuture();
 }
 
 template <typename Request, typename Response>
 void Network<Request, Response>::Dispatch(
     DcId from, DcId to, std::shared_ptr<const Request> request,
-    DelayStream* stream,
-    std::optional<sim::Promise<CallResult<Response>>> promise) {
+    DelayStream* stream, std::optional<Reply> reply) {
   assert(from >= 0 && from < num_datacenters());
   assert(to >= 0 && to < num_datacenters());
   if (!Depart(Copy::kOriginal, stream, from, to)) return;
   const TimeMicros delay = LegDelay(Copy::kOriginal, stream, from, to);
   Deliver(std::make_unique<Delivery>(Copy::kOriginal, from, to, stream,
-                                     request, promise),
+                                     request, reply),
           delay);
 
   // Duplicate-delivery fault: the request also arrives a second time, a
@@ -417,7 +422,7 @@ void Network<Request, Response>::Dispatch(
   // epoch-checked against the same send-time epoch as the original.
   if (DrawDuplicate(from, to) && Depart(Copy::kDuplicate, stream, from, to)) {
     Deliver(std::make_unique<Delivery>(Copy::kDuplicate, from, to, stream,
-                                       std::move(request), std::move(promise)),
+                                       std::move(request), std::move(reply)),
             delay + ExtraDelay());
   }
 }
@@ -450,7 +455,7 @@ template <typename Request, typename Response>
 sim::Task Network<Request, Response>::Serve(Delivery* raw) {
   std::unique_ptr<Delivery> d(raw);
   d->response = co_await d->handler(d->from, d->request.get());
-  if (!d->promise) co_return;  // one-way: nobody waits for the answer
+  if (!d->reply) co_return;  // one-way: nobody waits for the answer
   // Response leg. A duplicate's response is invisible to the caller (the
   // promise is first-set-wins), but it still costs a message and can be
   // lost.
@@ -463,8 +468,12 @@ sim::Task Network<Request, Response>::Serve(Delivery* raw) {
       delay,
       [this, d = std::move(d)]() mutable {
         if (Arrives(d->to, d->from, d->epoch)) {
-          d->promise->Set(
+          d->reply->promise.Set(
               CallResult<Response>{Status::OK(), std::move(d->response)});
+          // The call is answered: its timeout would only fire as a no-op.
+          // A no-op itself when the timeout already fired or an earlier
+          // copy's answer cancelled it.
+          sim_->Cancel(d->reply->timeout);
         }
       },
       tag);

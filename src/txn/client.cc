@@ -73,10 +73,13 @@ bool TransactionClient::ApplyAcked(const CallResult& result) {
   return result.status.ok() && std::get<ApplyResponse>(result.response).ok;
 }
 
-CallFuture TransactionClient::TakeCommitApply(const std::string& group) {
+TransactionClient::CommitApply TransactionClient::TakeCommitApply(
+    const std::string& group) {
   const auto it = commit_applies_.find(group);
   if (it == commit_applies_.end()) return {};
-  return std::move(it->second.applied);
+  CommitApply waits = std::move(it->second);
+  commit_applies_.erase(it);
+  return waits;
 }
 
 sim::Coro<BroadcastResult> TransactionClient::BroadcastToAll(
@@ -93,14 +96,17 @@ sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
         "client already has an active transaction on group '" + group + "'"));
   }
   active_groups_.insert(group);
-  // Read-your-own-commit (D15): a begin that overtook home's apply of this
-  // client's last commit would read below it. The answer is usually in by
-  // now, and then the await does not suspend. When it failed, the begin
-  // goes ahead as if it had not waited.
-  CallFuture applied = TakeCommitApply(group);
-  if (applied.valid()) {
+  // Read-your-own-commits (D15, D16): a begin that overtook home's apply of
+  // one of this client's commits would read below it. The waits are
+  // usually over by now, and then the awaits do not suspend. When one
+  // failed, the begin goes ahead as if it had not waited.
+  CommitApply waits = TakeCommitApply(group);
+  for (CallFuture& applied : waits.applies) {
     const CallResult ack = co_await applied;
     if (!ApplyAcked(ack)) ++begin_giveups_;
+  }
+  for (sim::Future<bool>& decided : waits.decides) {
+    if (!co_await decided) ++begin_giveups_;
   }
   ServiceRequest begin_request = BeginRequest{group};
   CallResult result = co_await CallWithFailover(&begin_request);
@@ -229,15 +235,11 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
     if (outcome.kind == InstanceOutcome::Kind::kWon ||
         outcome.decided.ContainsRecord(record.id, record.kind)) {
       // The client's next begin on the group waits for home to answer this
-      // commit's apply (D15); waiting for the highest of overlapping commits
-      // suffices. A record that landed in another proposer's entry sent no
-      // apply, so there is nothing to wait for.
+      // commit's apply (D15). A record that landed in another proposer's
+      // entry sent no apply, so there is nothing to wait for.
       if (outcome.applied.valid()) {
-        CommitApply& kept = commit_applies_[txn.group];
-        if (pos >= kept.pos) {
-          kept.pos = pos;
-          kept.applied = std::move(outcome.applied);
-        }
+        commit_applies_[txn.group].applies.push_back(
+            std::move(outcome.applied));
       }
       result.status = Status::OK();
       result.committed = true;
@@ -290,8 +292,9 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
   if (TallyAccepts(aresults, max_seen) < majority_) co_return std::nullopt;
 
   // Decided. Send apply to every replica (Step 5), and ask only home to
-  // answer (D15): Commit's barriers read home's answer, and nothing reads
-  // the others'. The outcome carries that answer without waiting for it.
+  // answer (D15): the next begin's waits read home's answer, and nothing
+  // reads the others'. The outcome carries that answer without waiting for
+  // it.
   const ServiceRequest apply_request =
       ApplyRequest{group, pos, ballot, *proposal};
   InstanceOutcome outcome = Decided(*proposal, own_id, own_kind);

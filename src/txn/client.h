@@ -73,9 +73,9 @@ class TransactionClient {
     return active_groups_.count(group) > 0;
   }
 
-  /// Waits that begins gave up, one per group (D15): a begin on a group
-  /// waits for home to answer the apply of this client's last
-  /// single-group commit there, and goes ahead when that answer failed.
+  /// Waits that begins gave up (D15, D16): a begin on a group waits for
+  /// each commit of this client there that no begin has waited for yet,
+  /// and goes ahead when a wait failed, counting it here once.
   int begin_giveups() const { return begin_giveups_; }
 
  private:
@@ -123,11 +123,25 @@ class TransactionClient {
     std::deque<wal::LogEntry> entries;
   };
 
+  /// What this client's next begin on a group waits for: one wait for each
+  /// of its commits there that no begin has waited for yet, never an entry
+  /// (D15, D16). All of them, not the highest position: home's MaxDecided
+  /// can pass a cross decide's position while SafeReadPos is still held
+  /// below the prepare.
+  struct CommitApply {
+    /// Home's answers to single-group commits' applies (D15).
+    std::vector<CallFuture> applies;
+    /// Cross commits' detached decide legs on the group (D16): true once
+    /// the begin-serving replica applied the decide.
+    std::vector<sim::Future<bool>> decides;
+  };
+
   /// Starts a transaction on `group` (paper step 1): reserves the
-  /// per-group slot, waits for home to apply this client's last commit on
-  /// the group (D15), fetches the read position from the local Transaction
-  /// Service (failing over to remote ones), and returns the owning
-  /// handle. On failure the handle is inactive and carries the status.
+  /// per-group slot, waits for this client's commits on the group that no
+  /// begin has waited for yet (D15, D16), fetches the read position from
+  /// the local Transaction Service (failing over to remote ones), and
+  /// returns the owning handle. On failure the handle is inactive and
+  /// carries the status.
   sim::Coro<Txn> BeginTxn(std::string group);
 
   /// Snapshot read of one item for the transaction in `*state` (which the
@@ -144,18 +158,22 @@ class TransactionClient {
   /// Runs the commit protocol for the transaction in `*state`. The caller
   /// (Txn::Commit) has already released the group slot; the state is
   /// consumed (moved from) by this call. A commit keeps home's answer to
-  /// its apply for the client's next begin on the group (D15).
+  /// its apply for the client's next begin on the group to wait for (D15).
   sim::Coro<CommitResult> CommitTxn(TxnState* state);
 
   /// Starts a cross-group transaction (D8): reserves every group's slot,
-  /// waits on each group as BeginTxn does (D15), begins a leg per group
+  /// waits on each group as BeginTxn does (D15, D16), begins a leg per group
   /// (cross begins return the contiguous frontier and the commit-order
   /// watermark), and fixes cross_ts above every watermark. Requires
   /// Protocol::kPaxosCP.
   sim::Coro<CrossTxn> BeginCrossTxn(std::vector<std::string> groups);
 
   /// Runs 2PC for the cross-group transaction in `*state` (see
-  /// txn/cross.h for the protocol). Slots are already released.
+  /// txn/cross.h for the protocol). Slots are already released. Returns at
+  /// the commit point, as soon as the canonical decide is known (D16): the
+  /// commit group's AwaitDecideApplied and every other participant's
+  /// PropagateDecide are started there as detached tasks, and the client's
+  /// next begin on each group waits for that group's task.
   sim::Coro<CrossCommitResult> CommitCrossTxn(CrossTxnState* state);
 
   /// One begin leg of BeginCrossTxn (fanned out with sim::Gather).
@@ -239,26 +257,29 @@ class TransactionClient {
   sim::Coro<DecideOutcome> ProposeDecide(std::string group, LogPos floor,
                                          DcId leader, TxnId id, bool commit);
 
-  /// Commit's read-your-effects barrier on one group: completes once the
-  /// replica that serves this client's next begin — the first to answer in
-  /// CallWithFailover order, home first — acknowledged applying the entry
-  /// of `*decide`. A walk knows its decide once a majority accepted it,
-  /// before any replica applied it, so without this a begin issued right
-  /// after Commit could overtake the apply and read below a still-pending
-  /// prepare. Awaits home's answer to the walk's own apply. When that
-  /// answer failed, or the walk only learned the entry, delivers the entry
-  /// itself with CallWithFailover and the null ballot, starting after home
-  /// when home already failed (D15). False when no replica acked (a
-  /// give-up, counted in CrossCommitResult::barrier_giveups; the pending
-  /// prepare is then recovery's to clear). `*decide` is owned by the
-  /// awaiting frame.
-  sim::Coro<bool> AwaitDecideApplied(std::string group,
-                                     DecideOutcome* decide);
+  /// A cross commit's read-your-effects wait on one group, detached (D16):
+  /// sets `done` once the replica that serves this client's next begin —
+  /// the first to answer in CallWithFailover order, home first —
+  /// acknowledged applying the entry of `*raw`. A walk knows its decide
+  /// once a majority accepted it, before any replica applied it, so a
+  /// begin that did not wait for this could overtake the apply and read
+  /// below a still-pending prepare. Awaits home's answer to the walk's own
+  /// apply. When that answer failed, or the walk only learned the entry,
+  /// delivers the entry itself with CallWithFailover and the null ballot,
+  /// starting after home when home already failed (D15). Sets false when
+  /// no replica acked (a give-up, counted by the begin that waits for it;
+  /// the pending prepare is then recovery's to clear). Takes ownership of
+  /// `raw`; a pointer because coroutine parameters must be trivially
+  /// destructible (see RunInstance).
+  sim::Task AwaitDecideApplied(std::string group, DecideOutcome* raw,
+                               sim::Promise<bool> done);
 
-  /// One Phase-2 propagation leg: lands the canonical decision in `group`
-  /// and barriers on its apply. False only when the barrier gave up.
-  sim::Coro<bool> PropagateDecide(std::string group, LogPos floor,
-                                  DcId leader, TxnId id, bool commit);
+  /// One Phase-2 propagation leg, detached (D16): lands the canonical
+  /// decision in `group`, then hands it to AwaitDecideApplied with `done`.
+  /// Sets true at once when the walk could not land it (recovery's to
+  /// land, nothing to wait for).
+  sim::Task PropagateDecide(std::string group, LogPos floor, DcId leader,
+                            TxnId id, bool commit, sim::Promise<bool> done);
 
   /// Merged QueryCross over every reachable datacenter: prepare metadata
   /// from the first replica that has it, the canonical decision if any
@@ -322,9 +343,12 @@ class TransactionClient {
   /// True when `result` is a replica's acknowledgement of an apply.
   static bool ApplyAcked(const CallResult& result);
 
-  /// Hands out the answer CommitTxn kept for `group`, once; invalid when
-  /// there is none.
-  CallFuture TakeCommitApply(const std::string& group);
+  /// Hands out, once, every wait the commits kept for `group` (D16).
+  CommitApply TakeCommitApply(const std::string& group);
+
+  /// Keeps one more cross decide leg for the next begin on `group` to wait
+  /// for, and returns the promise that the leg sets when it is done.
+  sim::Promise<bool> KeepDecideWait(const std::string& group);
 
   /// Broadcasts to every datacenter; the round ends once `settle` holds
   /// on the responses so far (D13), or once every replica has answered or
@@ -338,7 +362,7 @@ class TransactionClient {
   TimeMicros RandomBackoff(net::DelayStream* stream);
 
   /// The delay stream of this client's cross-group legs on `group` (D10):
-  /// begins, reads, prepare and decide walks and Commit's barrier all send
+  /// begins, reads, prepare and decide walks and the decides' applies send
   /// on it, so sibling legs sending in the same microsecond draw from
   /// distinct streams. Created on first use, seeded by a hash of the
   /// client's seed and the group name.
@@ -362,13 +386,7 @@ class TransactionClient {
   /// handle; only the exclusivity slot is tracked here).
   std::set<std::string> active_groups_;
 
-  /// This client's highest single-group commit on a group, kept for the
-  /// next begin there to wait for (D15): the position and home's answer
-  /// to its apply, never the entry.
-  struct CommitApply {
-    LogPos pos = 0;
-    CallFuture applied;
-  };
+  /// Per group, what the next begin there waits for (CommitApply).
   std::map<std::string, CommitApply> commit_applies_;
   int begin_giveups_ = 0;
 };

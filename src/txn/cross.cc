@@ -5,6 +5,7 @@
 #include "txn/cross.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -157,12 +158,16 @@ sim::Coro<CrossTxn> TransactionClient::BeginCrossTxn(
     }
   }
   for (const std::string& group : groups) active_groups_.insert(group);
-  // Each group's wait, as in BeginTxn (D15).
+  // Each group's waits, as in BeginTxn (D15, D16).
   for (const std::string& group : groups) {
-    CallFuture applied = TakeCommitApply(group);
-    if (!applied.valid()) continue;
-    const CallResult ack = co_await applied;
-    if (!ApplyAcked(ack)) ++begin_giveups_;
+    CommitApply waits = TakeCommitApply(group);
+    for (CallFuture& applied : waits.applies) {
+      const CallResult ack = co_await applied;
+      if (!ApplyAcked(ack)) ++begin_giveups_;
+    }
+    for (sim::Future<bool>& decided : waits.decides) {
+      if (!co_await decided) ++begin_giveups_;
+    }
   }
 
   auto state = std::make_unique<CrossTxnState>();
@@ -325,8 +330,10 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   }
   result.decide_pos = decide.pos;
   // The canonical decide is the commit point: the outcome is durable from
-  // here, whatever happens to the propagation below.
+  // here, whatever happens to the propagation below, and Commit returns
+  // now (D16).
   result.decision_latency = sim_->Now() - start;
+  result.latency = result.decision_latency;
 
   // Propagate the canonical decision to every group where a prepare was
   // (or may later be) in the log — concurrently (one extra round flat in
@@ -334,27 +341,24 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   // the canonical decide is known: a participant-group decide is a copy
   // of the canonical one, and fanning out the *proposed* outcome early
   // could race a recovery abort in the commit group into divergence.
-  // Each leg barriers on the begin-serving replica acknowledging its
+  // Each leg then waits for the begin-serving replica to acknowledge its
   // decide's apply (AwaitDecideApplied), and the commit group gets the
-  // same barrier, so Commit's read-your-effects promise holds: a begin
-  // issued after this returns sees every group's new frontier. Best
+  // same wait. The legs are detached tasks, started here in group order;
+  // this client's next begin on a group waits for that group's leg, so a
+  // begin issued after Commit returns sees the group's new frontier. Best
   // effort: an unreachable participant is resolved by recovery against
   // the commit group's canonical decide.
-  std::vector<sim::Coro<bool>> barriers;
-  barriers.reserve(outcomes.size());
-  barriers.push_back(AwaitDecideApplied(commit_group, &decide));
+  const bool commit = decide.commit;
+  AwaitDecideApplied(commit_group, new DecideOutcome(std::move(decide)),
+                     KeepDecideWait(commit_group));
   for (size_t i = 1; i < outcomes.size(); ++i) {
     if (!outcomes[i].attempted) continue;
-    barriers.push_back(PropagateDecide(
-        state->groups[i], outcomes[i].decide_floor, outcomes[i].decide_leader,
-        id, decide.commit));
+    const std::string& group = state->groups[i];
+    PropagateDecide(group, outcomes[i].decide_floor, outcomes[i].decide_leader,
+                    id, commit, KeepDecideWait(group));
   }
-  sim::Gather<bool> propagate(sim_, std::move(barriers));
-  const std::vector<bool> acked = co_await std::move(propagate);
-  result.barrier_giveups =
-      static_cast<int>(std::count(acked.begin(), acked.end(), false));
 
-  if (decide.commit) {
+  if (commit) {
     result.committed = true;
     result.status = Status::OK();
   } else if (want_commit) {
@@ -367,7 +371,6 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
         Status::Aborted("cross-group transaction aborted (" + fail_detail +
                         ")");
   }
-  result.latency = sim_->Now() - start;
   co_return result;
 }
 
@@ -508,14 +511,26 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
   co_return out;
 }
 
-sim::Coro<bool> TransactionClient::AwaitDecideApplied(std::string group,
-                                                      DecideOutcome* decide) {
+sim::Promise<bool> TransactionClient::KeepDecideWait(
+    const std::string& group) {
+  sim::Promise<bool> done(sim_);
+  commit_applies_[group].decides.push_back(done.GetFuture());
+  return done;
+}
+
+sim::Task TransactionClient::AwaitDecideApplied(std::string group,
+                                                DecideOutcome* raw,
+                                                sim::Promise<bool> done) {
+  std::unique_ptr<DecideOutcome> decide(raw);
   // The walk's own apply went to every replica, and home answers it. When
   // home acknowledged, the replica a begin tries first has the entry.
   int first = 0;
   if (decide->applied.valid()) {
     const CallResult ack = co_await decide->applied;
-    if (ApplyAcked(ack)) co_return true;
+    if (ApplyAcked(ack)) {
+      done.Set(true);
+      co_return;
+    }
     first = 1;  // home already cost one timeout: fail over past it
   }
   // Home's answer failed, or another proposer landed the entry (say, the
@@ -527,16 +542,21 @@ sim::Coro<bool> TransactionClient::AwaitDecideApplied(std::string group,
       ApplyRequest{group, decide->pos, paxos::kNullBallot, decide->entry};
   CallResult result =
       co_await CallWithFailover(&apply, LegStream(group), first);
-  co_return ApplyAcked(result);
+  done.Set(ApplyAcked(result));
 }
 
-sim::Coro<bool> TransactionClient::PropagateDecide(std::string group,
-                                                   LogPos floor, DcId leader,
-                                                   TxnId id, bool commit) {
+sim::Task TransactionClient::PropagateDecide(std::string group, LogPos floor,
+                                             DcId leader, TxnId id,
+                                             bool commit,
+                                             sim::Promise<bool> done) {
   DecideOutcome landed =
       co_await ProposeDecide(group, floor, leader, id, commit);
-  if (!landed.known) co_return true;  // recovery's to land, no barrier
-  co_return co_await AwaitDecideApplied(group, &landed);
+  if (!landed.known) {
+    done.Set(true);  // recovery's to land: nothing to wait for
+    co_return;
+  }
+  AwaitDecideApplied(std::move(group), new DecideOutcome(std::move(landed)),
+                     std::move(done));
 }
 
 // ------------------------------------------------------------- recovery

@@ -17,7 +17,9 @@
 //            until its fate is known.
 //   phase 2  A DECIDE record (commit iff every group prepared) is
 //            committed into the *commit group* (the first participant in
-//            sorted order) and then propagated to the other participants.
+//            sorted order) and then propagated to the other participants;
+//            Commit returns once the commit group's decide is known, and
+//            the propagation runs on detached (D16).
 //            The canonical outcome of the transaction is the lowest-
 //            position decide record in the commit group's log, so the
 //            coordinator is stateless: any party can learn — or, by
@@ -68,15 +70,12 @@ struct CrossCommitResult {
                        // advance positions without counting: decides
                        // never conflict, so their walk length is not a
                        // contention signal)
-  /// Wall-clock from commit start until Commit resumed the caller —
-  /// includes Phase-2 propagation to the non-commit participants, which
-  /// Commit awaits so that a transaction begun after commit returns
-  /// observes the effects on every group.
+  /// Wall-clock from commit start until Commit resumed the caller. Equals
+  /// decision_latency whenever the decide is known, commit or abort:
+  /// Commit returns at the commit point, and Phase-2 propagation and the
+  /// decides' applies run on as detached legs that the session's next
+  /// begin on each group waits for (D16).
   TimeMicros latency = 0;
-  /// Groups whose read-your-effects barrier gave up: no replica, in the
-  /// order a begin tries them, acknowledged applying the decide. A begin
-  /// issued right after Commit may then read below the pending prepare.
-  int barrier_giveups = 0;
   /// Wall-clock from commit start until the canonical decide landed in
   /// the commit group — the commit point, after which the outcome is
   /// durable and recovery can only confirm it. With parallel fan-out
@@ -139,8 +138,11 @@ class CrossTxn : public internal::Handle<CrossTxnState> {
   Status Write(const std::string& group, const std::string& row,
                const std::string& attribute, std::string value);
 
-  /// Runs 2PC over the participant logs. The handle is finished
-  /// afterwards; the returned coroutine must be awaited immediately.
+  /// Runs 2PC over the participant logs and returns at the commit point
+  /// (D16); the session's next begin on each participant waits until the
+  /// replica that serves it has applied the decide there. The handle is
+  /// finished afterwards; the returned coroutine must be awaited
+  /// immediately.
   sim::Coro<CrossCommitResult> Commit();
 
  private:

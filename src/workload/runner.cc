@@ -38,9 +38,7 @@ struct Attempt {
   TimeMicros latency = 0;
   /// Commit point of a cross commit (CrossCommitResult::decision_latency).
   TimeMicros decision_latency = 0;
-  int barrier_giveups = 0;  // CrossCommitResult::barrier_giveups
-  /// Waits this begin gave up, one per group (TransactionClient::
-  /// begin_giveups, D15).
+  /// Waits this begin gave up (TransactionClient::begin_giveups, D15, D16).
   int begin_giveups = 0;
   /// The checker's record, once the begin has minted a transaction id.
   std::optional<core::ClientOutcome> outcome;
@@ -73,8 +71,7 @@ void Record(RunContext* ctx, Attempt* attempt) {
   ++stats.attempted_by_dc[dc];
   ++window->attempted;
   if (attempt->cross) ++stats.cross_attempted;
-  stats.barrier_giveups += attempt->barrier_giveups + attempt->begin_giveups;
-  stats.begin_barrier_giveups += attempt->begin_giveups;
+  stats.barrier_giveups += attempt->begin_giveups;
   if (attempt->outcome) stats.outcomes.push_back(std::move(*attempt->outcome));
 
   switch (attempt->fate) {
@@ -111,6 +108,8 @@ void Record(RunContext* ctx, Attempt* attempt) {
       ++window->aborted;
       if (attempt->cross) ++stats.cross_aborted;
       stats.latency_aborted.Record(latency);
+      stats.max_promotions_aborted =
+          std::max(stats.max_promotions_aborted, attempt->promotions);
       break;
     case txn::TxnOutcome::kUnknownOutcome:
       ++stats.failed;
@@ -238,7 +237,6 @@ sim::Coro<void> RunCross(RunContext* ctx, txn::Session* session,
   attempt.promotions = result.promotions;
   attempt.latency = result.latency;
   attempt.decision_latency = result.decision_latency;
-  attempt.barrier_giveups = result.barrier_giveups;
   attempt.outcome->committed = result.committed;
   attempt.outcome->unknown = attempt.fate == txn::TxnOutcome::kUnknownOutcome;
   Record(ctx, &attempt);

@@ -85,7 +85,11 @@ struct RunStats {
   std::vector<Histogram> latency_by_round;  // committed txns, microseconds
   Histogram latency_committed;              // all rounds
   Histogram latency_aborted;
+  /// The most promotions a committed attempt made, and the most an
+  /// attempt aborted by a conflict made (paper §6: "no transaction was able
+  /// to execute more than seven promotions before aborting").
   int max_promotions = 0;
+  int max_promotions_aborted = 0;
   int fast_path_commits = 0;
 
   /// From the post-run log inspection.
@@ -103,9 +107,10 @@ struct RunStats {
   Histogram latency_cross;          // committed cross txns, microseconds
   Histogram latency_single_multi;   // committed single-group txns, same runs
   /// Commit-point latency of committed cross txns (CrossCommitResult::
-  /// decision_latency): time until the canonical decide landed, excluding
-  /// the awaited Phase-2 propagation. With parallel fan-out (D9) this
-  /// stays ~2 wide-area rounds regardless of participant count.
+  /// decision_latency): time until the canonical decide landed. Commit
+  /// returns there (D16), so this matches latency_cross sample for sample.
+  /// With parallel fan-out (D9) it stays ~2 wide-area rounds regardless of
+  /// participant count.
   Histogram latency_cross_decision;
 
   /// Commit rate over cross-group transactions only.
@@ -129,14 +134,12 @@ struct RunStats {
   /// Distinct pending prepares the post-run quiesce found; 0 with the
   /// daemon on means it healed everything itself.
   int quiesce_pending = 0;
-  /// Read-your-effects barriers that gave up: cross commits' (summed over
-  /// CrossCommitResult::barrier_giveups: no replica acknowledged the
-  /// decide's apply), plus the waits begins gave up, one per group, when
-  /// home's answer to the session's last commit failed (D15). 0 on every
+  /// Read-your-effects waits that begins gave up (TransactionClient::
+  /// begin_giveups): home's answer to a single-group commit's apply failed
+  /// (D15), or no replica acknowledged a cross commit's decide (D16). Each
+  /// is counted once, by the session's next begin on the group. 0 on every
   /// fault-free run.
   int barrier_giveups = 0;
-  /// The begins' part of barrier_giveups.
-  int begin_barrier_giveups = 0;
 
   uint64_t messages_sent = 0;
   double messages_per_attempt = 0;

@@ -335,11 +335,10 @@ TEST(ChaosSweepTest, CrossGroupPlansPreserveGlobalSerializability) {
 // green extended checker, and (being a pure function of the seed) a
 // bit-identical replay. Give-ups at the daemon's attempt cap are summed
 // into the summary line: one replica can abandon a transaction that
-// another replica's daemon still resolves. So are the cross commits whose
-// read-your-effects barrier found no replica acknowledging the decide's
-// apply, which faults can cause and the daemon then cleans up, and the
-// begins that stopped waiting for home to apply their session's last
-// commit (D15).
+// another replica's daemon still resolves. So are the waits that begins
+// gave up: home's answer to their session's last single-group commit
+// failed (D15), or no replica acknowledged a cross commit's decide, which
+// faults can cause and the daemon then cleans up (D16).
 TEST(ChaosSweepTest, DaemonAloneHealsPendingPrepares) {
   const uint64_t replay = EnvOr("PAXOSCP_CHAOS_REPLAY", 0);
   const uint64_t base = EnvOr("PAXOSCP_CHAOS_SEED_BASE", 1000) + 900000;
@@ -348,7 +347,7 @@ TEST(ChaosSweepTest, DaemonAloneHealsPendingPrepares) {
 
   uint64_t recoveries_decided = 0, recoveries_forced = 0;
   uint64_t recoveries_abandoned = 0;
-  int barrier_giveups = 0, begin_giveups = 0;
+  int barrier_giveups = 0;
   int cross_committed = 0, plans_with_faults = 0, delivery_fault_plans = 0;
   for (uint64_t i = 0; i < count; ++i) {
     const uint64_t seed = replay != 0 ? replay : base + i;
@@ -357,7 +356,6 @@ TEST(ChaosSweepTest, DaemonAloneHealsPendingPrepares) {
     if (replay != 0) std::printf("%s", result.Describe().c_str());
     recoveries_abandoned += result.stats.recoveries_abandoned;
     barrier_giveups += result.stats.barrier_giveups;
-    begin_giveups += result.stats.begin_barrier_giveups;
     if (!result.ok() || result.stats.quiesce_pending != 0 ||
         result.pending_after != 0) {
       WriteFailureArtifact(result);
@@ -409,14 +407,12 @@ TEST(ChaosSweepTest, DaemonAloneHealsPendingPrepares) {
   std::printf(
       "daemon chaos sweep: %llu runs, %d with faults (%d with delivery "
       "faults), %d cross commits, %llu recoveries decided (%llu forced "
-      "aborts), %llu abandoned, %d barrier give-ups (%d cross commit, %d "
-      "begin)\n",
+      "aborts), %llu abandoned, %d barrier give-ups (all at begins)\n",
       static_cast<unsigned long long>(count), plans_with_faults,
       delivery_fault_plans, cross_committed,
       static_cast<unsigned long long>(recoveries_decided),
       static_cast<unsigned long long>(recoveries_forced),
-      static_cast<unsigned long long>(recoveries_abandoned), barrier_giveups,
-      barrier_giveups - begin_giveups, begin_giveups);
+      static_cast<unsigned long long>(recoveries_abandoned), barrier_giveups);
 }
 
 // Daemon seeds on which two values were once decided for one log position.

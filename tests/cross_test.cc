@@ -3,7 +3,8 @@
 // entries keep the v1 bytes and fingerprints), the WAL side tables
 // (pending prepares hold SafeReadPos and the applied watermark), the
 // commit path (atomic multi-group transfer, conflict aborts, the shared
-// commit order, Commit's wait for the decides' apply acknowledgements),
+// commit order, Commit's return at the commit point and the next begin's
+// wait for the decides' apply acknowledgements),
 // coordinator-crash recovery (prepared-but-undecided
 // transactions resolved to a canonical decision by the stateless recovery
 // core), the checker's cross-group obligations, and the Session-level
@@ -807,14 +808,19 @@ TEST(CrossRecoveryTest, RecoveryAdoptsExistingCommitDecision) {
   EXPECT_EQ(x.value, "committed");
 }
 
-// ----------------------------------------------- Commit's apply barrier
+// ------------------------------------ the next begin's decide waits (D16)
 
-/// What a coordinator at dc 0 sees the moment its cross Commit over {a, b}
-/// returns: the decide as its begin-serving replica (dc 0, the home) holds
-/// it in each group, and where a BeginCross issued right then reads.
+/// A coordinator at dc 0 commits a cross transaction over {a, b} and
+/// issues a BeginCross as soon as Commit returns. Records what dc 0 (the
+/// home, the begin-serving replica) holds of the decide in each group when
+/// that begin returns, where it reads, when it returns, and how many waits
+/// the session's begins gave up.
 struct BarrierProbe {
   CrossCommitResult commit;
   TxnId id = 0;
+  TimeMicros commit_started = 0;
+  TimeMicros next_begin_returned = 0;
+  int begin_giveups = 0;
   std::map<std::string, wal::CrossDecision> at_return;
   std::map<std::string, LogPos> next_read_pos;
   Status next_begin = Status::Internal("unset");
@@ -829,20 +835,24 @@ struct CommitThenBegin {
     out->id = txn.id();
     (void)txn.Write("a", "row", "x", "1");
     (void)txn.Write("b", "row", "y", "1");
+    sim::Simulator* sim = db->cluster()->simulator();
+    out->commit_started = sim->Now();
     out->commit = co_await txn.Commit();
+    CrossTxn next = co_await s->BeginCross(ab);
+    out->next_begin_returned = sim->Now();
+    out->begin_giveups = s->client()->begin_giveups();
     for (const std::string& g : ab) {
       out->at_return[g] =
           db->cluster()->service(0)->GroupLog(g)->DecisionFor(out->id);
     }
-    CrossTxn next = co_await s->BeginCross(ab);
     out->next_begin = next.begin_status();
     for (const std::string& g : ab) out->next_read_pos[g] = next.read_pos(g);
     next.Abort();
   }
 };
 
-/// Commit's read-your-effects promise: the home held every decide when
-/// Commit returned, and the next begin read at or above each.
+/// The session's read-your-effects promise: the home held every decide
+/// when the next begin returned, and that begin read at or above each.
 void ExpectDecidedAtHome(const BarrierProbe& probe) {
   ASSERT_TRUE(probe.next_begin.ok()) << probe.next_begin.ToString();
   for (const char* g : {"a", "b"}) {
@@ -870,7 +880,7 @@ TEST(CrossBarrierTest, CommitWaitsForHomeToApplyItsOwnDecides) {
   db.Run();
 
   ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
-  EXPECT_EQ(probe.commit.barrier_giveups, 0);
+  EXPECT_EQ(probe.begin_giveups, 0);
   ExpectDecidedAtHome(probe);
 }
 
@@ -879,8 +889,9 @@ TEST(CrossBarrierTest, CommitDeliversDecidesRecoveryLandedFirst) {
   // a recovery engine at dc 2, started at that moment, decides the
   // transaction in both groups; none of recovery's applies reaches dc 0.
   // The coordinator's walks then learn each decide from a replica that
-  // already holds it, so no apply of theirs is on its way to dc 0: Commit
-  // must deliver both entries to dc 0 itself before it returns.
+  // already holds it, so no apply of theirs is on its way to dc 0: the
+  // decide legs must deliver both entries to dc 0 themselves before the
+  // next begin goes out.
   Db db(TestConfig());
   ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
   ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
@@ -924,8 +935,8 @@ TEST(CrossBarrierTest, CommitDeliversDecidesRecoveryLandedFirst) {
   ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
   EXPECT_FALSE(probe.commit.unknown) << probe.commit.status.ToString();
   EXPECT_EQ(probe.commit.committed, rec.commit);
-  EXPECT_EQ(probe.commit.barrier_giveups, 0);
-  // One delivery per group, both sent by the coordinator's barrier.
+  EXPECT_EQ(probe.begin_giveups, 0);
+  // One delivery per group, both sent by the coordinator's decide legs.
   EXPECT_EQ(coordinator_applies_at_home, 2);
   ExpectDecidedAtHome(probe);
   core::CheckReport report = db.Check(std::vector<std::string>{"a", "b"});
@@ -935,7 +946,7 @@ TEST(CrossBarrierTest, CommitDeliversDecidesRecoveryLandedFirst) {
 TEST(CrossBarrierTest, BarrierGiveUpIsCounted) {
   // Every apply of the coordinator's decides is lost: the decide is known,
   // so the transaction commits, but no replica acknowledges it in either
-  // group, and Commit reports both barriers as given up.
+  // group, and the next begin counts both waits as given up.
   Db db(TestConfig());
   ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
   ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
@@ -959,17 +970,17 @@ TEST(CrossBarrierTest, BarrierGiveUpIsCounted) {
   db.Run();
 
   ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
-  EXPECT_EQ(probe.commit.barrier_giveups, 2);
+  EXPECT_EQ(probe.begin_giveups, 2);
   EXPECT_FALSE(probe.at_return.at("a").known);
   EXPECT_FALSE(probe.at_return.at("b").known);
 }
 
 TEST(CrossBarrierTest, BarrierFailsOverPastAHomeThatDidNotAnswer) {
   // dc 0 never answers an apply of the coordinator's decide in time. Home
-  // is the only replica asked to answer the walk's apply, so Commit's
-  // barrier re-delivers the entry to the next replica, dc 1, once home's
-  // 2 s timeout fired: Commit returns about 2 s after the decide, with no
-  // give-up. A fallback that tried home again would take about 4 s.
+  // is the only replica asked to answer the walk's apply, so the decide
+  // legs re-deliver the entry to the next replica, dc 1, once home's 2 s
+  // timeout fired: the next begin returns about 2 s after the decide, with
+  // no give-up. A fallback that tried home again would take about 4 s.
   Db db(TestConfig());
   ASSERT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
   ASSERT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
@@ -997,14 +1008,90 @@ TEST(CrossBarrierTest, BarrierFailsOverPastAHomeThatDidNotAnswer) {
   db.Run();
 
   ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
-  EXPECT_EQ(probe.commit.barrier_giveups, 0);
+  EXPECT_EQ(probe.begin_giveups, 0);
   EXPECT_EQ(redelivered_at_dc1, 2);  // one per group
   const TimeMicros after_decide =
-      probe.commit.latency - probe.commit.decision_latency;
+      probe.next_begin_returned -
+      (probe.commit_started + probe.commit.decision_latency);
   EXPECT_GE(after_decide, 2 * kSecond);
   EXPECT_LT(after_decide, 3 * kSecond);
   core::CheckReport report = db.Check(std::vector<std::string>{"a", "b"});
   EXPECT_TRUE(report.ok) << report.ToString();
+}
+
+/// A coordinator at dc 0 commits a cross transaction over {a, b} (commit
+/// group a) and, as soon as Commit returns, begins a single-group
+/// transaction on b, the participant whose decide is proposed only after
+/// the commit point. Records what dc 0 holds of b's decide at Commit's
+/// return and at the begin's return, and where that begin reads.
+struct SingleBeginProbe {
+  CrossCommitResult commit;
+  TxnId id = 0;
+  wal::CrossDecision b_at_commit;
+  wal::CrossDecision b_at_begin;
+  LogPos begin_read_pos = 0;
+  Status begin = Status::Internal("unset");
+  int begin_giveups = -1;
+};
+
+struct CommitThenBeginOnB {
+  sim::Task operator()(Db* db, Session* s, SingleBeginProbe* out) {
+    const std::vector<std::string> ab = {"a", "b"};
+    CrossTxn txn = co_await s->BeginCross(ab);
+    EXPECT_TRUE(txn.active()) << txn.begin_status().ToString();
+    if (!txn.active()) co_return;
+    out->id = txn.id();
+    (void)txn.Write("a", "row", "x", "1");
+    (void)txn.Write("b", "row", "y", "1");
+    const wal::WriteAheadLog* b_at_home =
+        db->cluster()->service(0)->GroupLog("b");
+    out->commit = co_await txn.Commit();
+    out->b_at_commit = b_at_home->DecisionFor(out->id);
+    txn::Txn next = co_await s->Begin("b");
+    out->b_at_begin = b_at_home->DecisionFor(out->id);
+    out->begin = next.begin_status();
+    out->begin_read_pos = next.read_pos();
+    out->begin_giveups = s->client()->begin_giveups();
+    next.Abort();
+  }
+};
+
+SingleBeginProbe RunCommitThenBeginOnB() {
+  Db db(TestConfig());
+  EXPECT_TRUE(db.Load("a", "row", {{"x", "0"}}).ok());
+  EXPECT_TRUE(db.Load("b", "row", {{"y", "0"}}).ok());
+  Session session = db.Session(0);
+  SingleBeginProbe probe;
+  CommitThenBeginOnB run;
+  run(&db, &session, &probe);
+  db.Run();
+  core::CheckReport report = db.Check(std::vector<std::string>{"a", "b"});
+  EXPECT_TRUE(report.ok) << report.ToString();
+  return probe;
+}
+
+TEST(CrossBarrierTest, CommitReturnsAtTheCommitPoint) {
+  // Commit returns as soon as the commit group's decide is known (D16): its
+  // latency is the commit point's, while b's decide is still on its way
+  // and not yet decided at home.
+  const SingleBeginProbe probe = RunCommitThenBeginOnB();
+  ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
+  EXPECT_GT(probe.commit.decision_latency, 0);
+  EXPECT_EQ(probe.commit.latency, probe.commit.decision_latency);
+  EXPECT_FALSE(probe.b_at_commit.known);
+}
+
+TEST(CrossBarrierTest, SingleGroupBeginWaitsForTheParticipantsDecide) {
+  // The single-group begin on b waits for b's detached decide leg: home has
+  // applied b's decide when it returns, and it reads at or above the
+  // decide, not below the prepare that was pending when Commit returned.
+  const SingleBeginProbe probe = RunCommitThenBeginOnB();
+  ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
+  ASSERT_TRUE(probe.begin.ok()) << probe.begin.ToString();
+  ASSERT_TRUE(probe.b_at_begin.known) << "dc 0 lacks b's decide";
+  EXPECT_TRUE(probe.b_at_begin.commit);
+  EXPECT_GE(probe.begin_read_pos, probe.b_at_begin.pos);
+  EXPECT_EQ(probe.begin_giveups, 0);
 }
 
 // ---------------------------------------------------------- determinism

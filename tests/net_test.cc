@@ -99,6 +99,23 @@ TEST_F(NetworkTest, TimeoutFiresWhenDestinationDown) {
   EXPECT_TRUE(result->status.IsTimedOut());
 }
 
+TEST_F(NetworkTest, AnsweredCallLeavesNoEventBehind) {
+  // The answer cancels the call's 2 s timeout, so the run ends at the
+  // answer: the request leg, the deferred destroy of the handler's frame,
+  // the response leg and the caller's resume, one round trip in.
+  Build(2);
+  std::optional<StringCall> result;
+  AwaitThen(network_->Call(0, 1, "x"),
+            [&](StringCall&& r) { result = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->status.ok()) << result->status.ToString();
+  EXPECT_EQ(sim_.EventsExecuted(), 4u);
+  EXPECT_EQ(sim_.PendingEvents(), 0u);
+  EXPECT_GE(sim_.Now(), kRtt);
+  EXPECT_LT(sim_.Now(), kRtt + kMillisecond);
+}
+
 TEST_F(NetworkTest, OutageMidFlightDropsDelivery) {
   Build(2);
   std::optional<StringCall> result;
@@ -189,14 +206,14 @@ sim::Task AwaitBroadcast(StringNetwork* network, uint64_t* events_at_resume) {
 TEST_F(NetworkTest, BroadcastCostsFourEventsPerTargetAndOneResume) {
   // Per target: the request leg, the deferred destroy of the handler's
   // frame, the response leg and the event that hands the result to the
-  // broadcast; then one event resumes the awaiting coroutine. Each
-  // target's timeout fires later, as a no-op.
+  // broadcast; then one event resumes the awaiting coroutine. Each answer
+  // cancels its call's timeout, so no event runs after the resume.
   Build(3);
   uint64_t events_at_resume = 0;
   AwaitBroadcast(network_.get(), &events_at_resume);
   sim_.Run();
   EXPECT_EQ(events_at_resume, 13u);
-  EXPECT_EQ(sim_.EventsExecuted(), 16u);
+  EXPECT_EQ(sim_.EventsExecuted(), 13u);
 }
 
 /// What the awaiting side of a broadcast saw when it resumed.
@@ -231,9 +248,9 @@ Resumed BroadcastToStaggeredTargets(StringNetwork::Settle settle,
               resumed.event = sim.EventsExecuted();
             });
   sim.Run();
-  // Every target's four events and its timeout ran, as without a settle
+  // Every target's four events ran, and no timeout, as without a settle
   // predicate (BroadcastCostsFourEventsPerTargetAndOneResume).
-  EXPECT_EQ(sim.EventsExecuted(), 16u);
+  EXPECT_EQ(sim.EventsExecuted(), 13u);
   EXPECT_EQ(network.messages_sent(), 6u);
   return resumed;
 }
@@ -557,9 +574,10 @@ TEST_F(NetworkTest, DeliveryFaultsAreDeterministicPerSeed) {
 
 TEST_F(NetworkTest, FaultStreamNeverPerturbsPrimarySchedule) {
   // With jitter on (so the main RNG stream is live), enabling duplication
-  // must leave every primary copy's completion time untouched: duplicate
+  // must leave every primary copy's round trip untouched: duplicate
   // scheduling and the duplicate's response leg draw only from the fault
-  // stream.
+  // stream. Round trips, not completion times: each call is sent when the
+  // previous run ended, and a duplicate's answer ends its run later.
   auto run_once = [&](double duplicate_probability,
                       std::vector<TimeMicros>* completions) {
     sim::Simulator sim;
@@ -572,8 +590,10 @@ TEST_F(NetworkTest, FaultStreamNeverPerturbsPrimarySchedule) {
     StringNetwork network(&sim, rtt, options);
     network.RegisterEndpoint(1, EchoHandler(1));
     for (int i = 0; i < 30; ++i) {
-      AwaitThen(network.Call(0, 1, std::to_string(i)),
-                [&](StringCall&&) { completions->push_back(sim.Now()); });
+      const TimeMicros sent = sim.Now();
+      AwaitThen(network.Call(0, 1, std::to_string(i)), [&](StringCall&&) {
+        completions->push_back(sim.Now() - sent);
+      });
       sim.Run();
     }
   };

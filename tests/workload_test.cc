@@ -286,6 +286,31 @@ TEST(RunnerTest, CpCommitsAtLeastAsManyAsBasic) {
   EXPECT_EQ(basic.max_promotions, 0);
 }
 
+TEST(RunnerTest, MaxPromotionsAreKeptForCommitsAndAbortsApart) {
+  // A contended Paxos-CP run: max_promotions is the highest promotion round
+  // a commit landed in, and max_promotions_aborted the most promotions an
+  // attempt made before a conflict aborted it (paper §6: none beyond
+  // seven). Basic Paxos never promotes, whatever the outcome.
+  core::ClusterConfig cluster = *core::ClusterConfig::FromCode("VVV");
+  cluster.seed = 13;
+  RunnerConfig config = SmallRun(txn::Protocol::kPaxosCP);
+  config.total_txns = 80;
+  config.workload.num_attributes = 8;
+  const RunStats cp = RunExperiment(cluster, config);
+  EXPECT_TRUE(cp.check.ok) << cp.check.ToString();
+  EXPECT_GT(cp.aborted, 0);
+  EXPECT_EQ(cp.max_promotions,
+            static_cast<int>(cp.commits_by_round.size()) - 1);
+  EXPECT_EQ(cp.max_promotions, 2);
+  EXPECT_EQ(cp.max_promotions_aborted, 1);
+
+  config.client.protocol = txn::Protocol::kBasicPaxos;
+  const RunStats basic = RunExperiment(cluster, config);
+  EXPECT_GT(basic.aborted, 0);
+  EXPECT_EQ(basic.max_promotions, 0);
+  EXPECT_EQ(basic.max_promotions_aborted, 0);
+}
+
 TEST(RunnerTest, PerThreadHomesRouteClients) {
   core::ClusterConfig cluster = *core::ClusterConfig::FromCode("VOC");
   cluster.seed = 19;
