@@ -1,6 +1,6 @@
 // Minimal leveled logger. Protocol-level traces are invaluable when
 // debugging distributed interleavings, but must cost nothing when disabled,
-// so call sites guard with IsEnabled() before building strings.
+// so PAXOSCP_LOG checks LogEnabled(level) before it builds the line.
 #pragma once
 
 #include <sstream>

@@ -1,7 +1,6 @@
 #include "common/random.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace paxoscp {
 
@@ -12,12 +11,6 @@ uint64_t SplitMix64(uint64_t* state) {
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-double Zeta(uint64_t n, double theta) {
-  double sum = 0;
-  for (uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(double(i), theta);
-  return sum;
-}
 
 }  // namespace
 
@@ -80,26 +73,6 @@ bool Rng::Bernoulli(double p) {
   if (p <= 0) return false;
   if (p >= 1) return true;
   return NextDouble() < p;
-}
-
-ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)
-    : n_(n), theta_(theta) {
-  assert(n > 0);
-  zetan_ = Zeta(n, theta);
-  zeta2theta_ = Zeta(2, theta);
-  alpha_ = 1.0 / (1.0 - theta_);
-  eta_ = (1 - std::pow(2.0 / double(n_), 1 - theta_)) /
-         (1 - zeta2theta_ / zetan_);
-}
-
-uint64_t ZipfianGenerator::Next(Rng* rng) {
-  const double u = rng->NextDouble();
-  const double uz = u * zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-  const uint64_t v = static_cast<uint64_t>(
-      double(n_) * std::pow(eta_ * u - eta_ + 1, alpha_));
-  return v >= n_ ? n_ - 1 : v;
 }
 
 }  // namespace paxoscp

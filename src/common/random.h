@@ -43,24 +43,4 @@ uint64_t HashMix(uint64_t x);
 /// FNV-1a over `bytes`: folds a name into a HashMix input.
 uint64_t HashString(std::string_view bytes);
 
-/// Zipfian generator over [0, n) with parameter theta, using the
-/// Gray/YCSB rejection-free construction. theta in (0, 1); larger theta is
-/// more skewed. Used by the workload generator's skewed access mode.
-class ZipfianGenerator {
- public:
-  ZipfianGenerator(uint64_t n, double theta = 0.99);
-
-  uint64_t Next(Rng* rng);
-
-  uint64_t n() const { return n_; }
-
- private:
-  uint64_t n_;
-  double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
-  double zeta2theta_;
-};
-
 }  // namespace paxoscp

@@ -44,8 +44,7 @@ void Cluster::RestartService(DcId dc) {
     retired_services_.push_back(std::move(services_[dc]));
   }
   services_[dc] = std::make_unique<txn::TransactionService>(
-      dc, network_.get(), stores_[dc].get(), config_.service_times,
-      NextSeed());
+      dc, network_.get(), stores_[dc].get(), NextSeed());
   txn::TransactionService* service = services_[dc].get();
   network_->RegisterEndpoint(
       dc, [service](DcId from, const txn::ServiceRequest* request) {

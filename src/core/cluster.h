@@ -74,8 +74,9 @@ class Cluster {
   /// new requests against the same (durable) key-value store, so it
   /// recovers the group logs and acceptor state, while requests already in
   /// flight complete against the retired instance (a restart loses nothing
-  /// but in-flight work — services are stateless, see txn/service.h). Any
-  /// background applier must be re-started by the caller.
+  /// but in-flight work — services are stateless, see txn/service.h). A
+  /// running recovery daemon moves to the replacement, which adopts the
+  /// pending prepares from the WAL side tables.
   void RestartService(DcId dc);
 
   /// Arms `plan` on this cluster's fault injector: every event fires at

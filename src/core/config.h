@@ -10,8 +10,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "txn/service.h"
-#include "txn/transaction.h"
 
 namespace paxoscp::core {
 
@@ -42,8 +40,6 @@ struct ClusterConfig {
   double loss_probability = 0.0;
   /// One-way latency jitter fraction.
   double latency_jitter = 0.10;
-  /// Simulated service processing costs.
-  txn::ServiceTimeModel service_times;
   /// Master seed; everything (jitter, loss, backoff, workload) derives
   /// from it, so runs are reproducible.
   uint64_t seed = 42;

@@ -223,18 +223,6 @@ size_t MultiVersionStore::TruncateVersions(std::string_view key,
   return removed;
 }
 
-size_t MultiVersionStore::TruncateAllVersions(Timestamp watermark) {
-  std::vector<std::string> keys;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    keys.reserve(rows_.size());
-    for (const auto& [key, chain] : rows_) keys.push_back(key);
-  }
-  size_t removed = 0;
-  for (const auto& key : keys) removed += TruncateVersions(key, watermark);
-  return removed;
-}
-
 std::vector<std::string> MultiVersionStore::KeysWithPrefix(
     std::string_view prefix) const {
   std::lock_guard<std::mutex> lock(mu_);

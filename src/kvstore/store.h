@@ -135,9 +135,6 @@ class MultiVersionStore {
   /// versions removed.
   size_t TruncateVersions(std::string_view key, Timestamp watermark);
 
-  /// Applies TruncateVersions to every key. Returns total removed.
-  size_t TruncateAllVersions(Timestamp watermark);
-
   /// All keys with the given prefix, sorted.
   std::vector<std::string> KeysWithPrefix(std::string_view prefix) const;
 

@@ -58,9 +58,9 @@ struct NetworkOptions {
   double loss_probability = 0.0;
   /// One-way delay is rtt/2 * (1 + U(-jitter, +jitter)).
   double latency_jitter = 0.10;
-  /// Per-call timeout when the caller passes 0 (paper: 2 seconds). The
-  /// protocol never passes one, so this is its one RPC timeout.
-  TimeMicros default_timeout = 2 * kSecond;
+  /// The one RPC timeout (paper §2.2: 2 seconds): a call that no answer
+  /// reaches within it resolves TimedOut.
+  TimeMicros rpc_timeout = 2 * kSecond;
   /// RNG seed for delay jitter and loss decisions.
   uint64_t seed = 1;
 
@@ -161,7 +161,7 @@ class NetworkBase {
   void ResetStats();
 
   sim::Simulator* simulator() const { return sim_; }
-  TimeMicros default_timeout() const { return options_.default_timeout; }
+  TimeMicros rpc_timeout() const { return options_.rpc_timeout; }
 
  protected:
   /// Which copy of a request a message belongs to. A duplicate draws every
@@ -271,17 +271,16 @@ class Network : public NetworkBase {
     handlers_[dc] = std::move(handler);
   }
 
-  /// Sends `request` from `from` to `to`; resolves with the response or
-  /// TimedOut. `timeout` of 0 uses the default (2 s). `stream` null draws
-  /// the delays from the shared stream (see DelayStream). The request is
-  /// taken by reference and copied once, before Call returns — callers in
-  /// coroutines must pass a named object, never a temporary inside a
-  /// co_await expression (see sim/coro.h on GCC 12 cross-suspension
-  /// temporary hazards).
+  /// Sends `request` from `from` to `to`; resolves with the response, or
+  /// TimedOut once rpc_timeout() has passed without one. `stream` null
+  /// draws the delays from the shared stream (see DelayStream). The
+  /// request is taken by reference and copied once, before Call returns —
+  /// callers in coroutines must pass a named object, never a temporary
+  /// inside a co_await expression (see sim/coro.h on GCC 12
+  /// cross-suspension temporary hazards).
   CallFuture Call(DcId from, DcId to, const Request& request,
-                  TimeMicros timeout = 0, DelayStream* stream = nullptr) {
-    return Send(from, to, std::make_shared<const Request>(request), timeout,
-                stream);
+                  DelayStream* stream = nullptr) {
+    return Send(from, to, std::make_shared<const Request>(request), stream);
   }
 
   /// Sends `request` to every target in parallel, served from one copy of
@@ -298,7 +297,6 @@ class Network : public NetworkBase {
                                     const std::vector<DcId>& targets,
                                     const Request& request,
                                     Answering answering,
-                                    TimeMicros timeout = 0,
                                     DelayStream* stream = nullptr);
 
   /// Multicast with every target answering, resolved once every target has
@@ -311,7 +309,6 @@ class Network : public NetworkBase {
   sim::Future<BroadcastResult> Broadcast(DcId from,
                                          const std::vector<DcId>& targets,
                                          const Request& request,
-                                         TimeMicros timeout = 0,
                                          DelayStream* stream = nullptr,
                                          Settle settle = nullptr);
 
@@ -358,7 +355,7 @@ class Network : public NetworkBase {
   };
 
   CallFuture Send(DcId from, DcId to, std::shared_ptr<const Request> request,
-                  TimeMicros timeout, DelayStream* stream);
+                  DelayStream* stream);
   /// Sends the request leg of a call, or a one-way message when `reply`
   /// is empty, and a duplicate copy when the fault stream draws one.
   void Dispatch(DcId from, DcId to, std::shared_ptr<const Request> request,
@@ -384,16 +381,14 @@ class Network : public NetworkBase {
 template <typename Request, typename Response>
 auto Network<Request, Response>::Send(DcId from, DcId to,
                                       std::shared_ptr<const Request> request,
-                                      TimeMicros timeout, DelayStream* stream)
-    -> CallFuture {
-  if (timeout <= 0) timeout = default_timeout();
+                                      DelayStream* stream) -> CallFuture {
   ++calls_started_;
 
   sim::Promise<CallResult<Response>> promise(sim_);
 
   // Timeout: fires unless an answer arrives first and cancels it.
   const sim::EventId timeout_event = sim_->ScheduleAfter(
-      timeout,
+      rpc_timeout(),
       [promise] {
         promise.Set(CallResult<Response>{Status::TimedOut("rpc timeout"), {}});
       },
@@ -484,7 +479,6 @@ auto Network<Request, Response>::Multicast(DcId from,
                                            const std::vector<DcId>& targets,
                                            const Request& request,
                                            Answering answering,
-                                           TimeMicros timeout,
                                            DelayStream* stream)
     -> std::vector<CallFuture> {
   std::vector<CallFuture> calls;
@@ -493,7 +487,7 @@ auto Network<Request, Response>::Multicast(DcId from,
   for (const DcId to : targets) {
     if (answering == Answering::kAll ||
         (answering == Answering::kSender && to == from)) {
-      calls.push_back(Send(from, to, shared, timeout, stream));
+      calls.push_back(Send(from, to, shared, stream));
     } else {
       Dispatch(from, to, shared, stream, std::nullopt);
     }
@@ -505,7 +499,6 @@ template <typename Request, typename Response>
 auto Network<Request, Response>::Broadcast(DcId from,
                                            const std::vector<DcId>& targets,
                                            const Request& request,
-                                           TimeMicros timeout,
                                            DelayStream* stream, Settle settle)
     -> sim::Future<BroadcastResult> {
   sim::Promise<BroadcastResult> promise(sim_);
@@ -521,7 +514,7 @@ auto Network<Request, Response>::Broadcast(DcId from,
   }
 
   std::vector<CallFuture> calls =
-      Multicast(from, targets, request, Answering::kAll, timeout, stream);
+      Multicast(from, targets, request, Answering::kAll, stream);
   for (size_t i = 0; i < calls.size(); ++i) {
     Collect(std::move(calls[i]), agg, i);
   }

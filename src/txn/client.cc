@@ -62,8 +62,7 @@ sim::Coro<CallResult> TransactionClient::CallWithFailover(
   for (int attempt = first; attempt < network_->num_datacenters();
        ++attempt) {
     const DcId target = (home_ + attempt) % network_->num_datacenters();
-    last = co_await network_->Call(home_, target, *request, /*timeout=*/0,
-                                   stream);
+    last = co_await network_->Call(home_, target, *request, stream);
     if (last.status.ok()) co_return last;
   }
   co_return last;
@@ -73,21 +72,13 @@ bool TransactionClient::ApplyAcked(const CallResult& result) {
   return result.status.ok() && std::get<ApplyResponse>(result.response).ok;
 }
 
-TransactionClient::CommitApply TransactionClient::TakeCommitApply(
+std::vector<CallFuture> TransactionClient::TakeCommitWaits(
     const std::string& group) {
-  const auto it = commit_applies_.find(group);
-  if (it == commit_applies_.end()) return {};
-  CommitApply waits = std::move(it->second);
-  commit_applies_.erase(it);
+  const auto it = commit_waits_.find(group);
+  if (it == commit_waits_.end()) return {};
+  std::vector<CallFuture> waits = std::move(it->second);
+  commit_waits_.erase(it);
   return waits;
-}
-
-sim::Coro<BroadcastResult> TransactionClient::BroadcastToAll(
-    const ServiceRequest* request, net::DelayStream* stream,
-    Network::Settle settle) {
-  co_return co_await network_->Broadcast(home_, all_dcs_, *request,
-                                         /*timeout=*/0, stream,
-                                         std::move(settle));
 }
 
 sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
@@ -100,13 +91,10 @@ sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
   // one of this client's commits would read below it. The waits are
   // usually over by now, and then the awaits do not suspend. When one
   // failed, the begin goes ahead as if it had not waited.
-  CommitApply waits = TakeCommitApply(group);
-  for (CallFuture& applied : waits.applies) {
+  std::vector<CallFuture> waits = TakeCommitWaits(group);
+  for (CallFuture& applied : waits) {
     const CallResult ack = co_await applied;
     if (!ApplyAcked(ack)) ++begin_giveups_;
-  }
-  for (sim::Future<bool>& decided : waits.decides) {
-    if (!co_await decided) ++begin_giveups_;
   }
   ServiceRequest begin_request = BeginRequest{group};
   CallResult result = co_await CallWithFailover(&begin_request);
@@ -238,8 +226,7 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
       // commit's apply (D15). A record that landed in another proposer's
       // entry sent no apply, so there is nothing to wait for.
       if (outcome.applied.valid()) {
-        commit_applies_[txn.group].applies.push_back(
-            std::move(outcome.applied));
+        commit_waits_[txn.group].push_back(std::move(outcome.applied));
       }
       result.status = Status::OK();
       result.committed = true;
@@ -287,8 +274,8 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
                                   paxos::Ballot* max_seen,
                                   net::DelayStream* stream) {
   ServiceRequest accept_request = AcceptRequest{group, pos, ballot, *proposal};
-  BroadcastResult aresults = co_await BroadcastToAll(
-      &accept_request, stream, AcceptSettle(majority_));
+  BroadcastResult aresults = co_await network_->Broadcast(
+      home_, all_dcs_, accept_request, stream, AcceptSettle(majority_));
   if (TallyAccepts(aresults, max_seen) < majority_) co_return std::nullopt;
 
   // Decided. Send apply to every replica (Step 5), and ask only home to
@@ -298,9 +285,8 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
   const ServiceRequest apply_request =
       ApplyRequest{group, pos, ballot, *proposal};
   InstanceOutcome outcome = Decided(*proposal, own_id, own_kind);
-  std::vector<CallFuture> home =
-      network_->Multicast(home_, all_dcs_, apply_request,
-                          Network::Answering::kSender, /*timeout=*/0, stream);
+  std::vector<CallFuture> home = network_->Multicast(
+      home_, all_dcs_, apply_request, Network::Answering::kSender, stream);
   outcome.applied = std::move(home.front());
   co_return outcome;
 }
@@ -344,8 +330,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
   // leader (kNoDc) must not guess one: it runs the full protocol.
   if (options_.leader_optimization && leader_dc != kNoDc) {
     const ServiceRequest claim_request = ClaimLeaderRequest{group, pos};
-    CallResult claim = co_await network_->Call(home_, leader_dc, claim_request,
-                                               /*timeout=*/0, stream);
+    CallResult claim =
+        co_await network_->Call(home_, leader_dc, claim_request, stream);
     if (claim.status.ok()) {
       auto& reply = std::get<ClaimLeaderResponse>(claim.response);
       if (reply.granted) {
@@ -373,8 +359,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
     // Prepare phase (Step 1/2).
     ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
-    BroadcastResult presults = co_await BroadcastToAll(
-        &prepare_request, stream, PrepareSettle(majority_));
+    BroadcastResult presults = co_await network_->Broadcast(
+        home_, all_dcs_, prepare_request, stream, PrepareSettle(majority_));
     PrepareTally prepares = TallyPrepares(&presults, &max_seen);
 
     // Catch-up short circuit: a replica already knows the decided value.

@@ -123,19 +123,6 @@ class TransactionClient {
     std::deque<wal::LogEntry> entries;
   };
 
-  /// What this client's next begin on a group waits for: one wait for each
-  /// of its commits there that no begin has waited for yet, never an entry
-  /// (D15, D16). All of them, not the highest position: home's MaxDecided
-  /// can pass a cross decide's position while SafeReadPos is still held
-  /// below the prepare.
-  struct CommitApply {
-    /// Home's answers to single-group commits' applies (D15).
-    std::vector<CallFuture> applies;
-    /// Cross commits' detached decide legs on the group (D16): true once
-    /// the begin-serving replica applied the decide.
-    std::vector<sim::Future<bool>> decides;
-  };
-
   /// Starts a transaction on `group` (paper step 1): reserves the
   /// per-group slot, waits for this client's commits on the group that no
   /// begin has waited for yet (D15, D16), fetches the read position from
@@ -258,28 +245,29 @@ class TransactionClient {
                                          DcId leader, TxnId id, bool commit);
 
   /// A cross commit's read-your-effects wait on one group, detached (D16):
-  /// sets `done` once the replica that serves this client's next begin —
-  /// the first to answer in CallWithFailover order, home first —
-  /// acknowledged applying the entry of `*raw`. A walk knows its decide
+  /// sets `done` to the acknowledgement of the replica that serves this
+  /// client's next begin — the first to answer in CallWithFailover order,
+  /// home first — for applying the entry of `*raw`. A walk knows its decide
   /// once a majority accepted it, before any replica applied it, so a
   /// begin that did not wait for this could overtake the apply and read
   /// below a still-pending prepare. Awaits home's answer to the walk's own
   /// apply. When that answer failed, or the walk only learned the entry,
   /// delivers the entry itself with CallWithFailover and the null ballot,
-  /// starting after home when home already failed (D15). Sets false when
-  /// no replica acked (a give-up, counted by the begin that waits for it;
-  /// the pending prepare is then recovery's to clear). Takes ownership of
-  /// `raw`; a pointer because coroutine parameters must be trivially
-  /// destructible (see RunInstance).
+  /// starting after home when home already failed (D15). When no replica
+  /// acked, `done` holds the last failure (a give-up, counted by the begin
+  /// that waits for it; the pending prepare is then recovery's to clear).
+  /// Takes ownership of `raw`; a pointer because coroutine parameters must
+  /// be trivially destructible (see RunInstance).
   sim::Task AwaitDecideApplied(std::string group, DecideOutcome* raw,
-                               sim::Promise<bool> done);
+                               sim::Promise<CallResult> done);
 
   /// One Phase-2 propagation leg, detached (D16): lands the canonical
   /// decision in `group`, then hands it to AwaitDecideApplied with `done`.
-  /// Sets true at once when the walk could not land it (recovery's to
-  /// land, nothing to wait for).
+  /// Sets an acknowledgement at once when the walk could not land it
+  /// (recovery's to land, nothing to wait for).
   sim::Task PropagateDecide(std::string group, LogPos floor, DcId leader,
-                            TxnId id, bool commit, sim::Promise<bool> done);
+                            TxnId id, bool commit,
+                            sim::Promise<CallResult> done);
 
   /// Merged QueryCross over every reachable datacenter: prepare metadata
   /// from the first replica that has it, the canonical decision if any
@@ -344,18 +332,11 @@ class TransactionClient {
   static bool ApplyAcked(const CallResult& result);
 
   /// Hands out, once, every wait the commits kept for `group` (D16).
-  CommitApply TakeCommitApply(const std::string& group);
+  std::vector<CallFuture> TakeCommitWaits(const std::string& group);
 
   /// Keeps one more cross decide leg for the next begin on `group` to wait
   /// for, and returns the promise that the leg sets when it is done.
-  sim::Promise<bool> KeepDecideWait(const std::string& group);
-
-  /// Broadcasts to every datacenter; the round ends once `settle` holds
-  /// on the responses so far (D13), or once every replica has answered or
-  /// timed out.
-  sim::Coro<BroadcastResult> BroadcastToAll(const ServiceRequest* request,
-                                            net::DelayStream* stream,
-                                            Network::Settle settle);
+  sim::Promise<CallResult> KeepDecideWait(const std::string& group);
 
   /// Algorithm 2's backoff between Paxos rounds, drawn from `stream`, or
   /// from the client's RNG when it is null.
@@ -386,8 +367,14 @@ class TransactionClient {
   /// handle; only the exclusivity slot is tracked here).
   std::set<std::string> active_groups_;
 
-  /// Per group, what the next begin there waits for (CommitApply).
-  std::map<std::string, CommitApply> commit_applies_;
+  /// Per group, what this client's next begin there waits for: an apply
+  /// acknowledgement for each of its commits there that no begin has
+  /// waited for yet, never an entry. Home's answer to a single-group
+  /// commit's apply (D15), or what a cross commit's decide leg on the group
+  /// set (D16). All of them, not the highest position: home's MaxDecided
+  /// can pass a cross decide's position while SafeReadPos is still held
+  /// below the prepare.
+  std::map<std::string, std::vector<CallFuture>> commit_waits_;
   int begin_giveups_ = 0;
 };
 

@@ -160,13 +160,10 @@ sim::Coro<CrossTxn> TransactionClient::BeginCrossTxn(
   for (const std::string& group : groups) active_groups_.insert(group);
   // Each group's waits, as in BeginTxn (D15, D16).
   for (const std::string& group : groups) {
-    CommitApply waits = TakeCommitApply(group);
-    for (CallFuture& applied : waits.applies) {
+    std::vector<CallFuture> waits = TakeCommitWaits(group);
+    for (CallFuture& applied : waits) {
       const CallResult ack = co_await applied;
       if (!ApplyAcked(ack)) ++begin_giveups_;
-    }
-    for (sim::Future<bool>& decided : waits.decides) {
-      if (!co_await decided) ++begin_giveups_;
     }
   }
 
@@ -511,24 +508,23 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
   co_return out;
 }
 
-sim::Promise<bool> TransactionClient::KeepDecideWait(
+sim::Promise<CallResult> TransactionClient::KeepDecideWait(
     const std::string& group) {
-  sim::Promise<bool> done(sim_);
-  commit_applies_[group].decides.push_back(done.GetFuture());
+  sim::Promise<CallResult> done(sim_);
+  commit_waits_[group].push_back(done.GetFuture());
   return done;
 }
 
-sim::Task TransactionClient::AwaitDecideApplied(std::string group,
-                                                DecideOutcome* raw,
-                                                sim::Promise<bool> done) {
+sim::Task TransactionClient::AwaitDecideApplied(
+    std::string group, DecideOutcome* raw, sim::Promise<CallResult> done) {
   std::unique_ptr<DecideOutcome> decide(raw);
   // The walk's own apply went to every replica, and home answers it. When
   // home acknowledged, the replica a begin tries first has the entry.
   int first = 0;
   if (decide->applied.valid()) {
-    const CallResult ack = co_await decide->applied;
+    CallResult ack = co_await decide->applied;
     if (ApplyAcked(ack)) {
-      done.Set(true);
+      done.Set(std::move(ack));
       co_return;
     }
     first = 1;  // home already cost one timeout: fail over past it
@@ -542,17 +538,18 @@ sim::Task TransactionClient::AwaitDecideApplied(std::string group,
       ApplyRequest{group, decide->pos, paxos::kNullBallot, decide->entry};
   CallResult result =
       co_await CallWithFailover(&apply, LegStream(group), first);
-  done.Set(ApplyAcked(result));
+  done.Set(std::move(result));
 }
 
 sim::Task TransactionClient::PropagateDecide(std::string group, LogPos floor,
                                              DcId leader, TxnId id,
                                              bool commit,
-                                             sim::Promise<bool> done) {
+                                             sim::Promise<CallResult> done) {
   DecideOutcome landed =
       co_await ProposeDecide(group, floor, leader, id, commit);
   if (!landed.known) {
-    done.Set(true);  // recovery's to land: nothing to wait for
+    // Recovery's to land: nothing to wait for.
+    done.Set(CallResult{Status::OK(), ApplyResponse{true}});
     co_return;
   }
   AwaitDecideApplied(std::move(group), new DecideOutcome(std::move(landed)),

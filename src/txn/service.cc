@@ -45,14 +45,8 @@ std::vector<DcId> AllDatacenters(int d) {
 
 TransactionService::TransactionService(DcId dc, Network* network,
                                        kvstore::MultiVersionStore* store,
-                                       const ServiceTimeModel& model,
                                        uint64_t seed)
-    : dc_(dc),
-      network_(network),
-      store_(store),
-      model_(model),
-      rng_(seed),
-      seed_(seed) {}
+    : dc_(dc), network_(network), store_(store), rng_(seed), seed_(seed) {}
 
 // Out of line: recovery_client_ is a unique_ptr to the forward-declared
 // TransactionClient.
@@ -77,27 +71,29 @@ paxos::Acceptor* TransactionService::GroupAcceptor(const std::string& group) {
 }
 
 sim::Coro<ServiceResponse> TransactionService::Handle(
-    DcId from, const ServiceRequest* request) {
-  (void)from;
-  ServiceResponse response;
+    DcId /*from*/, const ServiceRequest* request) {
   if (const auto* begin = std::get_if<BeginRequest>(request)) {
-    response = co_await HandleBegin(begin);
-  } else if (const auto* read = std::get_if<ReadRequest>(request)) {
-    response = co_await HandleRead(read);
-  } else if (const auto* read_row = std::get_if<ReadRowRequest>(request)) {
-    response = co_await HandleReadRow(read_row);
-  } else if (const auto* prepare = std::get_if<PrepareRequest>(request)) {
-    response = co_await HandlePrepare(prepare);
-  } else if (const auto* accept = std::get_if<AcceptRequest>(request)) {
-    response = co_await HandleAccept(accept);
-  } else if (const auto* apply = std::get_if<ApplyRequest>(request)) {
-    response = co_await HandleApply(apply);
-  } else if (const auto* claim = std::get_if<ClaimLeaderRequest>(request)) {
-    response = co_await HandleClaimLeader(claim);
-  } else if (const auto* query = std::get_if<QueryCrossRequest>(request)) {
-    response = co_await HandleQueryCross(query);
+    return HandleBegin(begin);
   }
-  co_return response;
+  if (const auto* read = std::get_if<ReadRequest>(request)) {
+    return HandleRead(read);
+  }
+  if (const auto* read_row = std::get_if<ReadRowRequest>(request)) {
+    return HandleReadRow(read_row);
+  }
+  if (const auto* prepare = std::get_if<PrepareRequest>(request)) {
+    return HandlePrepare(prepare);
+  }
+  if (const auto* accept = std::get_if<AcceptRequest>(request)) {
+    return HandleAccept(accept);
+  }
+  if (const auto* apply = std::get_if<ApplyRequest>(request)) {
+    return HandleApply(apply);
+  }
+  if (const auto* claim = std::get_if<ClaimLeaderRequest>(request)) {
+    return HandleClaimLeader(claim);
+  }
+  return HandleQueryCross(&std::get<QueryCrossRequest>(*request));
 }
 
 sim::Coro<ServiceResponse> TransactionService::HandleBegin(
@@ -248,63 +244,24 @@ sim::Coro<ServiceResponse> TransactionService::HandleQueryCross(
   co_return ServiceResponse(std::move(response));
 }
 
-void TransactionService::StartBackgroundApplier(TimeMicros interval,
-                                                int64_t gc_keep_versions) {
-  const bool was_running = applier_interval_ > 0;
-  applier_interval_ = interval;
-  gc_keep_versions_ = gc_keep_versions;
-  // Only bump the generation when arming a fresh tick chain: re-tuning a
-  // running applier must not orphan its already-queued tick.
-  if (!was_running && interval > 0) {
-    const uint64_t generation = ++applier_generation_;
-    network_->simulator()->ScheduleAfter(
-        interval, [this, generation] { BackgroundApplyTick(generation); },
-        "txn/applier-tick");
-  }
-}
-
-void TransactionService::BackgroundApplyTick(uint64_t generation) {
-  // A tick scheduled before Stop (or before a later Start) is stale: it
-  // must neither apply nor reschedule, or "stopped" appliers would keep
-  // mutating the store during a post-run recovery quiesce.
-  if (generation != applier_generation_ || applier_interval_ <= 0) return;
-  for (auto& [group, gs] : groups_) {
-    // Apply as far as contiguous entries allow; gaps (and undecided
-    // cross-group prepares, which hold the watermark) are left for the
-    // read-path learner (the background process never runs Paxos).
-    LogPos missing = 0;
-    const Status s = gs->log.ApplyThrough(gs->log.MaxDecided(), &missing);
-    (void)s;  // FailedPrecondition on a gap is expected and fine
-    ++background_applies_;
-    if (gc_keep_versions_ >= 0) {
-      const LogPos applied = gs->log.AppliedThrough();
-      if (applied > static_cast<LogPos>(gc_keep_versions_)) {
-        store_->TruncateAllVersions(
-            static_cast<Timestamp>(applied - gc_keep_versions_));
-      }
-    }
-  }
-  network_->simulator()->ScheduleAfter(
-      applier_interval_,
-      [this, generation] { BackgroundApplyTick(generation); },
-      "txn/applier-tick");
-}
-
 // ------------------------------------------- recovery daemon (D10)
 
 void TransactionService::NoteEntryLanded(const std::string& group) {
+  SyncPins(group);
+  WatchForHole(group);
+}
+
+void TransactionService::SyncPins(const std::string& group) {
   GroupState* gs = Group(group);
   const TimeMicros now = network_->simulator()->Now();
-  // Sync the pin table with the WAL side table. Pure bookkeeping — no
-  // events scheduled, no RNG consumed — so this hook leaves daemon-off runs
-  // bit-identical. Pending prepares are rare and short-lived; the scan is
-  // cheap.
+  // Daemon off, this schedules no event and consumes no RNG, so daemon-off
+  // runs stay bit-identical. Pending prepares are rare and short-lived; the
+  // scan is cheap.
   std::set<TxnId> live;
   for (const wal::PendingPrepare& p : gs->log.PendingPrepares()) {
     live.insert(p.txn);
-    const PendingKey key{group, p.txn};
-    if (pin_open_.emplace(key, now).second && recovery_running_ &&
-        recovery_timed_.insert(key).second) {
+    if (pin_open_.emplace(PendingKey{group, p.txn}, now).second &&
+        recovery_running_) {
       ArmRecoveryTimer(group, p.txn, 0,
                        recovery_options_.base_delay + RecoveryJitter(p.txn));
     }
@@ -312,13 +269,11 @@ void TransactionService::NoteEntryLanded(const std::string& group) {
   for (auto it = pin_open_.begin(); it != pin_open_.end();) {
     if (it->first.first == group && live.count(it->first.second) == 0) {
       max_closed_pin_ = std::max(max_closed_pin_, now - it->second);
-      recovery_timed_.erase(it->first);
       it = pin_open_.erase(it);
     } else {
       ++it;
     }
   }
-  WatchForHole(group);
 }
 
 void TransactionService::WatchForHole(const std::string& group) {
@@ -395,11 +350,14 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
                                             TxnId id, int attempt,
                                             uint64_t generation) {
   if (!recovery_running_ || generation != recovery_generation_) return;
+  // A decide can land here without this instance hearing of it: at a
+  // restart, the retired instance serves the applies already in flight and
+  // closes only its own pins.
+  SyncPins(group);
   const PendingKey key{group, id};
   if (pin_open_.count(key) == 0) {
     // Resolved while the timer was queued (coordinator finished, or another
     // replica's recovery landed the decide here).
-    recovery_timed_.erase(key);
     return;
   }
   if (attempt >= kMaxAttempts) {
@@ -407,7 +365,6 @@ void TransactionService::RecoveryTimerFired(const std::string& group,
     // because a transaction dropped here stays pending until the daemon is
     // restarted (the runner's post-run quiesce does that once).
     ++recoveries_abandoned_;
-    recovery_timed_.erase(key);
     return;
   }
   // Arbitration: the lowest *live* datacenter drives; everyone else backs
@@ -463,14 +420,11 @@ sim::Task TransactionService::DriveRecovery(std::string group, TxnId id,
       if (!learned.ok()) break;
     }
   }
-  if (pin_open_.count(key) != 0) {
+  if (pin_open_.count(key) != 0 && recovery_running_ &&
+      generation == recovery_generation_) {
     // Still pending: recovery failed, or the decide entry has not reached
     // this replica yet. Retry with backoff (the attempt cap ends the chain).
-    if (recovery_running_ && generation == recovery_generation_) {
-      ArmRecoveryTimer(group, id, attempt + 1, RecoveryBackoff(attempt));
-    }
-  } else {
-    recovery_timed_.erase(key);
+    ArmRecoveryTimer(group, id, attempt + 1, RecoveryBackoff(attempt));
   }
 }
 
@@ -492,7 +446,6 @@ void TransactionService::StartRecoveryDaemon(
   recovery_options_ = options;
   recovery_running_ = true;
   ++recovery_generation_;
-  recovery_timed_.clear();
   hole_timed_.clear();
   holes_abandoned_.clear();
   // Adopt pending prepares that predate the daemon (start-of-run, or a
@@ -501,12 +454,10 @@ void TransactionService::StartRecoveryDaemon(
   const TimeMicros now = network_->simulator()->Now();
   for (auto& [group, gs] : groups_) {
     for (const wal::PendingPrepare& p : gs->log.PendingPrepares()) {
-      const PendingKey key{group, p.txn};
-      pin_open_.emplace(key, now);  // keeps an earlier open time if present
-      if (recovery_timed_.insert(key).second) {
-        ArmRecoveryTimer(group, p.txn, 0,
-                         options.base_delay + RecoveryJitter(p.txn));
-      }
+      // Keeps an earlier open time if present.
+      pin_open_.emplace(PendingKey{group, p.txn}, now);
+      ArmRecoveryTimer(group, p.txn, 0,
+                       options.base_delay + RecoveryJitter(p.txn));
     }
     WatchForHole(group);
   }
@@ -515,7 +466,6 @@ void TransactionService::StartRecoveryDaemon(
 void TransactionService::StopRecoveryDaemon() {
   recovery_running_ = false;
   ++recovery_generation_;
-  recovery_timed_.clear();
   hole_timed_.clear();
 }
 
@@ -594,8 +544,8 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
     // Prepare phase: discover the decided value or the highest vote.
     const ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
     BroadcastResult presults =
-        co_await network_->Broadcast(dc_, all, prepare_request, /*timeout=*/0,
-                                     nullptr, PrepareSettle(majority));
+        co_await network_->Broadcast(dc_, all, prepare_request, nullptr,
+                                     PrepareSettle(majority));
     paxos::Ballot max_seen = ballot;
     PrepareTally prepares = TallyPrepares(&presults, &max_seen);
     if (prepares.decided.has_value()) {
@@ -616,8 +566,8 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
       const ServiceRequest accept_request =
           AcceptRequest{group, pos, ballot, *winning};
       BroadcastResult aresults =
-          co_await network_->Broadcast(dc_, all, accept_request, /*timeout=*/0,
-                                       nullptr, AcceptSettle(majority));
+          co_await network_->Broadcast(dc_, all, accept_request, nullptr,
+                                       AcceptSettle(majority));
       if (TallyAccepts(aresults, &max_seen) >= majority) {
         // Decided: propagate the outcome one-way (nobody reads an answer,
         // D15) and record it.

@@ -50,13 +50,13 @@ struct RecoveryDaemonOptions {
   ClientOptions client;
 };
 
-/// Simulated processing cost of each request type, calibrated in
-/// EXPERIMENTS.md against the paper's testbed (HBase on EBS-backed EC2
-/// c1.medium nodes in 2012; storage operations dominated intra-datacenter
-/// network hops). The calibration targets the paper's observed contention
-/// regime: ~42% of basic-Paxos transactions abort with 4 staggered clients
-/// at 1 txn/s each, which requires a transaction to span more than one
-/// inter-arrival gap.
+/// Simulated processing cost of each request type: one fixed table, which
+/// every service charges. Calibrated in EXPERIMENTS.md against the paper's
+/// testbed (HBase on EBS-backed EC2 c1.medium nodes in 2012; storage
+/// operations dominated intra-datacenter network hops). The calibration
+/// targets the paper's observed contention regime: ~42% of basic-Paxos
+/// transactions abort with 4 staggered clients at 1 txn/s each, which
+/// requires a transaction to span more than one inter-arrival gap.
 struct ServiceTimeModel {
   TimeMicros begin = 10 * kMillisecond;    // read log metadata
   TimeMicros read = 60 * kMillisecond;     // snapshot read incl. apply
@@ -69,16 +69,16 @@ struct ServiceTimeModel {
 class TransactionService {
  public:
   TransactionService(DcId dc, Network* network,
-                     kvstore::MultiVersionStore* store,
-                     const ServiceTimeModel& model, uint64_t seed);
+                     kvstore::MultiVersionStore* store, uint64_t seed);
   ~TransactionService();
 
   DcId dc() const { return dc_; }
   kvstore::MultiVersionStore* store() const { return store_; }
 
-  /// Network entry point: dispatches a ServiceRequest and produces the
-  /// matching ServiceResponse. Registered as the datacenter's endpoint.
-  /// `request` is owned by the network layer and outlives this coroutine.
+  /// Network entry point: returns the handler coroutine of the request's
+  /// type, which produces the matching ServiceResponse. Registered as the
+  /// datacenter's endpoint. `request` is owned by the network layer and
+  /// outlives that coroutine.
   sim::Coro<ServiceResponse> Handle(DcId from, const ServiceRequest* request);
 
   /// Direct access to a group's log / acceptor (creating them on first
@@ -97,23 +97,6 @@ class TransactionService {
   /// Statistics.
   uint64_t learn_instances() const { return learn_instances_; }
   uint64_t reads_served() const { return reads_served_; }
-  uint64_t background_applies() const { return background_applies_; }
-
-  /// Starts the paper's background application process (§3.2: committed
-  /// writes "may be performed later by a background process"): every
-  /// `interval`, applies decided log entries of every known group to the
-  /// data rows and, when `gc_keep_versions` >= 0, garbage-collects row
-  /// versions older than (applied watermark - gc_keep_versions).
-  void StartBackgroundApplier(TimeMicros interval,
-                              int64_t gc_keep_versions = -1);
-  /// Stops the periodic applier immediately: the generation bump turns any
-  /// tick already scheduled on the simulator into a no-op, so no apply or
-  /// GC runs after Stop returns (needed before a post-run recovery quiesce
-  /// can assume the store is no longer mutating underneath it).
-  void StopBackgroundApplier() {
-    applier_interval_ = 0;
-    ++applier_generation_;
-  }
 
   // -- Service-side 2PC recovery daemon (D10) -------------------------------
 
@@ -164,9 +147,9 @@ class TransactionService {
 
   GroupState* Group(const std::string& group);
 
-  // Sub-handlers take a pointer to the request held in Handle's frame:
-  // coroutine parameters must be neither references nor by-value aggregates
-  // (lifetime hazards; see client.h).
+  // Sub-handlers take a pointer to the request the network holds for the
+  // handler's run: coroutine parameters must be neither references nor
+  // by-value aggregates (lifetime hazards; see client.h).
   sim::Coro<ServiceResponse> HandleBegin(const BeginRequest* request);
   sim::Coro<ServiceResponse> HandleRead(const ReadRequest* request);
   sim::Coro<ServiceResponse> HandleReadRow(const ReadRowRequest* request);
@@ -193,12 +176,18 @@ class TransactionService {
   /// A pending prepare is identified by (group, txn id).
   using PendingKey = std::pair<std::string, TxnId>;
 
-  /// Called after every successful acceptor OnApply: syncs the SafeReadPos
-  /// pin table with the group's WAL side table (opening pins for newly
-  /// pending prepares, closing pins whose decide entry just landed) and,
-  /// when the daemon runs, arms the recovery timer of each new pending and
-  /// watches for a hole.
+  /// Called after every successful acceptor OnApply: syncs the group's pins
+  /// (SyncPins) and, when the daemon runs, watches for a hole.
   void NoteEntryLanded(const std::string& group);
+  /// Syncs the SafeReadPos pin table with the group's WAL side table: opens
+  /// a pin for each pending prepare it lists that has none, arming that
+  /// prepare's recovery timer when the daemon runs, and closes each of the
+  /// group's pins whose prepare it no longer lists. Pure bookkeeping unless
+  /// it arms a timer. Also run by a firing recovery timer, because the WAL
+  /// can change under this instance without telling it: a retired instance
+  /// still serving the applies in flight at a restart closes only its own
+  /// pins.
+  void SyncPins(const std::string& group);
   /// Deterministic per-(replica, txn) jitter in [0, kMaxJitter).
   TimeMicros RecoveryJitter(TxnId id) const;
   /// Doubling backoff for attempt index `attempt`, capped at kMaxBackoff.
@@ -231,6 +220,7 @@ class TransactionService {
   DcId dc_;
   Network* network_;
   kvstore::MultiVersionStore* store_;
+  /// The calibrated defaults.
   ServiceTimeModel model_;
   Rng rng_;
   /// Construction seed, kept for hash-derived recovery jitter (which must
@@ -238,16 +228,8 @@ class TransactionService {
   uint64_t seed_;
   std::map<std::string, std::unique_ptr<GroupState>> groups_;
 
-  void BackgroundApplyTick(uint64_t generation);
-
   uint64_t learn_instances_ = 0;
   uint64_t reads_served_ = 0;
-  uint64_t background_applies_ = 0;
-  TimeMicros applier_interval_ = 0;
-  /// Bumped by Start/Stop; a tick whose generation no longer matches is
-  /// stale (scheduled before a Stop) and must do nothing.
-  uint64_t applier_generation_ = 0;
-  int64_t gc_keep_versions_ = -1;
 
   bool recovery_running_ = false;
   RecoveryDaemonOptions recovery_options_;
@@ -256,13 +238,14 @@ class TransactionService {
   uint64_t recovery_generation_ = 0;
   std::unique_ptr<TransactionClient> recovery_client_;
   /// Pending prepares currently pinning SafeReadPos, with the virtual time
-  /// each pin opened. Maintained daemon-on and -off.
+  /// each pin opened. Maintained daemon-on and -off. While the daemon runs,
+  /// each pin has one recovery timer chain, armed when the pin opens or the
+  /// daemon starts.
   std::map<PendingKey, TimeMicros> pin_open_;
   TimeMicros max_closed_pin_ = 0;
-  /// Keys with a live timer chain (guards double-arming) and keys with an
-  /// in-flight recovery drive (guards concurrent duplicate drives from the
-  /// same replica; cross-replica duplicates are handled by idempotence).
-  std::set<PendingKey> recovery_timed_;
+  /// Keys with an in-flight recovery drive (guards concurrent duplicate
+  /// drives from the same replica; cross-replica duplicates are handled by
+  /// idempotence).
   std::set<PendingKey> recovery_inflight_;
   /// Groups with a live hole timer chain, and the holes whose chain gave
   /// up (not re-armed until the daemon restarts).

@@ -7,11 +7,7 @@
 namespace paxoscp::workload {
 
 Generator::Generator(const WorkloadConfig& config, uint64_t seed)
-    : config_(config),
-      rng_(seed),
-      zipf_(static_cast<uint64_t>(
-                config.num_attributes > 0 ? config.num_attributes : 1),
-            config.zipf_theta) {}
+    : config_(config), rng_(seed) {}
 
 std::string Generator::AttributeName(int i) {
   // += instead of `"a" + std::to_string(i)`: GCC 12 -O2 flags the
@@ -40,18 +36,14 @@ std::string Generator::RandomValue() {
   return out;
 }
 
-int Generator::NextAttributeIndex() {
-  if (config_.zipfian) return static_cast<int>(zipf_.Next(&rng_));
-  return static_cast<int>(rng_.Uniform(config_.num_attributes));
-}
-
 std::vector<Op> Generator::NextTxnOps() {
   std::vector<Op> ops;
   ops.reserve(config_.ops_per_txn);
   for (int i = 0; i < config_.ops_per_txn; ++i) {
     Op op;
     op.is_read = rng_.Bernoulli(config_.read_fraction);
-    op.attribute = AttributeName(NextAttributeIndex());
+    op.attribute =
+        AttributeName(static_cast<int>(rng_.Uniform(config_.num_attributes)));
     if (!op.is_read) op.value = RandomValue();
     ops.push_back(std::move(op));
   }
@@ -82,7 +74,8 @@ TxnPlan Generator::NextTxnPlan() {
   for (int i = 0; i < config_.ops_per_txn; ++i) {
     Op op;
     op.is_read = rng_.Bernoulli(config_.read_fraction);
-    op.attribute = AttributeName(NextAttributeIndex());
+    op.attribute =
+        AttributeName(static_cast<int>(rng_.Uniform(config_.num_attributes)));
     if (!op.is_read) op.value = RandomValue();
     op.group = plan.groups.size() > 1
                    ? static_cast<int>(rng_.Uniform(plan.groups.size()))

@@ -23,11 +23,8 @@ struct WorkloadConfig {
   int num_attributes = 100;
   int ops_per_txn = 10;
   /// Probability an operation is a read (paper: 50% reads, 50% writes).
+  /// Each operation's attribute is drawn uniformly, as in the paper.
   double read_fraction = 0.5;
-  /// Uniform attribute choice by default (as in the paper); optionally
-  /// Zipfian-skewed for the contention-skew extension benches.
-  bool zipfian = false;
-  double zipf_theta = 0.99;
   /// Length of generated attribute values.
   int value_size = 16;
 
@@ -85,11 +82,8 @@ class Generator {
   std::string RandomValue();
 
  private:
-  int NextAttributeIndex();
-
   WorkloadConfig config_;
   Rng rng_;
-  ZipfianGenerator zipf_;
 };
 
 }  // namespace paxoscp::workload

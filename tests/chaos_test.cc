@@ -449,6 +449,22 @@ TEST(ChaosSweepTest, DaemonLearnsHolesHidingPendingPrepares) {
   }
 }
 
+// Daemon seeds on which a service restart left the live instance a pin
+// that the retired instance had closed (907760: dc 1 restarts at 8.90 s;
+// 910544: dc 2 at 7.19 s). The retired instance finished an in-flight
+// apply that landed the prepare's decide, so only its own pin table heard
+// of it, and the live instance's timer chain retried the resolved prepare
+// until it gave up at the attempt cap. A firing timer now syncs the pins
+// with the WAL before it reads them.
+TEST(ChaosSweepTest, RestartLeavesNoPinTheRetiredServiceClosed) {
+  for (uint64_t seed : {907760u, 910544u}) {
+    const ChaosResult result = RunChaos(seed, nullptr, /*max_rounds=*/32,
+                                        /*cross=*/true, /*daemon=*/true);
+    EXPECT_TRUE(result.ok()) << result.Describe();
+    EXPECT_EQ(result.stats.recoveries_abandoned, 0u) << "seed " << seed;
+  }
+}
+
 // A crashed/timed-out client's transaction may legitimately land in the log
 // (the cohort decided it, the client just never heard) or vanish. Under a
 // hostile envelope — long response-eating loss bursts and outages — the

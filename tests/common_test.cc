@@ -258,26 +258,6 @@ TEST(RandomTest, BernoulliApproximatesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(ZipfianTest, StaysInRangeAndSkews) {
-  Rng rng(3);
-  ZipfianGenerator zipf(100, 0.99);
-  int low = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const uint64_t v = zipf.Next(&rng);
-    EXPECT_LT(v, 100u);
-    if (v < 10) ++low;
-  }
-  // With theta=0.99 the first 10 of 100 items draw well over half the mass.
-  EXPECT_GT(static_cast<double>(low) / n, 0.5);
-}
-
-TEST(ZipfianTest, SingleElementAlwaysZero) {
-  Rng rng(3);
-  ZipfianGenerator zipf(1, 0.99);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.Next(&rng), 0u);
-}
-
 // ------------------------------------------------------------- Histogram --
 
 TEST(HistogramTest, EmptyHistogram) {

@@ -472,21 +472,6 @@ TEST(StoreTest, HeldSnapshotSurvivesTruncation) {
   EXPECT_EQ(*store.ReadAttr("k", "a", 8), "8");
 }
 
-TEST(StoreTest, TruncateAllCoversEveryKey) {
-  MultiVersionStore store;
-  for (int k = 0; k < 3; ++k) {
-    for (Timestamp ts = 1; ts <= 5; ++ts) {
-      ASSERT_TRUE(
-          store.Write(Cat("k", k), AttrMap{{"a", std::to_string(ts)}}, ts)
-              .ok());
-    }
-  }
-  EXPECT_EQ(store.TruncateAllVersions(5), 12u);
-  for (int k = 0; k < 3; ++k) {
-    EXPECT_EQ(store.VersionCount(Cat("k", k)), 1u);
-  }
-}
-
 TEST(StoreTest, KeysWithPrefix) {
   MultiVersionStore store;
   ASSERT_TRUE(store.Write("!log/g/000001", AttrMap{{"e", "x"}}).ok());

@@ -40,6 +40,13 @@ StringNetwork::Handler EchoHandler(DcId dc) {
   };
 }
 
+/// Options whose one RPC timeout is `timeout`.
+NetworkOptions TimeoutOf(TimeMicros timeout) {
+  NetworkOptions options;
+  options.rpc_timeout = timeout;
+  return options;
+}
+
 class NetworkTest : public ::testing::Test {
  protected:
   void Build(int dcs, NetworkOptions options = {}) {
@@ -89,14 +96,43 @@ TEST_F(NetworkTest, IntraDatacenterCallIsFast) {
 }
 
 TEST_F(NetworkTest, TimeoutFiresWhenDestinationDown) {
-  Build(2);
+  Build(2, TimeoutOf(50 * kMillisecond));
   network_->SetDatacenterDown(1, true);
   std::optional<StringCall> result;
-  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->status.IsTimedOut());
+}
+
+/// How long after it was sent a call from dc 0 to a down dc 1 resolved,
+/// on a network built with `options`; the call must resolve TimedOut.
+TimeMicros CallToDownDatacenterResolvesAfter(const NetworkOptions& options) {
+  sim::Simulator sim;
+  const std::vector<std::vector<TimeMicros>> rtt(
+      2, std::vector<TimeMicros>(2, kRtt));
+  StringNetwork network(&sim, rtt, options);
+  for (DcId dc = 0; dc < 2; ++dc) network.RegisterEndpoint(dc, EchoHandler(dc));
+  network.SetDatacenterDown(1, true);
+  constexpr TimeMicros kSentAt = 3 * kMillisecond;
+  TimeMicros resolved_at = -1;
+  sim.ScheduleAt(kSentAt, [&] {
+    AwaitThen(network.Call(0, 1, "x"), [&](StringCall&& r) {
+      EXPECT_TRUE(r.status.IsTimedOut()) << r.status.ToString();
+      resolved_at = sim.Now();
+    });
+  });
+  sim.Run();
+  return resolved_at - kSentAt;
+}
+
+TEST(NetworkTimeoutTest, CallTimesOutExactlyAfterTheOneRpcTimeout) {
+  // The network has one timeout (paper §2.2), 2 s unless the options set
+  // another; no call overrides it.
+  EXPECT_EQ(CallToDownDatacenterResolvesAfter(NetworkOptions{}), 2 * kSecond);
+  EXPECT_EQ(CallToDownDatacenterResolvesAfter(TimeoutOf(50 * kMillisecond)),
+            50 * kMillisecond);
 }
 
 TEST_F(NetworkTest, AnsweredCallLeavesNoEventBehind) {
@@ -117,9 +153,9 @@ TEST_F(NetworkTest, AnsweredCallLeavesNoEventBehind) {
 }
 
 TEST_F(NetworkTest, OutageMidFlightDropsDelivery) {
-  Build(2);
+  Build(2, TimeoutOf(50 * kMillisecond));
   std::optional<StringCall> result;
-  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { result = std::move(r); });
   // Take the destination down after the message left but before arrival.
   sim_.ScheduleAfter(kRtt / 4, [&] { network_->SetDatacenterDown(1, true); });
@@ -129,12 +165,12 @@ TEST_F(NetworkTest, OutageMidFlightDropsDelivery) {
 }
 
 TEST_F(NetworkTest, LinkDownBlocksOnlyThatPair) {
-  Build(3);
+  Build(3, TimeoutOf(30 * kMillisecond));
   network_->SetLinkDown(0, 1, true);
   std::optional<StringCall> blocked, open;
-  AwaitThen(network_->Call(0, 1, "x", 30 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { blocked = std::move(r); });
-  AwaitThen(network_->Call(0, 2, "x", 30 * kMillisecond),
+  AwaitThen(network_->Call(0, 2, "x"),
             [&](StringCall&& r) { open = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(blocked->status.IsTimedOut());
@@ -142,11 +178,11 @@ TEST_F(NetworkTest, LinkDownBlocksOnlyThatPair) {
 }
 
 TEST_F(NetworkTest, TotalLossTimesOutEveryCall) {
-  NetworkOptions options;
+  NetworkOptions options = TimeoutOf(20 * kMillisecond);
   options.loss_probability = 1.0;
   Build(2, options);
   std::optional<StringCall> result;
-  AwaitThen(network_->Call(0, 1, "x", 20 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { result = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(result->status.IsTimedOut());
@@ -170,10 +206,10 @@ TEST_F(NetworkTest, BroadcastCollectsAllTargets) {
 }
 
 TEST_F(NetworkTest, BroadcastWithDownTargetMarksItTimedOut) {
-  Build(3);
+  Build(3, TimeoutOf(30 * kMillisecond));
   network_->SetDatacenterDown(2, true);
   std::optional<StringBroadcast> result;
-  AwaitThen(network_->Broadcast(0, {0, 1, 2}, "hi", 30 * kMillisecond),
+  AwaitThen(network_->Broadcast(0, {0, 1, 2}, "hi"),
             [&](StringBroadcast&& r) { result = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
@@ -237,7 +273,7 @@ Resumed BroadcastToStaggeredTargets(StringNetwork::Settle settle,
   StringNetwork network(&sim, rtt, options);
   for (DcId dc = 0; dc < 3; ++dc) network.RegisterEndpoint(dc, EchoHandler(dc));
   Resumed resumed;
-  AwaitThen(network.Broadcast(0, {0, 1, 2}, "hi", /*timeout=*/0, nullptr,
+  AwaitThen(network.Broadcast(0, {0, 1, 2}, "hi", nullptr,
                               [&, settle](const StringBroadcast& so_far) {
                                 ++*settle_calls;
                                 return settle(so_far);
@@ -341,9 +377,9 @@ TEST_F(NetworkTest, JitterStaysWithinBounds) {
 // stand.
 
 TEST_F(NetworkTest, DownUpFlapWithinFlightWindowLosesMessage) {
-  Build(2);
+  Build(2, TimeoutOf(50 * kMillisecond));
   std::optional<StringCall> result;
-  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { result = std::move(r); });
   // One-way delay is kRtt/2 = 5 ms. The destination flaps down at 1 ms and
   // is back UP at 2 ms — well before the delivery event at 5 ms. The
@@ -359,7 +395,7 @@ TEST_F(NetworkTest, DownUpFlapWithinFlightWindowLosesMessage) {
 }
 
 TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
-  Build(2);
+  Build(2, TimeoutOf(50 * kMillisecond));
   // dc1 flaps twice inside a single 50 ms RPC timeout: down 1-2 ms, up
   // 2-3 ms, down 3-4 ms, up from 4 ms.
   for (TimeMicros t : {1, 3}) {
@@ -370,7 +406,7 @@ TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
   }
   // Sent before the first flap, delivery (5 ms) after the last: lost.
   std::optional<StringCall> flapped;
-  AwaitThen(network_->Call(0, 1, "a", 50 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "a"),
             [&](StringCall&& r) { flapped = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(flapped.has_value());
@@ -378,7 +414,7 @@ TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
 
   // Sent after the last recovery, same timeout window: clean round trip.
   std::optional<StringCall> clean;
-  AwaitThen(network_->Call(0, 1, "b", 50 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "b"),
             [&](StringCall&& r) { clean = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(clean.has_value());
@@ -386,9 +422,9 @@ TEST_F(NetworkTest, DownUpDownFlapsWithinOneTimeoutWindow) {
 }
 
 TEST_F(NetworkTest, BroadcastTargetFlappingMidFlightIsLostOthersStand) {
-  Build(3);
+  Build(3, TimeoutOf(50 * kMillisecond));
   std::optional<StringBroadcast> result;
-  AwaitThen(network_->Broadcast(0, {0, 1, 2}, "hi", 50 * kMillisecond),
+  AwaitThen(network_->Broadcast(0, {0, 1, 2}, "hi"),
             [&](StringBroadcast&& r) { result = std::move(r); });
   // dc2 goes down while the broadcast's requests are in flight and is back
   // before their arrival; dc0/dc1 deliveries already under way are
@@ -405,9 +441,9 @@ TEST_F(NetworkTest, BroadcastTargetFlappingMidFlightIsLostOthersStand) {
 }
 
 TEST_F(NetworkTest, ResponseInFlightFromDownedSourceStillArrives) {
-  Build(2);
+  Build(2, TimeoutOf(50 * kMillisecond));
   std::optional<StringCall> result;
-  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { result = std::move(r); });
   // The response leaves dc1 at ~5 ms (instant handler); dc1 dies at 7 ms
   // while its response is in flight. The message already left the downed
@@ -423,7 +459,7 @@ TEST_F(NetworkTest, ResponseInFlightFromDownedSourceStillArrives) {
 // ---- Asymmetric (one-way) link cuts --------------------------------------
 
 TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
-  Build(3);
+  Build(3, TimeoutOf(30 * kMillisecond));
   int handled_at_0 = 0, handled_at_1 = 0;
   network_->RegisterEndpoint(
       0, [&](DcId, const std::string*) -> sim::Coro<std::string> {
@@ -439,7 +475,7 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
 
   // 0 -> 1: the request itself travels the cut direction, never arrives.
   std::optional<StringCall> forward;
-  AwaitThen(network_->Call(0, 1, "x", 30 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { forward = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(forward->status.IsTimedOut());
@@ -449,7 +485,7 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
   // travels 0 -> 1) is black-holed. The caller sees the same timeout but
   // the side effect happened — the asymmetry 2PC/Paxos must tolerate.
   std::optional<StringCall> reverse;
-  AwaitThen(network_->Call(1, 0, "y", 30 * kMillisecond),
+  AwaitThen(network_->Call(1, 0, "y"),
             [&](StringCall&& r) { reverse = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(reverse->status.IsTimedOut());
@@ -457,7 +493,7 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
 
   // Unrelated pairs are untouched.
   std::optional<StringCall> other;
-  AwaitThen(network_->Call(2, 1, "z", 30 * kMillisecond),
+  AwaitThen(network_->Call(2, 1, "z"),
             [&](StringCall&& r) { other = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(other->status.ok());
@@ -465,7 +501,7 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
   // Healing restores the direction.
   network_->SetLinkOneWayDown(0, 1, false);
   std::optional<StringCall> healed;
-  AwaitThen(network_->Call(0, 1, "w", 30 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "w"),
             [&](StringCall&& r) { healed = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(healed->status.ok());
@@ -473,9 +509,9 @@ TEST_F(NetworkTest, OneWayLinkCutBlocksOnlyThatDirection) {
 }
 
 TEST_F(NetworkTest, OneWayCutMidFlightDropsTheResponse) {
-  Build(2);
+  Build(2, TimeoutOf(50 * kMillisecond));
   std::optional<StringCall> result;
-  AwaitThen(network_->Call(0, 1, "x", 50 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { result = std::move(r); });
   // Cut the response direction (1 -> 0) at 7 ms, while the response is in
   // flight (left dc1 at ~5 ms, due at ~10 ms); heal immediately after. The
@@ -522,7 +558,7 @@ TEST_F(NetworkTest, ReorderHoldsMessageBackWithinBound) {
   Build(2, options);
   std::optional<StringCall> result;
   TimeMicros completed_at = -1;
-  AwaitThen(network_->Call(0, 1, "x", 2 * kSecond), [&](StringCall&& r) {
+  AwaitThen(network_->Call(0, 1, "x"), [&](StringCall&& r) {
     result = std::move(r);
     completed_at = sim_.Now();
   });
@@ -630,7 +666,7 @@ LegDelays DelaysAfterNoise(int noise, DelayStream* stream) {
         });
   }
   for (int i = 0; i < noise; ++i) network.Call(0, 1 + i % 2, "noise");
-  AwaitThen(network.Call(0, 1, "leg", 0, stream), [&](StringCall&& r) {
+  AwaitThen(network.Call(0, 1, "leg", stream), [&](StringCall&& r) {
     if (r.status.ok()) delays.response = sim.Now() - delays.request;
   });
   sim.Run();
@@ -659,7 +695,7 @@ TEST_F(NetworkTest, DuplicateRespectsOutageWindows) {
   // The duplicate captures the same channel epoch as its original (D6): a
   // flap between the primary delivery and the duplicate's later delivery
   // kills the duplicate even though the link is up again when it arrives.
-  NetworkOptions options;
+  NetworkOptions options = TimeoutOf(100 * kMillisecond);
   options.duplicate_probability = 1.0;
   options.reorder_extra_max = 20 * kMillisecond;  // bounds the dup lag
   Build(2, options);
@@ -670,7 +706,7 @@ TEST_F(NetworkTest, DuplicateRespectsOutageWindows) {
         co_return "pong";
       });
   std::optional<StringCall> result;
-  AwaitThen(network_->Call(0, 1, "x", 100 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "x"),
             [&](StringCall&& r) { result = std::move(r); });
   // Primary arrives at 5 ms; the duplicate lags it by (0, 20 ms]. Flap the
   // destination down/up in between: epoch bumped, duplicate dead on
@@ -687,16 +723,16 @@ TEST_F(NetworkTest, DuplicateRespectsOutageWindows) {
 }
 
 TEST_F(NetworkTest, RecoveredDatacenterServesAgain) {
-  Build(2);
+  Build(2, TimeoutOf(20 * kMillisecond));
   network_->SetDatacenterDown(1, true);
   std::optional<StringCall> first, second;
-  AwaitThen(network_->Call(0, 1, "a", 20 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "a"),
             [&](StringCall&& r) { first = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(first->status.IsTimedOut());
 
   network_->SetDatacenterDown(1, false);
-  AwaitThen(network_->Call(0, 1, "b", 20 * kMillisecond),
+  AwaitThen(network_->Call(0, 1, "b"),
             [&](StringCall&& r) { second = std::move(r); });
   sim_.Run();
   EXPECT_TRUE(second->status.ok());
@@ -802,7 +838,7 @@ TEST_F(OneWayTest, DuplicateRunsTheHandlerTwiceAndStillSendsNoAnswer) {
 /// network's counters with the per-datacenter handler runs.
 std::string GoldenScheduleTranscript(uint64_t seed) {
   sim::Simulator sim;
-  NetworkOptions options;
+  NetworkOptions options = TimeoutOf(40 * kMillisecond);
   options.seed = seed;
   options.latency_jitter = 0.2;
   options.loss_probability = 0.1;
@@ -835,7 +871,7 @@ std::string GoldenScheduleTranscript(uint64_t seed) {
     sim.ScheduleAt(i * 2 * kMillisecond, [&, i] {
       const DcId from = i % 3;
       const DcId to = (i / 3) % 3;
-      AwaitThen(network.Call(from, to, std::to_string(i), 40 * kMillisecond),
+      AwaitThen(network.Call(from, to, std::to_string(i)),
                 [&, i](StringCall&& r) {
                   std::ostringstream line;
                   line << sim.Now() << "="
@@ -850,7 +886,7 @@ std::string GoldenScheduleTranscript(uint64_t seed) {
                  [&] { network.SetDatacenterDown(2, false); });
   std::string broadcast = "-";
   sim.ScheduleAt(100 * kMillisecond, [&] {
-    AwaitThen(network.Broadcast(1, {0, 1, 2}, "b", 40 * kMillisecond),
+    AwaitThen(network.Broadcast(1, {0, 1, 2}, "b"),
               [&](StringBroadcast&& r) {
                 std::ostringstream line;
                 line << sim.Now();

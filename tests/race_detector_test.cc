@@ -338,9 +338,9 @@ std::vector<RaceDetector::Report> SameTimeDrawReports(net::DelayStream* a,
           co_return *request;
         });
   }
-  sim.ScheduleAt(5, [&network, a] { network.Call(0, 1, "a", 0, a); },
+  sim.ScheduleAt(5, [&network, a] { network.Call(0, 1, "a", a); },
                  "send-a");
-  sim.ScheduleAt(5, [&network, b] { network.Call(0, 2, "b", 0, b); },
+  sim.ScheduleAt(5, [&network, b] { network.Call(0, 2, "b", b); },
                  "send-b");
   sim.Run();
   det.Finalize();

@@ -45,17 +45,6 @@ sim::Task ReadOne(Session* session, std::string row, std::string attr,
   (void)co_await txn.Commit();
 }
 
-/// Commits `n` sequential writes of "r"/"a" through one session.
-sim::Task CommitWrites(Session* session, int n, int* committed) {
-  for (int i = 0; i < n; ++i) {
-    Txn txn = co_await session->Begin(kGroup);
-    if (!txn.active()) continue;
-    (void)txn.Write("r", "a", std::to_string(i));
-    CommitResult result = co_await txn.Commit();
-    if (result.committed) ++*committed;
-  }
-}
-
 sim::Task DriveLearn(TransactionService* service, LogPos pos, Status* out) {
   *out = co_await service->LearnEntry(kGroup, pos);
 }
@@ -241,6 +230,23 @@ sim::Task DriveBegin(Network* network, DcId dc, BeginResponse* out) {
   if (result.status.ok()) *out = std::get<BeginResponse>(result.response);
 }
 
+TEST(ServiceTest, BeginAtItsOwnDatacenterCostsFiveEvents) {
+  // The request leg, the service-time sleep, the deferred destroy of
+  // HandleBegin's frame, the response leg and the caller's resume. The
+  // service's entry point hands the network HandleBegin itself, so no
+  // forwarding frame costs a sixth; the answer cancels the call's timeout.
+  Cluster cluster(TestConfig("VVV", 7));
+  sim::Simulator* sim = cluster.simulator();
+  const uint64_t before = sim->EventsExecuted();
+  BeginResponse begin;
+  DriveBegin(cluster.network(), 1, &begin);
+  cluster.RunToCompletion();
+  EXPECT_EQ(sim->EventsExecuted() - before, 5u);
+  EXPECT_EQ(sim->PendingEvents(), 0u);
+  EXPECT_GE(sim->Now(), ServiceTimeModel{}.begin);
+  EXPECT_EQ(begin.leader_dc, 0);  // answered: a fresh log names DC 0
+}
+
 TEST(ServiceTest, BeginAtAHoleNamesNoLeader) {
   // dc 0 holds entries 1 and 3 but not 2, and entry 3 carries a pending
   // cross prepare, so its read position is held at 2 — the hole. It cannot
@@ -291,7 +297,7 @@ TEST(ServiceTest, RefusedClaimReturnsTheDecidedRunFromItsPosition) {
   // the claimed position up to its first missing one (ARCHITECTURE D14).
   Cluster cluster(TestConfig("VVV"));
   TransactionService* service = cluster.service(0);
-  const TimeMicros claim = cluster.config().service_times.claim;
+  const TimeMicros claim = ServiceTimeModel{}.claim;
   ASSERT_EQ(claim, 5 * kMillisecond);
   ClaimLeaderResponse reply;
   TimeMicros took = 0;
@@ -325,96 +331,6 @@ TEST(ServiceTest, RefusedClaimReturnsTheDecidedRunFromItsPosition) {
   ASSERT_EQ(reply.run.size(), 2u);
   EXPECT_EQ(reply.run[0], *log->GetEntry(3));
   EXPECT_EQ(reply.run[1], *log->GetEntry(4));
-}
-
-// ------------------------------------------------------ background applier
-
-TEST(BackgroundApplierTest, AppliesLogWithoutReads) {
-  Cluster cluster(TestConfig("VVV", 37));
-  ASSERT_TRUE(cluster.LoadInitialRow(kGroup, "r", {{"a", "0"}}).ok());
-  cluster.service(0)->StartBackgroundApplier(200 * kMillisecond);
-  cluster.simulator()->ScheduleAt(30 * kSecond, [&cluster] {
-    cluster.service(0)->StopBackgroundApplier();
-  });
-
-  int committed = 0;
-  Session session = cluster.CreateSession(0);
-  CommitWrites(&session, 5, &committed);
-  cluster.RunToCompletion();
-  ASSERT_EQ(committed, 5);
-
-  // No read ever touched DC 0, yet its data rows are applied.
-  wal::WriteAheadLog* log = cluster.service(0)->GroupLog(kGroup);
-  EXPECT_EQ(log->AppliedThrough(), log->MaxDecided());
-  EXPECT_GT(cluster.service(0)->background_applies(), 0u);
-  wal::ItemRead read = log->ReadItem({"r", "a"}, log->MaxDecided());
-  EXPECT_EQ(read.value, "4");
-}
-
-TEST(BackgroundApplierTest, StopCancelsAlreadyScheduledTick) {
-  // Regression: StopBackgroundApplier used to only zero the interval, so
-  // the tick already sitting in the simulator's queue still fired once
-  // after "stop" — applying and garbage-collecting concurrently with a
-  // post-run recovery quiesce. The generation counter must make that
-  // stale tick a no-op: after Stop returns, background_applies_ is
-  // frozen no matter what is still queued.
-  Cluster cluster(TestConfig("VVV", 43));
-  ASSERT_TRUE(cluster.LoadInitialRow(kGroup, "r", {{"a", "0"}}).ok());
-  cluster.service(0)->StartBackgroundApplier(200 * kMillisecond);
-
-  uint64_t frozen = 0;
-  bool tick_still_queued = false;
-  cluster.simulator()->ScheduleAt(30 * kSecond, [&] {
-    cluster.service(0)->StopBackgroundApplier();
-    frozen = cluster.service(0)->background_applies();
-    // The applier's next tick is still sitting in the queue: the whole
-    // point is that it must fire as a no-op.
-    tick_still_queued = cluster.simulator()->PendingEvents() > 0;
-  });
-
-  int committed = 0;
-  Session session = cluster.CreateSession(0);
-  CommitWrites(&session, 3, &committed);
-  cluster.RunToCompletion();
-  ASSERT_EQ(committed, 3);
-  ASSERT_GT(frozen, 0u);
-  EXPECT_TRUE(tick_still_queued);
-  EXPECT_EQ(cluster.service(0)->background_applies(), frozen);
-
-  // A restart after stop works (fresh generation) and stops cleanly too.
-  uint64_t after_restart = 0;
-  cluster.service(0)->StartBackgroundApplier(200 * kMillisecond);
-  cluster.simulator()->ScheduleAfter(5 * kSecond, [&] {
-    cluster.service(0)->StopBackgroundApplier();
-    after_restart = cluster.service(0)->background_applies();
-  });
-  cluster.RunToCompletion();
-  EXPECT_GT(after_restart, frozen);
-  EXPECT_EQ(cluster.service(0)->background_applies(), after_restart);
-}
-
-TEST(BackgroundApplierTest, GarbageCollectsOldVersions) {
-  Cluster cluster(TestConfig("VVV", 41));
-  ASSERT_TRUE(cluster.LoadInitialRow(kGroup, "r", {{"a", "0"}}).ok());
-  cluster.service(0)->StartBackgroundApplier(200 * kMillisecond,
-                                             /*gc_keep_versions=*/2);
-  cluster.simulator()->ScheduleAt(60 * kSecond, [&cluster] {
-    cluster.service(0)->StopBackgroundApplier();
-  });
-
-  int committed = 0;
-  Session session = cluster.CreateSession(0);
-  CommitWrites(&session, 10, &committed);
-  cluster.RunToCompletion();
-  ASSERT_EQ(committed, 10);
-
-  wal::WriteAheadLog* log = cluster.service(0)->GroupLog(kGroup);
-  const std::string data_key = log->DataKey("r");
-  // Initial version + 10 writes = 11 versions without GC; the collector
-  // keeps only the watermark snapshot plus the last two positions.
-  EXPECT_LE(cluster.store(0)->VersionCount(data_key), 4u);
-  // The latest value is intact.
-  EXPECT_EQ(log->ReadItem({"r", "a"}, log->MaxDecided()).value, "9");
 }
 
 }  // namespace

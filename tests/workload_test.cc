@@ -83,24 +83,6 @@ TEST(GeneratorTest, InitialRowCoversAllAttributes) {
   EXPECT_TRUE(row.count("a32"));
 }
 
-TEST(GeneratorTest, ZipfianModeSkewsAccess) {
-  WorkloadConfig config;
-  config.num_attributes = 100;
-  config.zipfian = true;
-  Generator generator(config, 6);
-  std::map<std::string, int> counts;
-  for (int i = 0; i < 2000; ++i) {
-    for (const Op& op : generator.NextTxnOps()) counts[op.attribute]++;
-  }
-  // The most popular attribute should dominate a uniform share (1%).
-  int max_count = 0, total = 0;
-  for (auto& [attr, c] : counts) {
-    max_count = std::max(max_count, c);
-    total += c;
-  }
-  EXPECT_GT(double(max_count) / total, 0.05);
-}
-
 // ------------------------------------------------------------------ runner
 
 RunnerConfig SmallRun(txn::Protocol protocol) {
