@@ -46,7 +46,7 @@ void TransactionClient::ReleaseGroup(const std::string& group) {
 }
 
 void internal::ReleaseSlots(TransactionClient* client, const TxnState& state) {
-  client->ReleaseGroup(state.txn.group);
+  client->ReleaseGroup(state.group);
 }
 
 void internal::ReleaseSlots(TransactionClient* client,
@@ -105,11 +105,11 @@ sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
   const auto& begin = std::get<BeginResponse>(result.response);
 
   auto state = std::make_unique<TxnState>();
-  state->txn.group = std::move(group);
-  state->txn.id = MakeTxnId(
+  state->group = std::move(group);
+  state->id = MakeTxnId(
       home_, (static_cast<uint64_t>(client_uid_) << 24) | (next_seq_++));
-  state->txn.read_pos = begin.read_pos;
-  state->txn.leader_dc = begin.leader_dc;
+  state->read_pos = begin.read_pos;
+  state->leader_dc = begin.leader_dc;
   co_return Txn(this, std::move(state));
 }
 
@@ -118,59 +118,53 @@ sim::Coro<Result<std::string>> TransactionClient::ReadItem(
   const wal::ItemId item{row, attribute};
 
   // (A1) read-own-writes from the local buffer.
-  std::string buffered;
-  if (state->txn.Read(item, &buffered)) co_return buffered;
+  if (auto buffered = state->writes.find(item);
+      buffered != state->writes.end()) {
+    co_return buffered->second;
+  }
 
-  // Repeated snapshot reads return the cached first observation (the
-  // snapshot cannot change: all reads use one read position, property A2).
-  if (auto cached = state->read_cache.find(item);
-      cached != state->read_cache.end()) {
-    co_return cached->second;
+  // Repeated snapshot reads return the first observation (the snapshot
+  // cannot change: all reads use one read position, property A2).
+  if (auto recorded = state->reads.find(item);
+      recorded != state->reads.end()) {
+    co_return recorded->second.value;
   }
 
   ServiceRequest read_request =
-      ReadRequest{state->txn.group, item, state->txn.read_pos};
+      ReadRequest{state->group, item, state->read_pos};
   CallResult result = co_await CallWithFailover(&read_request, state->stream);
   if (!result.status.ok()) co_return result.status;
-  const auto& read = std::get<ReadResponse>(result.response);
+  auto& read = std::get<ReadResponse>(result.response);
   if (!read.status.ok()) co_return read.status;
 
-  // Record the read (with observed provenance) in the read set.
-  if (!state->txn.HasRecordedRead(item)) {
-    state->txn.reads.push_back(wal::ReadRecord{item, read.read.writer,
-                                               read.read.written_pos});
-  }
-  state->read_cache[item] = read.read.value;
-  co_return read.read.value;
+  // Record the read (with observed provenance) in the read set. A
+  // concurrent read of the same item may have recorded it first.
+  co_return state->reads.emplace(item, std::move(read.read))
+      .first->second.value;
 }
 
 sim::Coro<Result<kvstore::AttributeMap>> TransactionClient::ReadRowItems(
     TxnState* state, std::string row) {
   ServiceRequest read_request =
-      ReadRowRequest{state->txn.group, row, state->txn.read_pos};
+      ReadRowRequest{state->group, row, state->read_pos};
   CallResult result = co_await CallWithFailover(&read_request, state->stream);
   if (!result.status.ok()) co_return result.status;
-  const auto& read = std::get<ReadRowResponse>(result.response);
+  auto& read = std::get<ReadRowResponse>(result.response);
   if (!read.status.ok()) co_return read.status;
 
   kvstore::AttributeMap out;
-  for (const auto& [attribute, item_read] : read.attrs) {
-    const wal::ItemId item{row, attribute};
+  for (auto& [attribute, item_read] : read.attrs) {
+    wal::ItemId item{row, attribute};
     // (A1) attributes this transaction already wrote are served from the
     // buffer (the overlay loop below supplies the value) and never enter
     // the read set.
-    std::string buffered;
-    if (state->txn.Read(item, &buffered)) continue;
-    if (!state->txn.HasRecordedRead(item)) {
-      state->txn.reads.push_back(
-          wal::ReadRecord{item, item_read.writer, item_read.written_pos});
-    }
-    state->read_cache[item] = item_read.value;
+    if (state->writes.count(item) > 0) continue;
     out[attribute] = item_read.value;
+    state->reads.emplace(std::move(item), std::move(item_read));
   }
   // Buffered writes of attributes absent from the snapshot still belong
   // to the row this transaction observes.
-  for (const auto& [item, value] : state->txn.writes) {
+  for (const auto& [item, value] : state->writes) {
     if (item.row == row) out[item.attribute] = value;
   }
   // Reading the whole row also observes which attributes exist, so record
@@ -179,23 +173,20 @@ sim::Coro<Result<kvstore::AttributeMap>> TransactionClient::ReadRowItems(
   // protection; TxnRecord::Writes matches it against any write to the
   // row). The single-item path gets this for free by recording absent
   // reads with provenance 0/0.
-  const wal::ItemId row_predicate{row, wal::kWholeRowAttribute};
-  if (!state->txn.HasRecordedRead(row_predicate)) {
-    state->txn.reads.push_back(wal::ReadRecord{row_predicate, 0, 0});
-  }
+  state->reads.emplace(wal::ItemId{row, wal::kWholeRowAttribute},
+                       wal::ItemRead{});
   co_return out;
 }
 
 sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
   CommitResult result;
-  ActiveTxn txn = std::move(state->txn);
   const TimeMicros start = sim_->Now();
 
   // Read-only transactions commit automatically with no replication
   // (paper §2.2: "If the transaction is read-only, commit automatically
   // succeeds, and no communication with the Transaction Service is
   // needed").
-  if (txn.writes.empty()) {
+  if (state->writes.empty()) {
     result.status = Status::OK();
     result.committed = true;
     result.read_only = true;
@@ -203,30 +194,30 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
     co_return result;
   }
 
-  const wal::TxnRecord record = txn.ToRecord(home_);
+  const wal::TxnRecord record = state->ToRecord(home_);
   wal::LogEntry own;
   own.txns.push_back(record);
   own.winner_dc = home_;
 
-  LogPos pos = txn.read_pos + 1;  // commit position = read position + 1
-  DcId leader = txn.leader_dc;
+  LogPos pos = state->read_pos + 1;  // commit position = read position + 1
+  DcId leader = state->leader_dc;
   DecidedRun run;
 
   for (;;) {
-    InstanceOutcome outcome = co_await RunInstance(txn.group, pos, &own,
-                                                   leader, &run, state->stream);
-    if (outcome.kind == InstanceOutcome::Kind::kUnavailable) {
+    InstanceOutcome outcome = co_await RunInstance(
+        state->group, pos, &own, leader, &run, state->stream);
+    if (!outcome.decided) {
       result.status =
           Status::Unavailable("commit protocol could not reach a quorum");
       co_return result;
     }
-    if (outcome.kind == InstanceOutcome::Kind::kWon ||
-        outcome.decided.ContainsRecord(record.id, record.kind)) {
+    const wal::LogEntry& decided = *outcome.decided;
+    if (decided.ContainsRecord(record.id, record.kind)) {
       // The client's next begin on the group waits for home to answer this
       // commit's apply (D15). A record that landed in another proposer's
       // entry sent no apply, so there is nothing to wait for.
       if (outcome.applied.valid()) {
-        commit_waits_[txn.group].push_back(std::move(outcome.applied));
+        commit_waits_[state->group].push_back(std::move(outcome.applied));
       }
       result.status = Status::OK();
       result.committed = true;
@@ -246,7 +237,7 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
     }
     // Paxos-CP promotion (§5): retry at the next position unless we read
     // something the winners wrote.
-    if (PromotionConflicts(record, outcome.decided)) {
+    if (PromotionConflicts(record, decided)) {
       result.status = Status::Aborted(
           "read-write conflict with winner of position " +
           std::to_string(pos));
@@ -261,7 +252,7 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
       co_return result;
     }
     ++result.promotions;
-    leader = outcome.decided.winner_dc;
+    leader = decided.winner_dc;
     ++pos;
   }
 }
@@ -269,8 +260,7 @@ sim::Coro<CommitResult> TransactionClient::CommitTxn(TxnState* state) {
 sim::Coro<std::optional<TransactionClient::InstanceOutcome>>
 TransactionClient::AcceptAndApply(std::string group, LogPos pos,
                                   paxos::Ballot ballot,
-                                  const wal::LogEntry* proposal, TxnId own_id,
-                                  wal::RecordKind own_kind,
+                                  const wal::LogEntry* proposal,
                                   paxos::Ballot* max_seen,
                                   net::DelayStream* stream) {
   ServiceRequest accept_request = AcceptRequest{group, pos, ballot, *proposal};
@@ -284,40 +274,23 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
   // it.
   const ServiceRequest apply_request =
       ApplyRequest{group, pos, ballot, *proposal};
-  InstanceOutcome outcome = Decided(*proposal, own_id, own_kind);
+  InstanceOutcome outcome(*proposal);
   std::vector<CallFuture> home = network_->Multicast(
       home_, all_dcs_, apply_request, Network::Answering::kSender, stream);
   outcome.applied = std::move(home.front());
   co_return outcome;
 }
 
-TransactionClient::InstanceOutcome TransactionClient::Decided(
-    wal::LogEntry decided, TxnId own_id, wal::RecordKind own_kind) {
-  InstanceOutcome outcome;
-  outcome.kind = decided.ContainsRecord(own_id, own_kind)
-                     ? InstanceOutcome::Kind::kWon
-                     : InstanceOutcome::Kind::kLost;
-  outcome.decided = std::move(decided);
-  return outcome;
-}
-
 sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     std::string group, LogPos pos, const wal::LogEntry* own, DcId leader_dc,
     DecidedRun* run, net::DelayStream* stream) {
-  const TxnId own_id = own->txns.front().id;
-  // Won/lost is judged on (id, kind), not id alone: a recovery daemon's
-  // forced-abort decide carries the txn id of the prepare it resolves, and
-  // a prepare walk that took such a decide entry for its own landed
-  // prepare would commit above a canonical abort (split-brain).
-  const wal::RecordKind own_kind = own->txns.front().kind;
   paxos::Ballot max_seen;  // null
 
   // Decided-run short circuit (D14): an earlier refused claim of this walk
   // returned this position's entry. Served only at the run's own position.
   if (run->pos != pos) run->entries.clear();
   if (!run->entries.empty()) {
-    InstanceOutcome outcome =
-        Decided(std::move(run->entries.front()), own_id, own_kind);
+    InstanceOutcome outcome(std::move(run->entries.front()));
     run->entries.pop_front();
     ++run->pos;
     co_return outcome;
@@ -336,8 +309,7 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
       auto& reply = std::get<ClaimLeaderResponse>(claim.response);
       if (reply.granted) {
         std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
-            group, pos, paxos::Ballot{0, home_}, own, own_id, own_kind,
-            &max_seen, stream);
+            group, pos, paxos::Ballot{0, home_}, own, &max_seen, stream);
         if (outcome.has_value()) {
           outcome->fast_path = true;
           co_return *std::move(outcome);
@@ -349,7 +321,7 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
         run->pos = pos + 1;
         run->entries.assign(std::make_move_iterator(reply.run.begin() + 1),
                             std::make_move_iterator(reply.run.end()));
-        co_return Decided(std::move(reply.run.front()), own_id, own_kind);
+        co_return InstanceOutcome(std::move(reply.run.front()));
       }
     }
   }
@@ -365,7 +337,7 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
     // Catch-up short circuit: a replica already knows the decided value.
     if (prepares.decided.has_value()) {
-      co_return Decided(*std::move(prepares.decided), own_id, own_kind);
+      co_return InstanceOutcome(std::move(prepares.decided));
     }
 
     if (prepares.promised() < majority_) {
@@ -383,10 +355,7 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
         // A competing value certainly won; stop before the accept phase
         // (§5: the promoted client "stops executing the Paxos protocol
         // before sending accept messages for the winning value").
-        InstanceOutcome outcome;
-        outcome.kind = InstanceOutcome::Kind::kLost;
-        outcome.decided = std::move(decision.value);
-        co_return outcome;
+        co_return InstanceOutcome(std::move(decision.value));
       }
       proposal = std::move(decision.value);
     } else {
@@ -397,15 +366,13 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
 
     // Accept + apply (Steps 3-5).
     std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
-        group, pos, ballot, &proposal, own_id, own_kind, &max_seen, stream);
+        group, pos, ballot, &proposal, &max_seen, stream);
     if (outcome.has_value()) co_return *std::move(outcome);
 
     co_await sim::SleepFor(sim_, RandomBackoff(stream));
   }
 
-  InstanceOutcome outcome;
-  outcome.kind = InstanceOutcome::Kind::kUnavailable;
-  co_return outcome;
+  co_return InstanceOutcome();
 }
 
 }  // namespace paxoscp::txn

@@ -69,7 +69,7 @@ class TransactionClient {
 
   /// True while a `Txn` handle holds this client's active slot for
   /// `group` (test hook; released by commit, abort, or handle drop).
-  bool HasActiveTxn(const std::string& group) const {
+  bool HoldsSlot(const std::string& group) const {
     return active_groups_.count(group) > 0;
   }
 
@@ -91,13 +91,23 @@ class TransactionClient {
   // (QueryCrossAll + the ProposeDecide walk).
   friend class recovery::CrossRecovery;
 
-  /// Outcome of running the commit protocol for one log position.
+  /// Outcome of running the commit protocol for one log position. The
+  /// caller reads from `decided` whether its own record landed, matching id
+  /// AND kind (LogEntry::ContainsRecord, FindPrepare, FindDecide): a
+  /// recovery daemon's forced-abort decide carries the txn id of the
+  /// prepare it resolves, and a prepare walk that took such a decide entry
+  /// for its own landed prepare would commit above a canonical abort
+  /// (split-brain).
   struct InstanceOutcome {
-    enum class Kind { kWon, kLost, kUnavailable } kind = Kind::kUnavailable;
-    /// The decided entry (kWon and kLost).
-    wal::LogEntry decided;
-    /// Won through the leader fast path (skip prepare). Only a won
-    /// instance can set it: a fast-path accept decides its own value.
+    InstanceOutcome() = default;
+    explicit InstanceOutcome(std::optional<wal::LogEntry> entry)
+        : decided(std::move(entry)) {}
+
+    /// The entry decided for the position; empty when no quorum was
+    /// reached.
+    std::optional<wal::LogEntry> decided;
+    /// Decided through the leader fast path (skip prepare), which decides
+    /// the proposer's own value.
     bool fast_path = false;
     /// Home's answer to the apply this instance sent for `decided`: the
     /// apply went to every replica, and only home was asked to answer
@@ -106,12 +116,6 @@ class TransactionClient {
     /// before the accept phase.
     CallFuture applied;
   };
-
-  /// The outcome of an instance whose decided entry is `decided`: kWon iff
-  /// it holds a record with own id AND own kind (see RunInstance), else
-  /// kLost, with no apply answer.
-  static InstanceOutcome Decided(wal::LogEntry decided, TxnId own_id,
-                                 wal::RecordKind own_kind);
 
   /// Decided entries a refused leader claim returned (D14), not yet walked:
   /// `entries.front()` is the entry at `pos`, the next at pos + 1, and so
@@ -143,14 +147,14 @@ class TransactionClient {
                                                         std::string row);
 
   /// Runs the commit protocol for the transaction in `*state`. The caller
-  /// (Txn::Commit) has already released the group slot; the state is
-  /// consumed (moved from) by this call. A commit keeps home's answer to
-  /// its apply for the client's next begin on the group to wait for (D15).
+  /// (Txn::Commit) has already released the group slot and keeps the state
+  /// alive while it awaits. A commit keeps home's answer to its apply for
+  /// the client's next begin on the group to wait for (D15).
   sim::Coro<CommitResult> CommitTxn(TxnState* state);
 
   /// Starts a cross-group transaction (D8): reserves every group's slot,
-  /// waits on each group as BeginTxn does (D15, D16), begins a leg per group
-  /// (cross begins return the contiguous frontier and the commit-order
+  /// waits on each group as BeginTxn does (D15, D16), sends a cross begin
+  /// per group (it returns the contiguous frontier and the commit-order
   /// watermark), and fixes cross_ts above every watermark. Requires
   /// Protocol::kPaxosCP.
   sim::Coro<CrossTxn> BeginCrossTxn(std::vector<std::string> groups);
@@ -162,15 +166,6 @@ class TransactionClient {
   /// PropagateDecide are started there as detached tasks, and the client's
   /// next begin on each group waits for that group's task.
   sim::Coro<CrossCommitResult> CommitCrossTxn(CrossTxnState* state);
-
-  /// One begin leg of BeginCrossTxn (fanned out with sim::Gather).
-  struct CrossBeginLeg {
-    Status status;  // default OK; the remaining fields valid iff ok()
-    LogPos read_pos = 0;
-    DcId leader_dc = kNoDc;
-    uint64_t max_cross_ts = 0;
-  };
-  sim::Coro<CrossBeginLeg> BeginCrossLeg(std::string group);
 
   /// Shared coordinator-crash gate of one cross commit (D9): legs count
   /// landed prepares into it and re-check it between Paxos instances, so
@@ -198,8 +193,7 @@ class TransactionClient {
     LogPos decide_floor = 0;
     DcId decide_leader = kNoDc;
     int promotions = 0;
-    std::string detail;     // failure detail (kConflict / kUnavailable)
-    bool attempted = false;  // a prepare was proposed in this group
+    std::string detail;  // failure detail (kConflict / kUnavailable)
   };
 
   /// Walks one group's log until this transaction's prepare lands, a
@@ -310,17 +304,16 @@ class TransactionClient {
                                          DcId leader_dc, DecidedRun* run,
                                          net::DelayStream* stream);
 
-  /// Accept + apply with a given ballot and value. Returns kWon/kLost when
-  /// the value is decided (checking that a record with own id AND own kind
-  /// landed — id alone would mistake a recovery decide for a landed
-  /// prepare), nullopt when the accept round failed to reach a majority
-  /// (caller re-prepares). The apply goes to every replica, and only home
-  /// answers, because only home's answer is read (D15): the outcome
-  /// carries that answer without waiting for it.
+  /// Accept + apply with a given ballot and value. Returns the outcome
+  /// deciding `*proposal` when a majority accepted it, nullopt when the
+  /// accept round failed to reach a majority (caller re-prepares). The
+  /// apply goes to every replica, and only home answers, because only
+  /// home's answer is read (D15): the outcome carries that answer without
+  /// waiting for it.
   sim::Coro<std::optional<InstanceOutcome>> AcceptAndApply(
       std::string group, LogPos pos, paxos::Ballot ballot,
-      const wal::LogEntry* proposal, TxnId own_id, wal::RecordKind own_kind,
-      paxos::Ballot* max_seen, net::DelayStream* stream);
+      const wal::LogEntry* proposal, paxos::Ballot* max_seen,
+      net::DelayStream* stream);
 
   /// Calls the home service first, then fails over to the others. `first`
   /// skips the first datacenters of that order (1: start after home).

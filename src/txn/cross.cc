@@ -82,7 +82,7 @@ const std::vector<std::string>& CrossTxn::groups() const {
 LogPos CrossTxn::read_pos(const std::string& group) const {
   if (!active()) return 0;
   auto it = state_->legs.find(group);
-  return it == state_->legs.end() ? 0 : it->second.txn.read_pos;
+  return it == state_->legs.end() ? 0 : it->second.read_pos;
 }
 
 sim::Coro<Result<std::string>> CrossTxn::Read(std::string group,
@@ -124,7 +124,7 @@ Status CrossTxn::Write(const std::string& group, const std::string& row,
     return Status::InvalidArgument(
         "group '" + group + "' is not a participant of this transaction");
   }
-  it->second.txn.writes[wal::ItemId{row, attribute}] = std::move(value);
+  it->second.writes[wal::ItemId{row, attribute}] = std::move(value);
   return Status::OK();
 }
 
@@ -176,53 +176,40 @@ sim::Coro<CrossTxn> TransactionClient::BeginCrossTxn(
   // already in any prefix it will read under.
   uint64_t cross_ts = static_cast<uint64_t>(sim_->Now()) + 1;
 
-  // One begin leg per participant, fanned out concurrently (D9). Gather
-  // returns the legs in input order, so the cross_ts fold and the error
-  // choice below are deterministic regardless of completion order.
-  std::vector<sim::Coro<CrossBeginLeg>> legs;
-  legs.reserve(state->groups.size());
+  // One cross begin per participant, on the group's leg stream, fanned
+  // out concurrently (D9). Gather returns the answers in input order, so
+  // the cross_ts fold and the error choice below are deterministic
+  // regardless of completion order. The requests are reserved up front,
+  // so the pointers the calls hold stay valid.
+  std::vector<ServiceRequest> requests;
+  requests.reserve(state->groups.size());
+  std::vector<sim::Coro<CallResult>> calls;
+  calls.reserve(state->groups.size());
   for (const std::string& group : state->groups) {
-    legs.push_back(BeginCrossLeg(group));
+    requests.push_back(BeginRequest{group, /*cross=*/true});
+    calls.push_back(CallWithFailover(&requests.back(), LegStream(group)));
   }
-  sim::Gather<CrossBeginLeg> join(sim_, std::move(legs));
-  const std::vector<CrossBeginLeg> begins = co_await std::move(join);
-  for (const CrossBeginLeg& leg : begins) {
-    if (!leg.status.ok()) {
+  sim::Gather<CallResult> join(sim_, std::move(calls));
+  const std::vector<CallResult> begins = co_await std::move(join);
+  for (const CallResult& begin : begins) {
+    if (!begin.status.ok()) {
       for (const std::string& g : state->groups) active_groups_.erase(g);
-      co_return CrossTxn(leg.status);
+      co_return CrossTxn(begin.status);
     }
   }
   for (size_t i = 0; i < state->groups.size(); ++i) {
     const std::string& group = state->groups[i];
+    const auto& begin = std::get<BeginResponse>(begins[i].response);
     TxnState& leg = state->legs[group];
-    leg.txn.group = group;
-    leg.txn.id = state->id;
-    leg.txn.read_pos = begins[i].read_pos;
-    leg.txn.leader_dc = begins[i].leader_dc;
+    leg.group = group;
+    leg.id = state->id;
+    leg.read_pos = begin.read_pos;
+    leg.leader_dc = begin.leader_dc;
     leg.stream = LegStream(group);
-    if (begins[i].max_cross_ts >= cross_ts) {
-      cross_ts = begins[i].max_cross_ts + 1;
-    }
+    if (begin.max_cross_ts >= cross_ts) cross_ts = begin.max_cross_ts + 1;
   }
   state->cross_ts = cross_ts;
   co_return CrossTxn(this, std::move(state));
-}
-
-sim::Coro<TransactionClient::CrossBeginLeg> TransactionClient::BeginCrossLeg(
-    std::string group) {
-  CrossBeginLeg leg;
-  ServiceRequest begin_request = BeginRequest{group, /*cross=*/true};
-  CallResult result =
-      co_await CallWithFailover(&begin_request, LegStream(group));
-  if (!result.status.ok()) {
-    leg.status = result.status;
-    co_return leg;
-  }
-  const auto& begin = std::get<BeginResponse>(result.response);
-  leg.read_pos = begin.read_pos;
-  leg.leader_dc = begin.leader_dc;
-  leg.max_cross_ts = begin.max_cross_ts;
-  co_return leg;
 }
 
 sim::Coro<std::vector<Result<std::string>>> TransactionClient::ReadItems(
@@ -349,7 +336,6 @@ sim::Coro<CrossCommitResult> TransactionClient::CommitCrossTxn(
   AwaitDecideApplied(commit_group, new DecideOutcome(std::move(decide)),
                      KeepDecideWait(commit_group));
   for (size_t i = 1; i < outcomes.size(); ++i) {
-    if (!outcomes[i].attempted) continue;
     const std::string& group = state->groups[i];
     PropagateDecide(group, outcomes[i].decide_floor, outcomes[i].decide_leader,
                     id, commit, KeepDecideWait(group));
@@ -379,10 +365,10 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
   const uint64_t ts = state->cross_ts;
   // Crash gate, checked before proposing anything: it only fires here
   // when the threshold is zero (all legs start before any prepare lands).
-  if (gate->Tripped()) co_return out;  // kAbandoned, attempted=false
+  if (gate->Tripped()) co_return out;  // kAbandoned
 
   TxnState& leg = state->legs[group];
-  wal::TxnRecord record = leg.txn.ToRecord(home_);
+  wal::TxnRecord record = leg.ToRecord(home_);
   record.kind = wal::RecordKind::kPrepare;
   record.cross_ts = ts;
   record.participants = state->groups;
@@ -390,20 +376,20 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
   own.txns.push_back(record);
   own.winner_dc = home_;
 
-  out.attempted = true;
-  LogPos pos = leg.txn.read_pos + 1;
-  DcId leader = leg.txn.leader_dc;
+  LogPos pos = leg.read_pos + 1;
+  DcId leader = leg.leader_dc;
   out.decide_floor = pos;
   out.decide_leader = leader;
   DecidedRun run;
   for (;;) {
     InstanceOutcome outcome =
         co_await RunInstance(group, pos, &own, leader, &run, leg.stream);
-    if (outcome.kind == InstanceOutcome::Kind::kUnavailable) {
+    if (!outcome.decided) {
       out.kind = CrossPrepareOutcome::Kind::kUnavailable;
       out.detail = "prepare on '" + group + "' reached no quorum";
       co_return out;
     }
+    const wal::LogEntry& decided = *outcome.decided;
     // A decide for OUR OWN transaction in the walked entries means the
     // recovery daemon already resolved us (it concluded the coordinator
     // crashed while we were merely slow). That decide is canonical — this
@@ -413,23 +399,22 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
     // decide walk floors at or below this position, finds the recovery's
     // decide first, and adopts the canonical fate — never committing
     // above it.
-    if (outcome.decided.FindDecide(id) != nullptr) {
+    if (decided.FindDecide(id) != nullptr) {
       out.kind = CrossPrepareOutcome::Kind::kConflict;
       out.detail = "recovery already decided txn at position " +
                    std::to_string(pos) + " of '" + group + "'";
       co_return out;
     }
-    if (outcome.kind == InstanceOutcome::Kind::kWon ||
-        outcome.decided.FindPrepare(id) != nullptr) {
+    if (decided.FindPrepare(id) != nullptr) {
       // Landed (possibly combined into another proposer's entry). A
       // younger prepare ahead of ours *within* the entry still violates
       // the shared commit order — the prepare stays in the log but the
       // transaction must abort (the decide makes it a no-op).
       out.pos = pos;
       out.decide_floor = pos + 1;
-      out.decide_leader = outcome.decided.winner_dc;
+      out.decide_leader = decided.winner_dc;
       ++gate->landed;
-      if (OwnPrecededByYounger(outcome.decided, ts, id)) {
+      if (OwnPrecededByYounger(decided, ts, id)) {
         out.kind = CrossPrepareOutcome::Kind::kConflict;
         out.detail = "commit-order violation inside entry " +
                      std::to_string(pos) + " of '" + group + "'";
@@ -440,13 +425,13 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
     }
     // Lost the position. A younger cross prepare already in the log
     // means landing anywhere later would violate the shared order.
-    if (HasYoungerPrepare(outcome.decided, ts, id)) {
+    if (HasYoungerPrepare(decided, ts, id)) {
       out.kind = CrossPrepareOutcome::Kind::kConflict;
       out.detail = "younger cross-group prepare at position " +
                    std::to_string(pos) + " of '" + group + "'";
       co_return out;
     }
-    if (PromotionConflicts(record, outcome.decided)) {
+    if (PromotionConflicts(record, decided)) {
       out.kind = CrossPrepareOutcome::Kind::kConflict;
       out.detail = "read-write conflict with winner of position " +
                    std::to_string(pos) + " in '" + group + "'";
@@ -460,7 +445,7 @@ TransactionClient::PrepareCrossLeg(CrossTxnState* state, std::string group,
       co_return out;
     }
     ++out.promotions;
-    leader = outcome.decided.winner_dc;
+    leader = decided.winner_dc;
     ++pos;
   }
 }
@@ -490,19 +475,19 @@ sim::Coro<TransactionClient::DecideOutcome> TransactionClient::ProposeDecide(
   for (int step = 0; step < kMaxDecideWalk; ++step) {
     InstanceOutcome outcome =
         co_await RunInstance(group, pos, &own, leader, &run, stream);
-    if (outcome.kind == InstanceOutcome::Kind::kUnavailable) co_return out;
+    if (!outcome.decided) co_return out;
     // First decide for this transaction in the walk — ours or someone
     // else's — is the decision (walks start at or below every possible
     // decide position, so the first one encountered is the lowest).
-    if (const wal::TxnRecord* found = outcome.decided.FindDecide(id)) {
+    if (const wal::TxnRecord* found = outcome.decided->FindDecide(id)) {
       out.known = true;
       out.commit = found->commit_decision;
       out.pos = pos;
-      out.entry = std::move(outcome.decided);
+      out.entry = *std::move(outcome.decided);
       out.applied = std::move(outcome.applied);
       co_return out;
     }
-    leader = outcome.decided.winner_dc;
+    leader = outcome.decided->winner_dc;
     ++pos;
   }
   co_return out;
@@ -572,8 +557,7 @@ TransactionClient::QueryCrossAll(std::string group, TxnId id) {
       out.prepare_pos = q.prepare_pos;
       out.participants = q.participants;
     }
-    if (q.has_decision && q.decision_canonical &&
-        !out.has_canonical_decision) {
+    if (q.decision_canonical && !out.has_canonical_decision) {
       out.has_canonical_decision = true;
       out.decision_commit = q.decision_commit;
     }

@@ -61,7 +61,6 @@ struct QueryCrossResponse {
   bool has_prepare = false;
   LogPos prepare_pos = 0;
   std::vector<std::string> participants;
-  bool has_decision = false;
   bool decision_commit = false;
   bool decision_canonical = false;
   /// The replica's safe read position (floor for recovery decide walks).

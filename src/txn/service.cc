@@ -107,8 +107,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleBegin(
     // so use the contiguous frontier (and stay below pending prepares).
     response.read_pos =
         std::min(gs->log.ContiguousFrontier(), gs->log.SafeReadPos());
-    TxnId max_id = 0;  // watermark id: only used replica-side (NoteCross)
-    gs->log.MaxCrossOrder(&response.max_cross_ts, &max_id);
+    response.max_cross_ts = gs->log.MaxCrossTs();
   } else {
     // Single-group path: MaxDecided, held below any prepared-but-undecided
     // cross-group prepare (identical to MaxDecided when none is pending).
@@ -232,7 +231,6 @@ sim::Coro<ServiceResponse> TransactionService::HandleQueryCross(
   }
   const wal::CrossDecision decision = gs->log.DecisionFor(request->txn);
   if (decision.known) {
-    response.has_decision = true;
     response.decision_commit = decision.commit;
     // Canonical = provably the lowest decide in the log: this replica has
     // every entry up to the decide position, so no lower decide can be
@@ -407,14 +405,8 @@ sim::Task TransactionService::DriveRecovery(std::string group, TxnId id,
     GroupState* gs = Group(group);
     for (int step = 0; step < kMaxCatchUpSteps; ++step) {
       if (pin_open_.count(key) == 0) break;
-      LogPos to_learn = 0;
-      const LogPos limit = gs->log.MaxDecided() + 1;
-      for (LogPos q = 1; q <= limit; ++q) {
-        if (!gs->log.HasEntry(q)) {
-          to_learn = q;
-          break;
-        }
-      }
+      const LogPos to_learn =
+          gs->log.FirstMissing(1, gs->log.MaxDecided() + 1);
       if (to_learn == 0) break;
       const Status learned = co_await LearnEntry(group, to_learn);
       if (!learned.ok()) break;
@@ -501,13 +493,7 @@ sim::Coro<Status> TransactionService::CatchUp(GroupState* gs, LogPos target) {
       // past the prepare implies a decide record exists at a position
       // <= target, so learn the gap between the prepare and the target —
       // the decide is in one of those entries.
-      LogPos to_learn = 0;
-      for (LogPos q = missing + 1; q <= target; ++q) {
-        if (!gs->log.HasEntry(q)) {
-          to_learn = q;
-          break;
-        }
-      }
+      const LogPos to_learn = gs->log.FirstMissing(missing + 1, target);
       if (to_learn == 0) {
         // Every entry through the target is present and none decides the
         // transaction: the position is genuinely undecided — the caller

@@ -1,7 +1,5 @@
 #include "txn/transaction.h"
 
-#include <algorithm>
-
 namespace paxoscp::txn {
 
 const char* ProtocolName(Protocol protocol) {
@@ -14,35 +12,16 @@ const char* ProtocolName(Protocol protocol) {
   return "?";
 }
 
-bool ActiveTxn::Read(const wal::ItemId& item, std::string* value) const {
-  auto it = writes.find(item);
-  if (it == writes.end()) return false;
-  *value = it->second;
-  return true;
-}
-
-bool ActiveTxn::HasRecordedRead(const wal::ItemId& item) const {
-  for (const wal::ReadRecord& r : reads) {
-    if (r.item == item) return true;
-  }
-  return false;
-}
-
-wal::TxnRecord ActiveTxn::ToRecord(DcId origin_dc) const {
+wal::TxnRecord TxnState::ToRecord(DcId origin_dc) const {
   wal::TxnRecord record;
   record.id = id;
   record.origin_dc = origin_dc;
   record.read_pos = read_pos;
-  record.reads = reads;
-  // Canonical item order: the read-set is a set (conflict checks are
-  // membership-only), but the parallel read fan-out appends entries in
-  // response-arrival order, which would leak schedule order into the
-  // record's encoding and hence the Paxos value identity. Writes keep
-  // program order — apply order is list order.
-  std::sort(record.reads.begin(), record.reads.end(),
-            [](const wal::ReadRecord& a, const wal::ReadRecord& b) {
-              return a.item < b.item;
-            });
+  record.reads.reserve(reads.size());
+  for (const auto& [item, read] : reads) {
+    record.reads.push_back(
+        wal::ReadRecord{item, read.writer, read.written_pos});
+  }
   record.writes.reserve(writes.size());
   for (const auto& [item, value] : writes) {
     record.writes.push_back(wal::WriteRecord{item, value});

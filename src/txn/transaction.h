@@ -9,7 +9,12 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "paxos/value_selection.h"
+#include "wal/log.h"
 #include "wal/log_entry.h"
+
+namespace paxoscp::net {
+struct DelayStream;
+}  // namespace paxoscp::net
 
 namespace paxoscp::txn {
 
@@ -21,23 +26,32 @@ enum class Protocol {
 
 const char* ProtocolName(Protocol protocol);
 
-/// An active (uncommitted) transaction: buffered read provenance and writes.
-/// Exists only inside one application instance (paper §2.2); lost state
-/// means an implicit abort.
-struct ActiveTxn {
+/// Client-side state of one active (uncommitted) transaction on one group:
+/// read position, read set and buffered writes. Exists only inside one
+/// application instance (paper §2.2); lost state means an implicit abort.
+/// Owned by its `Txn` handle, or by a `CrossTxn` as one leg, and
+/// heap-allocated so the address stays stable across handle moves —
+/// in-flight operation coroutines hold a pointer to it.
+struct TxnState {
   std::string group;
   TxnId id = 0;
   LogPos read_pos = 0;
   DcId leader_dc = kNoDc;  // leader for read_pos + 1
-  std::vector<wal::ReadRecord> reads;
-  /// Buffered writes, keyed by item; last write wins (ordered map gives the
-  /// record a deterministic encoding).
+  /// The read set: the first observation of each item, with its value and
+  /// provenance. Every read is served at `read_pos`, so a repeated read
+  /// returns the recorded value. A whole-row predicate read is the entry
+  /// {row, kWholeRowAttribute} with initial provenance.
+  std::map<wal::ItemId, wal::ItemRead> reads;
+  /// Buffered writes, keyed by item; last write wins.
   std::map<wal::ItemId, std::string> writes;
+  /// The delay stream this transaction's messages draw from: a cross-group
+  /// leg's (TransactionClient::LegStream), null for a single-group
+  /// transaction, which uses the network's shared stream.
+  net::DelayStream* stream = nullptr;
 
-  bool Read(const wal::ItemId& item, std::string* value) const;
-  bool HasRecordedRead(const wal::ItemId& item) const;
-
-  /// Freezes this transaction into the replicable record.
+  /// Freezes this transaction into the replicable record. Both sets are
+  /// listed in item order, so the record's bytes do not depend on the
+  /// order in which concurrent reads were answered.
   wal::TxnRecord ToRecord(DcId origin_dc) const;
 };
 

@@ -51,17 +51,17 @@ TxnOutcome ClassifyCommit(const CommitResult& result) {
 
 // ------------------------------------------------------------------- Txn
 
-TxnId Txn::id() const { return active() ? state_->txn.id : 0; }
+TxnId Txn::id() const { return active() ? state_->id : 0; }
 
-LogPos Txn::read_pos() const { return active() ? state_->txn.read_pos : 0; }
+LogPos Txn::read_pos() const { return active() ? state_->read_pos : 0; }
 
 const std::string& Txn::group() const {
   static const std::string kEmpty;
-  return active() ? state_->txn.group : kEmpty;
+  return active() ? state_->group : kEmpty;
 }
 
 size_t Txn::read_set_size() const {
-  return active() ? state_->txn.reads.size() : 0;
+  return active() ? state_->reads.size() : 0;
 }
 
 sim::Coro<Result<std::string>> Txn::Read(std::string row,
@@ -87,7 +87,7 @@ Status Txn::Write(const std::string& row, const std::string& attribute,
   if (wal::IsReservedAttribute(attribute)) {
     return wal::ReservedAttributeError();
   }
-  state_->txn.writes[wal::ItemId{row, attribute}] = std::move(value);
+  state_->writes[wal::ItemId{row, attribute}] = std::move(value);
   return Status::OK();
 }
 
@@ -100,7 +100,7 @@ Status Txn::WriteRow(const std::string& row,
     }
   }
   for (const auto& [attribute, value] : attributes) {
-    state_->txn.writes[wal::ItemId{row, attribute}] = value;
+    state_->writes[wal::ItemId{row, attribute}] = value;
   }
   return Status::OK();
 }

@@ -19,7 +19,6 @@
 
 #include <cassert>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,10 +30,6 @@
 #include "sim/coro.h"
 #include "txn/transaction.h"
 #include "wal/log_entry.h"
-
-namespace paxoscp::net {
-struct DelayStream;
-}  // namespace paxoscp::net
 
 namespace paxoscp::txn {
 
@@ -74,20 +69,6 @@ const char* OutcomeName(TxnOutcome outcome);
 /// kUnknownOutcome (the begin/read paths, which cannot have proposed
 /// anything, are the only sources of kUnavailable).
 TxnOutcome ClassifyCommit(const CommitResult& result);
-
-/// Client-side state of one active transaction, owned by its `Txn` handle
-/// (this is the payload the old API kept in a string-keyed map inside the
-/// client). Heap-allocated so the address stays stable across handle
-/// moves — in-flight operation coroutines hold a pointer to it.
-struct TxnState {
-  ActiveTxn txn;
-  /// Cache of snapshot values already read (for repeated reads).
-  std::map<wal::ItemId, std::string> read_cache;
-  /// The delay stream this transaction's messages draw from: a cross-group
-  /// leg's (TransactionClient::LegStream), null for a single-group
-  /// transaction, which uses the network's shared stream.
-  net::DelayStream* stream = nullptr;
-};
 
 namespace internal {
 

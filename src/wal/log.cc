@@ -128,16 +128,11 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
       }
       (void)store_->Write(PrepareKey(t.id),
                           {{"pos", std::to_string(pos)},
-                           {"ts", std::to_string(t.cross_ts)},
                            {"groups", std::move(groups_encoded)}});
-      // Commit-order watermark: max (cross_ts, id) over all prepares seen.
-      uint64_t max_ts = 0;
-      TxnId max_id = 0;
-      MaxCrossOrder(&max_ts, &max_id);
-      if (t.cross_ts > max_ts || (t.cross_ts == max_ts && t.id > max_id)) {
+      // Commit-order watermark: max cross_ts over all prepares seen.
+      if (t.cross_ts > MaxCrossTs()) {
         (void)store_->Write(CrossMaxKey(),
-                            {{"ts", std::to_string(t.cross_ts)},
-                             {"id", std::to_string(t.id)}});
+                            {{"ts", std::to_string(t.cross_ts)}});
       }
       // Pending until a decide is learned. Decides may be learned before
       // their prepare (out-of-order learning): then the prepare is born
@@ -220,20 +215,9 @@ PrepareInfo WriteAheadLog::PrepareFor(TxnId id) const {
   return out;
 }
 
-void WriteAheadLog::MaxCrossOrder(uint64_t* ts, TxnId* id) const {
-  *ts = 0;
-  *id = 0;
-  Result<kvstore::RowVersion> row = store_->Read(CrossMaxKey());
-  if (!row.ok()) return;
-  const kvstore::AttributeMap& attrs = *row->attributes;
-  auto ts_it = attrs.find("ts");
-  auto id_it = attrs.find("id");
-  if (ts_it != attrs.end()) {
-    *ts = std::strtoull(ts_it->second.c_str(), nullptr, 10);
-  }
-  if (id_it != attrs.end()) {
-    *id = std::strtoull(id_it->second.c_str(), nullptr, 10);
-  }
+uint64_t WriteAheadLog::MaxCrossTs() const {
+  Result<kvstore::AttrView> ts = store_->ReadAttrView(CrossMaxKey(), "ts");
+  return ts.ok() ? ParsePos(ts->value) : 0;
 }
 
 LogPos WriteAheadLog::SafeReadPos() const {
@@ -262,13 +246,6 @@ LogPos WriteAheadLog::ContiguousFrontier() {
   return frontier;
 }
 
-bool WriteAheadLog::HasAllBetween(LogPos from, LogPos to) const {
-  for (LogPos q = from + 1; q < to; ++q) {
-    if (!HasEntry(q)) return false;
-  }
-  return true;
-}
-
 Result<LogEntry> WriteAheadLog::GetEntry(LogPos pos) const {
   // Decode straight from the shared version — the encoded entry is never
   // copied out of the store.
@@ -280,6 +257,13 @@ Result<LogEntry> WriteAheadLog::GetEntry(LogPos pos) const {
 
 bool WriteAheadLog::HasEntry(LogPos pos) const {
   return store_->HasAttr(EntryKey(pos), kEntryAttr);
+}
+
+LogPos WriteAheadLog::FirstMissing(LogPos from, LogPos to) const {
+  for (LogPos pos = from; pos <= to; ++pos) {
+    if (!HasEntry(pos)) return pos;
+  }
+  return 0;
 }
 
 LogPos WriteAheadLog::MaxDecided() const {
@@ -327,7 +311,7 @@ Status WriteAheadLog::ApplyThrough(LogPos target, LogPos* first_missing,
     for (const TxnRecord& t : entry->txns) {
       if (t.kind != RecordKind::kPrepare) continue;
       const CrossDecision d = DecisionFor(t.id);
-      if (!d.known || (d.pos > pos && !HasAllBetween(pos, d.pos))) {
+      if (!d.known || (d.pos > pos && FirstMissing(pos + 1, d.pos - 1) != 0)) {
         if (first_missing != nullptr) *first_missing = pos;
         if (undecided != nullptr) *undecided = t.id;
         return Status::FailedPrecondition(

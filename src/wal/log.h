@@ -77,6 +77,10 @@ class WriteAheadLog {
 
   bool HasEntry(LogPos pos) const;
 
+  /// First position in [from, to] without a local entry, 0 if there is
+  /// none (an empty range has none).
+  LogPos FirstMissing(LogPos from, LogPos to) const;
+
   /// Highest position this replica knows to be decided (0 = none). This is
   /// the "read position" handed to new transactions (paper step 1).
   LogPos MaxDecided() const;
@@ -103,9 +107,9 @@ class WriteAheadLog {
   /// has its prepare entry.
   PrepareInfo PrepareFor(TxnId id) const;
 
-  /// Max (cross_ts, id) over every cross-group prepare this replica has
-  /// seen — the commit-order watermark new cross transactions must exceed.
-  void MaxCrossOrder(uint64_t* ts, TxnId* id) const;
+  /// Max cross_ts over every cross-group prepare this replica has seen —
+  /// the commit-order watermark new cross transactions must exceed.
+  uint64_t MaxCrossTs() const;
 
   /// Highest position whose writes have been applied to the data rows.
   LogPos AppliedThrough() const;
@@ -178,11 +182,6 @@ class WriteAheadLog {
   /// Removes `id` from the pending set of prepare position `pos` (no-op if
   /// absent).
   void ClearPending(LogPos pos, TxnId id);
-
-  /// True when every position in (from, to) has a local entry — makes a
-  /// decision marker at `to` trustworthy for applying a prepare at `from`
-  /// (no lower decide can be hiding in an unseen entry).
-  bool HasAllBetween(LogPos from, LogPos to) const;
 
   kvstore::MultiVersionStore* store_;
   std::string group_;

@@ -17,24 +17,15 @@ bool DecodeItem(std::string_view* in, ItemId* item) {
   return true;
 }
 
-/// First-varsint sentinel selecting the v2 (cross-group) entry encoding.
-/// winner_dc is always a datacenter index (>= 0) or kNoDc (-1), so -2 can
-/// never be mistaken for a v1 winner_dc. Entries without cross records keep
-/// the original v1 layout bit-for-bit — existing logs, fingerprints, and
-/// the byte-identical fig outputs are unaffected.
-constexpr int64_t kCrossFormatMarker = -2;
-
 /// The one walk over an entry's encoded layout (Decode reads it back).
 /// `Out` has the Fingerprinter's interface: Encode runs the walk over
 /// SizeBound and then StringSink, Fingerprint over the Fingerprinter.
 template <typename Out>
 void WriteLayout(const LogEntry& entry, Out* out) {
-  const bool v2 = entry.HasCrossRecords();
-  if (v2) out->AddVarsint64(kCrossFormatMarker);
   out->AddVarsint64(entry.winner_dc);
   out->AddVarint64(entry.txns.size());
   for (const TxnRecord& t : entry.txns) {
-    if (v2) out->AddVarint64(static_cast<uint64_t>(t.kind));
+    out->AddVarint64(static_cast<uint64_t>(t.kind));
     out->AddFixed64(t.id);
     out->AddVarsint64(t.origin_dc);
     out->AddVarint64(t.read_pos);
@@ -51,12 +42,12 @@ void WriteLayout(const LogEntry& entry, Out* out) {
       out->AddLengthPrefixed(w.item.attribute);
       out->AddLengthPrefixed(w.value);
     }
-    if (v2 && t.kind == RecordKind::kPrepare) {
+    if (t.kind == RecordKind::kPrepare) {
       out->AddVarint64(t.cross_ts);
       out->AddVarint64(t.participants.size());
       for (const std::string& g : t.participants) out->AddLengthPrefixed(g);
     }
-    if (v2 && t.kind == RecordKind::kDecide) {
+    if (t.kind == RecordKind::kDecide) {
       out->AddVarint64(t.commit_decision ? 1 : 0);
     }
   }
@@ -140,13 +131,6 @@ Result<LogEntry> LogEntry::Decode(std::string_view data) {
   if (!GetVarsint64(&data, &winner)) {
     return Status::Corruption("log entry: bad winner_dc");
   }
-  bool v2 = false;
-  if (winner == kCrossFormatMarker) {
-    v2 = true;
-    if (!GetVarsint64(&data, &winner)) {
-      return Status::Corruption("log entry: bad winner_dc");
-    }
-  }
   entry.winner_dc = static_cast<DcId>(winner);
   uint64_t ntxns = 0;
   if (!GetVarint64(&data, &ntxns)) {
@@ -156,15 +140,12 @@ Result<LogEntry> LogEntry::Decode(std::string_view data) {
   for (uint64_t i = 0; i < ntxns; ++i) {
     TxnRecord t;
     int64_t origin = 0;
-    uint64_t nreads = 0, nwrites = 0;
-    if (v2) {
-      uint64_t kind = 0;
-      if (!GetVarint64(&data, &kind) ||
-          kind > static_cast<uint64_t>(RecordKind::kDecide)) {
-        return Status::Corruption("log entry: bad record kind");
-      }
-      t.kind = static_cast<RecordKind>(kind);
+    uint64_t kind = 0, nreads = 0, nwrites = 0;
+    if (!GetVarint64(&data, &kind) ||
+        kind > static_cast<uint64_t>(RecordKind::kDecide)) {
+      return Status::Corruption("log entry: bad record kind");
     }
+    t.kind = static_cast<RecordKind>(kind);
     if (!GetFixed64(&data, &t.id) || !GetVarsint64(&data, &origin) ||
         !GetVarint64(&data, &t.read_pos) || !GetVarint64(&data, &nreads)) {
       return Status::Corruption("log entry: bad txn header");
@@ -193,7 +174,7 @@ Result<LogEntry> LogEntry::Decode(std::string_view data) {
       w.value = std::string(value);
       t.writes.push_back(std::move(w));
     }
-    if (v2 && t.kind == RecordKind::kPrepare) {
+    if (t.kind == RecordKind::kPrepare) {
       uint64_t ngroups = 0;
       if (!GetVarint64(&data, &t.cross_ts) || !GetVarint64(&data, &ngroups)) {
         return Status::Corruption("log entry: bad prepare record");
@@ -207,7 +188,7 @@ Result<LogEntry> LogEntry::Decode(std::string_view data) {
         t.participants.emplace_back(g);
       }
     }
-    if (v2 && t.kind == RecordKind::kDecide) {
+    if (t.kind == RecordKind::kDecide) {
       uint64_t decision = 0;
       if (!GetVarint64(&data, &decision)) {
         return Status::Corruption("log entry: bad decide record");

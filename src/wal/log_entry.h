@@ -76,10 +76,9 @@ struct WriteRecord {
 };
 
 /// What a TxnRecord in the log *is* (design note D8, cross-group commit).
-/// Ordinary single-group transactions are kData records — the only kind
-/// that existed before cross-group transactions, and the only kind whose
-/// entries use the original (v1) wire encoding, so pre-existing logs and
-/// fingerprints are unchanged.
+/// Ordinary single-group transactions are kData records. Every record's
+/// encoding starts with its kind, and only prepares and decides carry
+/// fields after the writes.
 enum class RecordKind : uint8_t {
   kData = 0,     // single-group commit: writes take effect at this position
   kPrepare = 1,  // 2PC phase 1 of a cross-group txn: reads/writes of THIS
@@ -149,8 +148,8 @@ struct LogEntry {
   /// this entry (the paper's promotion conflict test).
   bool WritesItemReadBy(const TxnRecord& t) const;
 
-  /// True if any record is a cross-group prepare/decide (selects the v2
-  /// wire encoding; plain entries keep the original byte layout).
+  /// True if any record is a cross-group prepare/decide (the WAL keeps
+  /// side tables for those entries).
   bool HasCrossRecords() const;
 
   /// First decide record for `id` in list order, nullptr if none.

@@ -36,7 +36,7 @@ std::string Generator::RandomValue() {
   return out;
 }
 
-std::vector<Op> Generator::NextTxnOps() {
+std::vector<Op> Generator::NextTxnOps(size_t groups) {
   std::vector<Op> ops;
   ops.reserve(config_.ops_per_txn);
   for (int i = 0; i < config_.ops_per_txn; ++i) {
@@ -45,6 +45,7 @@ std::vector<Op> Generator::NextTxnOps() {
     op.attribute =
         AttributeName(static_cast<int>(rng_.Uniform(config_.num_attributes)));
     if (!op.is_read) op.value = RandomValue();
+    if (groups > 1) op.group = static_cast<int>(rng_.Uniform(groups));
     ops.push_back(std::move(op));
   }
   return ops;
@@ -52,12 +53,7 @@ std::vector<Op> Generator::NextTxnOps() {
 
 TxnPlan Generator::NextTxnPlan() {
   TxnPlan plan;
-  if (config_.num_groups <= 1) {
-    plan.groups = {0};
-    plan.ops = NextTxnOps();
-    return plan;
-  }
-  plan.cross = rng_.Bernoulli(config_.cross_fraction);
+  plan.cross = config_.num_groups > 1 && rng_.Bernoulli(config_.cross_fraction);
   if (plan.cross) {
     // Draw k distinct groups (sorted for deterministic begin order).
     const int k = std::min(std::max(config_.groups_per_cross_txn, 2),
@@ -67,21 +63,12 @@ TxnPlan Generator::NextTxnPlan() {
       chosen.insert(static_cast<int>(rng_.Uniform(config_.num_groups)));
     }
     plan.groups.assign(chosen.begin(), chosen.end());
-  } else {
+  } else if (config_.num_groups > 1) {
     plan.groups = {static_cast<int>(rng_.Uniform(config_.num_groups))};
+  } else {
+    plan.groups = {0};
   }
-  plan.ops.reserve(config_.ops_per_txn);
-  for (int i = 0; i < config_.ops_per_txn; ++i) {
-    Op op;
-    op.is_read = rng_.Bernoulli(config_.read_fraction);
-    op.attribute =
-        AttributeName(static_cast<int>(rng_.Uniform(config_.num_attributes)));
-    if (!op.is_read) op.value = RandomValue();
-    op.group = plan.groups.size() > 1
-                   ? static_cast<int>(rng_.Uniform(plan.groups.size()))
-                   : 0;
-    plan.ops.push_back(std::move(op));
-  }
+  plan.ops = NextTxnOps(plan.groups.size());
   return plan;
 }
 

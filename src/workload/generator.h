@@ -61,12 +61,13 @@ class Generator {
  public:
   Generator(const WorkloadConfig& config, uint64_t seed);
 
-  /// Operations of one transaction.
-  std::vector<Op> NextTxnOps();
+  /// Operations of one transaction over `groups` participating groups:
+  /// each op's group index is drawn only when there is more than one.
+  std::vector<Op> NextTxnOps(size_t groups = 1);
 
-  /// One transaction over the sharded keyspace: draws whether it is
-  /// cross-group, which groups it touches, and the per-op group routing.
-  /// With num_groups <= 1 this is exactly NextTxnOps (same RNG stream).
+  /// One transaction over the (possibly sharded) keyspace: draws whether it
+  /// is cross-group and which groups it touches, then its NextTxnOps. With
+  /// num_groups <= 1 it draws only the ops.
   TxnPlan NextTxnPlan();
 
   /// Initial attribute map for pre-loading the entity-group row.

@@ -124,16 +124,10 @@ void Record(RunContext* ctx, Attempt* attempt) {
   }
 }
 
-/// Runs one single-group transaction. `planned` (multi-group runs only)
-/// supplies pre-drawn ops and the target shard; without it the ops come
-/// from generator->NextTxnOps() on the configured group, drawn after the
-/// begin as they always were.
+/// Runs one single-group transaction: the plan's ops on its one group.
 sim::Coro<void> RunSingle(RunContext* ctx, txn::Session* session,
-                          Generator* generator, const TxnPlan* planned) {
-  const bool multi = planned != nullptr;
-  const std::string& group = multi
-                                 ? ctx->group_names[planned->groups.front()]
-                                 : ctx->config.workload.group;
+                          const TxnPlan* plan) {
+  const std::string& group = ctx->group_names[plan->groups.front()];
   const std::string& row = ctx->config.workload.row;
   Attempt attempt;
   attempt.dc = session->home();
@@ -150,10 +144,7 @@ sim::Coro<void> RunSingle(RunContext* ctx, txn::Session* session,
   attempt.outcome->id = txn.id();
   attempt.outcome->group = group;
 
-  std::vector<Op> drawn;
-  if (!multi) drawn = generator->NextTxnOps();
-  const std::vector<Op>& ops = multi ? planned->ops : drawn;
-  for (const Op& op : ops) {
+  for (const Op& op : plan->ops) {
     if (op.is_read) {
       Result<std::string> value = co_await txn.Read(row, op.attribute);
       if (!value.ok()) {
@@ -328,22 +319,17 @@ sim::Task RunThread(RunContext* ctx, int thread_index, int txns,
 
   const auto interarrival = static_cast<TimeMicros>(
       1e6 / std::max(config.target_rate_tps, 1e-9));
-  const bool multi_group = config.workload.num_groups > 1;
   TimeMicros next_start = sim->Now();
   for (int i = 0; i < txns; ++i) {
     if (sim->Now() < next_start) {
       co_await sim::SleepFor(sim, next_start - sim->Now());
     }
     next_start += interarrival;  // open loop: schedule does not drift
-    if (!multi_group) {
-      co_await RunSingle(ctx, &session, &generator, nullptr);
-      continue;
-    }
     const TxnPlan plan = generator.NextTxnPlan();
     if (plan.cross) {
       co_await RunCross(ctx, &session, &plan);
     } else {
-      co_await RunSingle(ctx, &session, &generator, &plan);
+      co_await RunSingle(ctx, &session, &plan);
     }
   }
   ++ctx->threads_done;

@@ -1,6 +1,6 @@
 // Cross-group transactions (design note D8): 2PC over the per-group
-// Paxos-CP logs. Covers the wire format (v2 entries round-trip; plain
-// entries keep the v1 bytes and fingerprints), the WAL side tables
+// Paxos-CP logs. Covers the wire format (prepare and decide records
+// round-trip; every entry starts with its winner), the WAL side tables
 // (pending prepares hold SafeReadPos and the applied watermark), the
 // commit path (atomic multi-group transfer, conflict aborts, the shared
 // commit order, Commit's return at the commit point and the next begin's
@@ -48,7 +48,7 @@ core::ClusterConfig TestConfig(uint64_t seed = 31) {
 
 // ------------------------------------------------------------ wire format
 
-TEST(CrossLogEntryTest, PlainEntriesKeepV1BytesAndFingerprint) {
+TEST(CrossLogEntryTest, PlainEntriesStartWithWinnerAndRoundTrip) {
   wal::LogEntry entry;
   wal::TxnRecord t;
   t.id = MakeTxnId(1, 7);
@@ -61,8 +61,8 @@ TEST(CrossLogEntryTest, PlainEntriesKeepV1BytesAndFingerprint) {
 
   ASSERT_FALSE(entry.HasCrossRecords());
   const std::string encoded = entry.Encode();
-  // v1 layout: the first byte is the zigzag varint of winner_dc (1 -> 2),
-  // NOT the v2 marker.
+  // Every entry starts with the zigzag varint of winner_dc (1 -> 2); the
+  // record kinds follow inside the transaction list.
   ASSERT_FALSE(encoded.empty());
   EXPECT_EQ(static_cast<unsigned char>(encoded[0]), 2u);
   Result<wal::LogEntry> decoded = wal::LogEntry::Decode(encoded);
@@ -145,11 +145,7 @@ TEST(CrossWalTest, PendingPrepareHoldsSafeReadPosAndWatermark) {
   EXPECT_EQ(log.ReadItem({"r", "a"}, 1).value, "1");
 
   // Commit-order watermark covers the prepare.
-  uint64_t max_ts = 0;
-  TxnId max_id = 0;
-  log.MaxCrossOrder(&max_ts, &max_id);
-  EXPECT_EQ(max_ts, 10u);
-  EXPECT_EQ(max_id, p.id);
+  EXPECT_EQ(log.MaxCrossTs(), 10u);
 
   // A commit decide unblocks everything and the write lands at the
   // *prepare* position.
@@ -336,6 +332,59 @@ TEST(CrossTxnTest, ReadManyReturnsSpecOrderWithPerSlotFailures) {
             Status::Code::kInvalidArgument);  // 'c' not a participant
   ASSERT_TRUE(probe.values[4].ok()) << probe.values[4].status().ToString();
   EXPECT_EQ(*probe.values[4], "2");
+}
+
+TEST(CrossTxnTest, PrepareListsEachReadItemOnceInItemOrder) {
+  // ReadMany's reads are answered in arrival order, out of item order and
+  // with one spec repeated. The read set keeps each item once, and the
+  // decided prepare lists the items in item order, so the record's bytes
+  // do not depend on which read was answered first.
+  Db db(TestConfig());
+  ASSERT_TRUE(db.Load("a", "row", {{"x", "1"}, {"y", "2"}, {"z", "3"}}).ok());
+  ASSERT_TRUE(db.Load("b", "row", {{"w", "4"}}).ok());
+  Session session = db.Session(0);
+
+  struct Probe {
+    TxnId id = 0;
+    std::vector<Result<std::string>> values;
+    CrossCommitResult commit;
+  } probe;
+  struct Run {
+    sim::Task operator()(Session* s, Probe* out) {
+      const std::vector<std::string> ab = {"a", "b"};
+      CrossTxn txn = co_await s->BeginCross(ab);
+      EXPECT_TRUE(txn.active()) << txn.begin_status().ToString();
+      if (!txn.active()) co_return;
+      out->id = txn.id();
+      const std::vector<txn::CrossRead> batch = {
+          {"a", "row", "z"}, {"b", "row", "w"}, {"a", "row", "x"},
+          {"a", "row", "z"}, {"a", "row", "y"},
+      };
+      out->values = co_await txn.ReadMany(&batch);
+      (void)txn.Write("b", "row", "w", "5");
+      out->commit = co_await txn.Commit();
+    }
+  } run;
+  run(&session, &probe);
+  db.Run();
+
+  ASSERT_EQ(probe.values.size(), 5u);
+  for (const Result<std::string>& value : probe.values) {
+    EXPECT_TRUE(value.ok()) << value.status().ToString();
+  }
+  ASSERT_TRUE(probe.commit.committed) << probe.commit.status.ToString();
+  ASSERT_EQ(probe.commit.prepare_positions.count("a"), 1u);
+  Result<wal::LogEntry> entry =
+      db.cluster()->service(0)->GroupLog("a")->GetEntry(
+          probe.commit.prepare_positions.at("a"));
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  const wal::TxnRecord* prepare = entry->FindPrepare(probe.id);
+  ASSERT_NE(prepare, nullptr);
+  std::vector<std::string> items;
+  for (const wal::ReadRecord& read : prepare->reads) {
+    items.push_back(read.item.ToString());
+  }
+  EXPECT_EQ(items, (std::vector<std::string>{"row.x", "row.y", "row.z"}));
 }
 
 TEST(CrossTxnTest, RequiresPaxosCp) {

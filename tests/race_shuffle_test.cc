@@ -3,20 +3,23 @@
 // The simulator's FIFO tie-break among same-time events is deterministic
 // but arbitrary: nothing in the model says event A "really" precedes
 // event B when both fire at the same microsecond. This sweep replays the
-// fixed-seed sharded workload and the two chaos slices (cross-group 2PC,
-// daemon-heals-alone) under N seeded same-time permutations and requires
+// fixed-seed sharded workload, the two chaos slices (cross-group 2PC,
+// daemon-heals-alone) and fig_crossgroup's 100 %-cross cell over eight
+// workload seeds under N seeded same-time permutations and requires
 // RUN-LEVEL INVARIANCE: identical outcome stats, identical per-(group, dc)
 // decided-log digests, identical checker verdicts.
 //
 // The sweep configs are rng-quiet by construction (latency_jitter = 0,
 // loss_probability = 0, no loss/duplicate/reorder bursts): no same-time
 // event pair ever draws from a shared rng stream, so a permutation can
-// change the outcome only through a schedule-order race. Two kinds exist:
+// change the outcome only through a schedule-order race. The crossgroup
+// cell keeps the bench's jitter: every transaction there is cross-group,
+// and each cross leg draws from its own stream. Two kinds of race exist:
 // determinism LEAKS (state that should not depend on arrival order but
 // does — e.g. the read-set recorded in response-arrival order, found by
-// this sweep and fixed in ActiveTxn::ToRecord) and genuine Paxos position
-// CONTENTION (two in-flight transactions racing for one log slot — the
-// winner legitimately depends on delivery order; only safety is
+// this sweep; the read set is now a map in item order) and genuine Paxos
+// position CONTENTION (two in-flight transactions racing for one log slot
+// — the winner legitimately depends on delivery order; only safety is
 // guaranteed). The invariance tests run chaos seeds pinned contention-
 // free, where any divergence is a leak; the safety test sweeps wider
 // seeds where contention can land on a tie and asserts the checker
@@ -177,22 +180,24 @@ RunFingerprint Fingerprint(core::Cluster* cluster,
   return fp;
 }
 
-enum class Slice { kSharded, kChaosCross, kChaosDaemon };
+enum class Slice { kSharded, kChaosCross, kChaosDaemon, kCrossCell };
 
 const char* SliceName(Slice s) {
   switch (s) {
     case Slice::kSharded: return "sharded";
     case Slice::kChaosCross: return "chaos-cross";
     case Slice::kChaosDaemon: return "chaos-daemon";
+    case Slice::kCrossCell: return "crossgroup-cell";
   }
   return "?";
 }
 
-/// One rng-quiet run of a slice under a same-time permutation. A pure
-/// function of (slice, chaos_seed, shuffle_seed, horizon): shuffle_seed 0
-/// is the FIFO baseline; `horizon` bounds shuffling to ties at t < horizon
-/// (the minimizer's lever). `detector`, when non-null, is attached for the
-/// quietness proof.
+/// One run of a slice under a same-time permutation. Every slice but the
+/// crossgroup cell is rng-quiet; the cell's `chaos_seed` is its workload
+/// seed. A pure function of (slice, chaos_seed, shuffle_seed, horizon):
+/// shuffle_seed 0 is the FIFO baseline; `horizon` bounds shuffling to ties
+/// at t < horizon (the minimizer's lever). `detector`, when non-null, is
+/// attached for the quietness proof.
 RunFingerprint RunSlice(Slice slice, uint64_t chaos_seed,
                         uint64_t shuffle_seed,
                         TimeMicros horizon = sim::Simulator::kMaxTimeMicros,
@@ -200,14 +205,17 @@ RunFingerprint RunSlice(Slice slice, uint64_t chaos_seed,
                         std::string* log_dump = nullptr) {
   Rng rng(chaos_seed ^ 0x5eedf00dULL);
 
+  const bool cell = slice == Slice::kCrossCell;
   static const char* kCodes[] = {"VVV", "VVVO"};
   core::ClusterConfig config = *core::ClusterConfig::FromCode(
-      slice == Slice::kSharded ? "VVV" : kCodes[rng.Uniform(2)]);
-  config.seed = slice == Slice::kSharded ? 4242 : rng.Next();
-  // Rng-quiet: no per-message draws, so no same-time event pair shares a
-  // stream and the schedule alone determines the outcome.
-  config.latency_jitter = 0;
-  config.loss_probability = 0;
+      slice == Slice::kSharded || cell ? "VVV" : kCodes[rng.Uniform(2)]);
+  config.seed = slice == Slice::kSharded ? 4242 : cell ? 11 : rng.Next();
+  if (!cell) {
+    // Rng-quiet: no per-message draws, so no same-time event pair shares a
+    // stream and the schedule alone determines the outcome.
+    config.latency_jitter = 0;
+    config.loss_probability = 0;
+  }
   core::Cluster cluster(config);
   if (shuffle_seed != 0) {
     cluster.simulator()->SetTieShuffle(shuffle_seed, horizon);
@@ -232,9 +240,18 @@ RunFingerprint RunSlice(Slice slice, uint64_t chaos_seed,
   runner.total_txns = 16;
   runner.num_threads = 2;
   runner.stagger = 200 * kMillisecond;
-  runner.seed = slice == Slice::kSharded ? 99 : rng.Next();
+  runner.seed = slice == Slice::kSharded ? 99 : cell ? chaos_seed : rng.Next();
 
-  if (slice != Slice::kSharded) {
+  if (cell) {
+    // fig_crossgroup's 100 %-cross cell: the bench's paper workload, its
+    // cluster (VVV, seed 11, default jitter) and its overrides.
+    runner.workload.num_attributes = 60;
+    runner.workload.num_groups = 3;
+    runner.workload.cross_fraction = 1.0;
+    runner.total_txns = 240;
+    runner.num_threads = 4;
+    runner.stagger = 250 * kMillisecond;
+  } else if (slice != Slice::kSharded) {
     // Chaos slice: seeded fault plan, quiet shapes only (outages,
     // partitions, restarts — no loss/duplicate/reorder bursts, which
     // would reintroduce per-message draws).
@@ -357,6 +374,16 @@ TEST(RaceShuffleTest, ChaosDaemonSliceShuffleInvariant) {
   const uint64_t chaos_seeds = EnvOr("PAXOSCP_SHUFFLE_CHAOS_SEEDS", 3);
   for (uint64_t cs = 0; cs < chaos_seeds; ++cs) {
     SweepSlice(Slice::kChaosDaemon, 8000 + cs);
+  }
+}
+
+TEST(RaceShuffleTest, CrossGroupCellShuffleInvariantAcrossWorkloadSeeds) {
+  // In fig_crossgroup's 100 %-cross cell the cluster seed moves no log
+  // entry (only the run's virtual end time), so the bench's own shuffle
+  // check on one cluster seed explores one history. The workload seed
+  // does move the history, so the cell is swept over workload seeds.
+  for (uint64_t workload_seed = 1; workload_seed <= 8; ++workload_seed) {
+    SweepSlice(Slice::kCrossCell, workload_seed);
   }
 }
 

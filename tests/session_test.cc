@@ -53,11 +53,11 @@ TEST(TxnHandleTest, AbortOnDestructionReleasesGroupSlot) {
       {
         Txn txn = co_await s->Begin("g");
         EXPECT_TRUE(txn.active());
-        out->slot_taken_inside = s->client()->HasActiveTxn("g");
+        out->slot_taken_inside = s->client()->HoldsSlot("g");
         (void)txn.Write("r", "n", "discarded");
         // Handle dropped here without Commit: implicit abort.
       }
-      out->slot_free_after = !s->client()->HasActiveTxn("g");
+      out->slot_free_after = !s->client()->HoldsSlot("g");
       // The slot is free again: a new transaction can begin...
       Txn again = co_await s->Begin("g");
       out->rebegin = again.begin_status();
@@ -100,7 +100,7 @@ TEST(TxnHandleTest, MovedFromHandleIsInert) {
       out->inert_read = read.status();
       out->inert_commit = co_await a.Commit();
       a.Abort();  // no-op, must not release b's slot
-      EXPECT_TRUE(s->client()->HasActiveTxn("g"));
+      EXPECT_TRUE(s->client()->HoldsSlot("g"));
       // The moved-to handle still works end to end.
       (void)b.Write("r", "n", "1");
       out->real_commit = co_await b.Commit();
@@ -130,8 +130,8 @@ TEST(TxnHandleTest, MoveAssignmentAbortsTheOverwrittenTxn) {
       (void)t1.Write("r", "n", "dropped");
       Txn t2 = co_await s->Begin("g2");
       t1 = std::move(t2);  // aborts the g1 transaction, adopts g2's
-      *g1_released = !s->client()->HasActiveTxn("g1") &&
-                     s->client()->HasActiveTxn("g2");
+      *g1_released = !s->client()->HoldsSlot("g1") &&
+                     s->client()->HoldsSlot("g2");
       (void)t1.Write("r", "n", "kept");
       (void)co_await t1.Commit();
     }
@@ -385,7 +385,7 @@ TEST(RunTransactionTest, BodyErrorAbortsWithoutRetry) {
   EXPECT_EQ(result.attempts, 1);
   EXPECT_EQ(db.cluster()->service(0)->GroupLog("g")->MaxDecided(), 0u);
   // The failed attempt released the slot (no leak).
-  EXPECT_FALSE(session.client()->HasActiveTxn("g"));
+  EXPECT_FALSE(session.client()->HoldsSlot("g"));
 }
 
 // ----------------------------------------- retry bounds under conflicts

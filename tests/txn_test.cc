@@ -65,11 +65,11 @@ TEST(ConflictTest, ConflictingItemsListsExactOverlap) {
 }
 
 TEST(ActiveTxnTest, ToRecordFreezesState) {
-  ActiveTxn txn;
+  TxnState txn;
   txn.group = kGroup;
   txn.id = MakeTxnId(1, 5);
   txn.read_pos = 9;
-  txn.reads.push_back({{kRow, "a"}, MakeTxnId(2, 1), 7});
+  txn.reads[{kRow, "a"}] = wal::ItemRead{"va", MakeTxnId(2, 1), 7, true};
   txn.writes[{kRow, "b"}] = "v1";
   txn.writes[{kRow, "b"}] = "v2";  // last write wins
   txn.writes[{kRow, "c"}] = "v3";
@@ -78,6 +78,9 @@ TEST(ActiveTxnTest, ToRecordFreezesState) {
   EXPECT_EQ(record.id, MakeTxnId(1, 5));
   EXPECT_EQ(record.origin_dc, 1);
   EXPECT_EQ(record.read_pos, 9u);
+  ASSERT_EQ(record.reads.size(), 1u);
+  EXPECT_EQ(record.reads[0].observed_writer, MakeTxnId(2, 1));
+  EXPECT_EQ(record.reads[0].observed_pos, 7u);
   ASSERT_EQ(record.writes.size(), 2u);
   EXPECT_EQ(record.writes[0].value, "v2");
 }
@@ -209,7 +212,7 @@ TEST(HandleSemanticsTest, AbortDiscardsBufferedState) {
   run_abort(&session);
   cluster.RunToCompletion();
   EXPECT_EQ(cluster.service(0)->GroupLog(kGroup)->MaxDecided(), 1u);
-  EXPECT_FALSE(session.client()->HasActiveTxn(kGroup));
+  EXPECT_FALSE(session.client()->HoldsSlot(kGroup));
 }
 
 // ----------------------------------------------- forced interleavings

@@ -177,6 +177,16 @@ TEST_F(LogTest, MaxDecidedTracksHighest) {
   EXPECT_EQ(log_.MaxDecided(), 3u);  // does not regress
 }
 
+TEST_F(LogTest, FirstMissingFindsTheFirstGap) {
+  EXPECT_EQ(log_.FirstMissing(3, 2), 0u);  // empty range
+  ASSERT_TRUE(log_.SetEntry(1, Entry(MakeTxnId(1, 1), {{"a", "1"}})).ok());
+  ASSERT_TRUE(log_.SetEntry(2, Entry(MakeTxnId(1, 2), {{"a", "2"}})).ok());
+  ASSERT_TRUE(log_.SetEntry(4, Entry(MakeTxnId(1, 4), {{"a", "4"}})).ok());
+  EXPECT_EQ(log_.FirstMissing(1, 2), 0u);  // every entry present
+  EXPECT_EQ(log_.FirstMissing(1, 4), 3u);
+  EXPECT_EQ(log_.FirstMissing(4, 6), 5u);
+}
+
 TEST_F(LogTest, ApplyThroughWritesDataRows) {
   ASSERT_TRUE(log_.SetEntry(1, Entry(MakeTxnId(1, 1), {{"a", "1"}})).ok());
   ASSERT_TRUE(

@@ -25,6 +25,24 @@ TEST(GeneratorTest, DeterministicFromSeed) {
   }
 }
 
+TEST(GeneratorTest, SingleGroupPlanIsTheOpsDraw) {
+  WorkloadConfig config;
+  Generator planner(config, 6), drawer(config, 6);
+  for (int i = 0; i < 20; ++i) {
+    const TxnPlan plan = planner.NextTxnPlan();
+    EXPECT_FALSE(plan.cross);
+    EXPECT_EQ(plan.groups, std::vector<int>{0});
+    const std::vector<Op> ops = drawer.NextTxnOps();
+    ASSERT_EQ(plan.ops.size(), ops.size());
+    for (size_t j = 0; j < ops.size(); ++j) {
+      EXPECT_EQ(plan.ops[j].is_read, ops[j].is_read);
+      EXPECT_EQ(plan.ops[j].attribute, ops[j].attribute);
+      EXPECT_EQ(plan.ops[j].value, ops[j].value);
+      EXPECT_EQ(plan.ops[j].group, 0);
+    }
+  }
+}
+
 TEST(GeneratorTest, OpsPerTxnRespected) {
   WorkloadConfig config;
   config.ops_per_txn = 7;
