@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/cluster.h"
@@ -115,6 +116,38 @@ void BM_StoreMergeWriteWide(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreMergeWriteWide)->Arg(64)->Arg(256)->Arg(2000);
+
+/// The log applier on the benchmark's `paper` row: 100 attributes, each
+/// with its "#w/" provenance shadow, and an applied entry of 5 writes at
+/// random attributes, merged with their shadows as ApplyThrough does (10
+/// updates spread over the row).
+void BM_StoreMergeWriteScattered(benchmark::State& state) {
+  kvstore::MultiVersionStore store;
+  AttrMap base;
+  for (int a = 0; a < 100; ++a) {
+    base["a" + std::to_string(a)] = "sixteen-byte-val";
+    base["#w/a" + std::to_string(a)] = "provenance";
+  }
+  (void)store.Write("row", std::move(base), 1);
+  Rng rng(3);
+  std::vector<AttrMap> entries(64);
+  for (AttrMap& updates : entries) {
+    for (int w = 0; w < 5; ++w) {
+      const std::string a = std::to_string(rng.Uniform(100));
+      updates["a" + a] = "updated-value-16";
+      updates["#w/a" + a] = "new-writer";
+    }
+  }
+  Timestamp ts = 1;
+  for (auto _ : state) {
+    ++ts;
+    benchmark::DoNotOptimize(
+        store.MergeWrite("row", entries[ts % entries.size()], ts));
+    if ((ts & 1023) == 0) store.TruncateVersions("row", ts - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreMergeWriteScattered);
 
 // ------------------------------------------------------------- log codec
 

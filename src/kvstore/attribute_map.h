@@ -1,17 +1,19 @@
 // AttributeMap: a row version's attributes (column name → value), sorted by
-// name, with chunk-level copy-on-write (docs/ARCHITECTURE.md, design note D5).
+// name, with two-level copy-on-write (docs/ARCHITECTURE.md, design note D5).
 //
 // The store's contract makes every write a new version of the whole row, so
 // the log applier copies a row and overlays a few updates for each applied
 // entry. With a node-based map that copy is O(row width) allocations. Here a
-// map of more than kChunkCapacity entries is a vector of refcounted sorted
-// chunks: copying the map copies chunk handles, and a mutation clones only
-// the chunk it touches, and only while another map still shares it. An
-// overlay of k updates on a copied wide row therefore costs O(chunks) handle
-// copies plus at most k chunk clones, and untouched values keep their
-// addresses across versions.
+// map of more than kLeafCapacity entries is a two-level tree: the map holds
+// a vector of refcounted inner nodes, each a vector of up to kNodeCapacity
+// refcounted sorted leaves of up to kLeafCapacity entries. Copying the map
+// copies its node handles; a mutation clones only the node and the leaf it
+// touches, and each only while another map still shares it. An overlay of k
+// updates on a copied row therefore costs one vector of node handles plus at
+// most k node and k leaf clones, at any row width, and untouched values keep
+// their addresses across versions.
 //
-// A map that fits one chunk keeps its entries in one inline sorted vector
+// A map that fits one leaf keeps its entries in one inline sorted vector
 // instead (deep-copied like std::map), so the narrow bookkeeping rows the WAL
 // and the acceptors write on every step cost no more allocations than a
 // std::map of the same size.
@@ -20,7 +22,7 @@
 // with the std::map this type replaced. Every iterator is const: values are
 // written only through operator[] / insert_or_assign, which unshare first.
 // Any mutation invalidates iterators and element references of that map
-// (but never of other maps that shared its chunks).
+// (but never of other maps that shared its nodes or leaves).
 #pragma once
 
 #include <atomic>
@@ -35,15 +37,54 @@
 namespace paxoscp::kvstore {
 
 class AttributeMap {
-  struct Chunk;
-  class ChunkRef;
-
  public:
   using value_type = std::pair<std::string, std::string>;
 
-  /// Most entries one chunk holds; an insert into a full chunk splits it.
-  static constexpr size_t kChunkCapacity = 64;
+  /// Most entries one leaf holds; an insert into a full leaf splits it.
+  static constexpr size_t kLeafCapacity = 8;
+  /// Most leaves one inner node holds; a leaf split in a full node splits
+  /// the node.
+  static constexpr size_t kNodeCapacity = 16;
 
+ private:
+  using Run = std::vector<value_type>;  // sorted by key
+
+  /// Owning handle to a shared, refcounted `T` (an intrusive count, so a
+  /// shared object is one allocation plus what `T` owns). Both levels use
+  /// it: a leaf is a Ref<Run>, an inner node a Ref of a vector of leaves.
+  template <typename T>
+  class Ref {
+   public:
+    explicit Ref(T value) : box_(new Box{std::move(value)}) {}
+    Ref(const Ref& other) noexcept : box_(other.box_) { ++box_->refs; }
+    Ref(Ref&& other) noexcept : box_(std::exchange(other.box_, nullptr)) {}
+    Ref& operator=(Ref other) noexcept {
+      std::swap(box_, other.box_);
+      return *this;
+    }
+    ~Ref() {
+      if (box_ != nullptr && --box_->refs == 0) delete box_;
+    }
+
+    const T& operator*() const { return box_->value; }
+    const T* operator->() const { return &box_->value; }
+    /// The object for writing: clones it first unless this handle is its
+    /// only owner.
+    T& Mutable();
+
+   private:
+    struct Box {
+      T value;
+      std::atomic<size_t> refs{1};
+    };
+    Box* box_;
+  };
+
+  using Leaf = Ref<Run>;              // 1..kLeafCapacity entries
+  using Leaves = std::vector<Leaf>;
+  using Node = Ref<Leaves>;           // 1..kNodeCapacity leaves
+
+ public:
   /// Forward iterator over the entries in key order.
   class const_iterator {
    public:
@@ -68,14 +109,13 @@ class AttributeMap {
 
    private:
     friend class AttributeMap;
-    const_iterator(const value_type* cur, const value_type* run_end,
-                   const ChunkRef* next, const ChunkRef* last)
-        : cur_(cur), run_end_(run_end), next_(next), last_(last) {}
 
     const value_type* cur_ = nullptr;      // nullptr == end()
-    const value_type* run_end_ = nullptr;  // end of the current chunk's entries
-    const ChunkRef* next_ = nullptr;       // next chunk to visit
-    const ChunkRef* last_ = nullptr;       // one past the last chunk
+    const value_type* run_end_ = nullptr;  // end of the current leaf
+    const Leaf* next_leaf_ = nullptr;      // next leaf of the current node
+    const Leaf* leaves_end_ = nullptr;     // end of the current node's leaves
+    const Node* next_node_ = nullptr;      // next node to visit
+    const Node* nodes_end_ = nullptr;      // one past the last node
   };
   using iterator = const_iterator;
 
@@ -86,7 +126,7 @@ class AttributeMap {
   const_iterator begin() const;
   const_iterator end() const { return {}; }
   size_t size() const;
-  bool empty() const { return inline_.empty() && chunks_.empty(); }
+  bool empty() const { return inline_.empty() && nodes_.empty(); }
 
   const_iterator find(std::string_view key) const;
   size_t count(std::string_view key) const { return find(key) == end() ? 0 : 1; }
@@ -109,67 +149,42 @@ class AttributeMap {
   friend bool operator==(const AttributeMap& a, const AttributeMap& b);
 
  private:
-  using Run = std::vector<value_type>;  // sorted by key
-
-  struct Chunk {
-    explicit Chunk(Run e) : entries(std::move(e)) {}
-    std::atomic<size_t> refs{1};
-    Run entries;  // 1..kChunkCapacity entries
+  /// Where a key lives or would live: its node and the leaf within it
+  /// (both 0 while the map is one inline run).
+  struct Path {
+    size_t node = 0;
+    size_t leaf = 0;
   };
 
-  /// Owning handle to a shared chunk (an intrusive refcount, so a chunk is
-  /// one allocation plus its entries).
-  class ChunkRef {
-   public:
-    explicit ChunkRef(Run entries) : chunk_(new Chunk(std::move(entries))) {}
-    ChunkRef(const ChunkRef& other) : chunk_(other.chunk_) { ++chunk_->refs; }
-    ChunkRef(ChunkRef&& other) noexcept
-        : chunk_(std::exchange(other.chunk_, nullptr)) {}
-    ChunkRef& operator=(ChunkRef other) noexcept {
-      std::swap(chunk_, other.chunk_);
-      return *this;
-    }
-    ~ChunkRef() {
-      if (chunk_ != nullptr && --chunk_->refs == 0) delete chunk_;
-    }
-
-    const Run& entries() const { return chunk_->entries; }
-    /// The entries for writing: clones the chunk first unless this handle
-    /// is its only owner.
-    Run& MutableEntries();
-
-   private:
-    Chunk* chunk_;
-  };
-
-  /// Index of the chunk that holds, or would hold, `key` (0 while the map
-  /// is one inline run).
-  size_t ChunkFor(std::string_view key) const;
-  /// Entries of chunk `chunk`, or the inline run.
-  const Run& RunAt(size_t chunk) const;
-  const_iterator IteratorAt(size_t chunk, size_t index) const;
-  /// The run `key` belongs in, unshared for writing; `*chunk` is its index
-  /// (0 for the inline run).
-  Run& MutableRunFor(std::string_view key, size_t* chunk);
+  Path PathTo(std::string_view key) const;
+  /// Entries of the leaf at `path`, or the inline run.
+  const Run& RunAt(Path path) const;
+  /// The same, unshared for writing at both levels.
+  Run& MutableRunAt(Path path);
+  const_iterator IteratorAt(Path path, size_t index) const;
   /// Value slot of `key`, inserting it if absent; the new key is moved from
   /// `*owned_key` when given, else copied from `key`.
   std::string& Slot(std::string_view key, std::string* owned_key);
 
-  Run inline_;                   // all entries while chunks_ is empty
-  std::vector<ChunkRef> chunks_;  // non-empty chunks in key order
+  Run inline_;               // all entries while nodes_ is empty
+  std::vector<Node> nodes_;  // non-empty inner nodes in key order
 };
 
 inline AttributeMap::const_iterator&
 AttributeMap::const_iterator::operator++() {
-  if (++cur_ == run_end_) {
-    if (next_ == last_) {
+  if (++cur_ != run_end_) return *this;
+  if (next_leaf_ == leaves_end_) {
+    if (next_node_ == nodes_end_) {
       cur_ = nullptr;
-    } else {
-      const Run& run = (next_++)->entries();
-      cur_ = run.data();
-      run_end_ = cur_ + run.size();
+      return *this;
     }
+    const Leaves& leaves = **next_node_++;
+    next_leaf_ = leaves.data();
+    leaves_end_ = next_leaf_ + leaves.size();
   }
+  const Run& run = **next_leaf_++;
+  cur_ = run.data();
+  run_end_ = cur_ + run.size();
   return *this;
 }
 

@@ -173,11 +173,12 @@ Status MultiVersionStore::MergeWrite(std::string_view key,
   } else if (updates.empty()) {
     merged = chain.back().attributes;  // pure share: no copy at all
   } else {
-    // Copy the base (chunk handles only), then overlay the updates: each
-    // clones the one chunk it lands in. The base stays in the chain while
-    // mu_ is held, so every chunk the copy inherits counts at least 2 and
-    // is cloned before a write; only chunks cloned here, which no other
-    // thread has seen, are written in place.
+    // Copy the base (node handles only), then overlay the updates: each
+    // clones the node and the leaf it lands in. The base stays in the chain
+    // while mu_ is held, so every node the copy inherits counts at least 2
+    // and is cloned before a write, and so does every leaf of a cloned node
+    // (the base's node still holds it); only nodes and leaves cloned here,
+    // which no other thread has seen, are written in place.
     auto out = std::make_shared<AttributeMap>(*chain.back().attributes);
     for (const auto& [attr, value] : updates) {
       out->insert_or_assign(attr, value);

@@ -20,10 +20,12 @@
 // Read hands out a reference to the immutable snapshot instead of
 // deep-copying it, and a snapshot stays valid (and bit-identical) for as
 // long as the caller holds it — even across later writes or garbage
-// collection of the chain. Inside the map, a wide row is a vector of shared
-// chunks (kvstore/attribute_map.h), so a version derived by MergeWrite
-// shares every chunk its updates do not touch with the version it was
-// derived from.
+// collection of the chain. Inside the map, a wide row is a two-level tree
+// of shared inner nodes and leaves (kvstore/attribute_map.h), so a version
+// derived by MergeWrite shares every node and leaf its updates do not touch
+// with the version it was derived from. The WAL keeps one version of each
+// row it reads only at its latest (TruncateVersions after each write); data
+// rows keep every version.
 // All operations are atomic with respect to one another (single mutex; the
 // simulator is single-threaded but the store is independently thread-safe
 // so it can be exercised standalone).
@@ -115,10 +117,10 @@ class MultiVersionStore {
 
   /// Merge-write convenience used by the log applier: overlays `updates`
   /// on the latest version and writes the result at `timestamp`. The
-  /// merged map is a copy of the base that shares every chunk the updates
-  /// do not touch, so its cost scales with the number of chunks and
-  /// updates, not with the row width; with empty `updates` the new version
-  /// shares the previous snapshot outright.
+  /// merged map is a copy of the base that shares every node and leaf the
+  /// updates do not touch, so its cost is one vector of node handles plus
+  /// one node and one leaf per update, not the row width; with empty
+  /// `updates` the new version shares the previous snapshot outright.
   Status MergeWrite(std::string_view key, const AttributeMap& updates,
                     Timestamp timestamp);
 

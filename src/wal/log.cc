@@ -27,6 +27,18 @@ bool DecodeProvenance(std::string_view in, TxnId* writer, LogPos* pos) {
   return GetFixed64(&in, writer) && GetVarint64(&in, pos) && in.empty();
 }
 
+/// Writes `row` as the new latest version of `key` and drops the versions
+/// below it. The log writes this way every row it only ever reads at its
+/// latest version (`!applied`, `!logmeta`, `!xpend`, `!xmax`, `!xfront`,
+/// `!r1`), so each keeps one version; data rows, read at a transaction's
+/// read position, keep all of theirs (design note D5).
+Status WriteLatestOnly(kvstore::MultiVersionStore* store, std::string_view key,
+                       kvstore::AttributeMap row) {
+  PAXOSCP_RETURN_IF_ERROR(store->Write(key, std::move(row)));
+  (void)store->TruncateVersions(key, kLatestTimestamp);
+  return Status::OK();
+}
+
 /// Parses a decimal LogPos straight from a borrowed view (no temporary
 /// std::string as std::stoull would need).
 LogPos ParsePos(std::string_view s) {
@@ -105,7 +117,7 @@ Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
       kvstore::AttributeMap rejected =
           row.ok() ? *row->attributes : kvstore::AttributeMap{};
       rejected[PadPos(pos)] = "1";
-      (void)store_->Write(RejectedKey(), std::move(rejected));
+      (void)WriteLatestOnly(store_, RejectedKey(), std::move(rejected));
       return Status::Corruption(
           "R1 violation: conflicting values decided for " + group_ + "[" +
           std::to_string(pos) + "]");
@@ -131,8 +143,8 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
                            {"groups", std::move(groups_encoded)}});
       // Commit-order watermark: max cross_ts over all prepares seen.
       if (t.cross_ts > MaxCrossTs()) {
-        (void)store_->Write(CrossMaxKey(),
-                            {{"ts", std::to_string(t.cross_ts)}});
+        (void)WriteLatestOnly(store_, CrossMaxKey(),
+                              {{"ts", std::to_string(t.cross_ts)}});
       }
       // Pending until a decide is learned. Decides may be learned before
       // their prepare (out-of-order learning): then the prepare is born
@@ -142,7 +154,7 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
         kvstore::AttributeMap pending =
             row.ok() ? *row->attributes : kvstore::AttributeMap{};
         pending[PadPos(pos) + "/" + std::to_string(t.id)] = "1";
-        (void)store_->Write(PendingKey(), std::move(pending));
+        (void)WriteLatestOnly(store_, PendingKey(), std::move(pending));
       }
     } else if (t.kind == RecordKind::kDecide) {
       CrossDecision existing = DecisionFor(t.id);
@@ -166,7 +178,7 @@ void WriteAheadLog::ClearPending(LogPos pos, TxnId id) {
   if (!row.ok()) return;
   kvstore::AttributeMap pending = *row->attributes;
   if (pending.erase(PadPos(pos) + "/" + std::to_string(id)) == 0) return;
-  (void)store_->Write(PendingKey(), std::move(pending));
+  (void)WriteLatestOnly(store_, PendingKey(), std::move(pending));
 }
 
 std::vector<PendingPrepare> WriteAheadLog::PendingPrepares() const {
@@ -241,7 +253,8 @@ LogPos WriteAheadLog::ContiguousFrontier() {
   const LogPos start = frontier;
   while (HasEntry(frontier + 1)) ++frontier;
   if (frontier != start) {
-    (void)store_->Write(FrontierKey(), {{"pos", std::to_string(frontier)}});
+    (void)WriteLatestOnly(store_, FrontierKey(),
+                          {{"pos", std::to_string(frontier)}});
   }
   return frontier;
 }
@@ -274,15 +287,20 @@ LogPos WriteAheadLog::MaxDecided() const {
 
 void WriteAheadLog::BumpMaxDecided(LogPos pos) {
   // Retry loop around CheckAndWrite mirrors Algorithm 1's update pattern;
-  // in the single-threaded simulation it succeeds on the first try.
+  // in the single-threaded simulation it succeeds on the first try. Like
+  // WriteLatestOnly, a success keeps only the latest version.
+  const std::string key = MetaKey();
   for (;;) {
-    Result<std::string> cur = store_->ReadAttr(MetaKey(), kMaxDecidedAttr);
+    Result<std::string> cur = store_->ReadAttr(key, kMaxDecidedAttr);
     const std::string cur_str = cur.ok() ? *cur : "";
     const LogPos cur_pos = cur.ok() ? ParsePos(*cur) : 0;
     if (pos <= cur_pos) return;
-    Status s = store_->CheckAndWrite(MetaKey(), kMaxDecidedAttr, cur_str,
+    Status s = store_->CheckAndWrite(key, kMaxDecidedAttr, cur_str,
                                      {{kMaxDecidedAttr, std::to_string(pos)}});
-    if (s.ok()) return;
+    if (s.ok()) {
+      (void)store_->TruncateVersions(key, kLatestTimestamp);
+      return;
+    }
   }
 }
 
@@ -345,8 +363,8 @@ Status WriteAheadLog::ApplyThrough(LogPos target, LogPos* first_missing,
     }
     // Persist the watermark after each position so recovery never re-reads
     // more than one applied entry.
-    PAXOSCP_RETURN_IF_ERROR(store_->Write(
-        AppliedKey(), {{kAppliedAttr, std::to_string(pos)}}));
+    PAXOSCP_RETURN_IF_ERROR(WriteLatestOnly(
+        store_, AppliedKey(), {{kAppliedAttr, std::to_string(pos)}}));
   }
   return Status::OK();
 }

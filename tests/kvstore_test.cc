@@ -3,7 +3,7 @@
 // plus the copy-on-write representation guarantees of design note D5
 // (docs/ARCHITECTURE.md): shared snapshots are immutable and survive both
 // later writes and garbage collection, and a merge-write shares every
-// chunk of the row it does not touch. AttributeMap itself is checked
+// leaf of the row it does not touch. AttributeMap itself is checked
 // against std::map as a reference model.
 #include <gtest/gtest.h>
 
@@ -59,17 +59,20 @@ void ExpectMatches(const AttrMap& map, const Model& model) {
 
 TEST(AttributeMapTest, MatchesStdMapUnderRandomOps) {
   // Seeded random inserts, assignments, erases and copy-then-mutate over
-  // 0-1000 keys. Phases alternate between insert-heavy (toward ~770
-  // entries) and erase-heavy (toward ~20, then drained to empty), so the
-  // map crosses the one-chunk boundary both ways, chunks split and chunks
-  // empty out.
+  // 0-5000 keys. Phases alternate between insert-heavy (toward ~3000
+  // entries) and erase-heavy (back to ~700, then drained to empty), so the
+  // map crosses the one-leaf boundary both ways, its root holds tens of
+  // inner nodes, and leaves and nodes split and empty out. Copies taken
+  // along the way must never change.
+  constexpr uint64_t kKeys = 5000;
+  constexpr int kPhase = 8000;
   Rng rng(20261016);
   AttrMap map;
   Model model;
   std::vector<std::pair<AttrMap, Model>> copies;  // must never change
-  for (int op = 0; op < 20000; ++op) {
-    const bool growing = (op / 2500) % 2 == 0;
-    const std::string key = Cat("k", rng.Uniform(1000));
+  for (int op = 0; op < 6 * kPhase; ++op) {
+    const bool growing = (op / kPhase) % 2 == 0;
+    const std::string key = Cat("k", rng.Uniform(kKeys));
     const std::string value = Cat("heap-allocated-value-", op);
     const uint64_t roll = rng.Uniform(100);
     if (roll < (growing ? 45u : 1u)) {
@@ -84,7 +87,7 @@ TEST(AttributeMapTest, MatchesStdMapUnderRandomOps) {
       // Copy, then mutate the copy: the original must not see it.
       AttrMap copy = map;
       Model copy_model = model;
-      const std::string other = Cat("k", rng.Uniform(1000));
+      const std::string other = Cat("k", rng.Uniform(kKeys));
       copy[key] = value;
       copy_model[key] = value;
       EXPECT_EQ(copy.erase(other), copy_model.erase(other));
@@ -94,7 +97,7 @@ TEST(AttributeMapTest, MatchesStdMapUnderRandomOps) {
       if (copies.size() > 8) copies.erase(copies.begin());
     }
     // Point lookups agree, hits and misses alike.
-    const std::string probe = Cat("k", rng.Uniform(1000));
+    const std::string probe = Cat("k", rng.Uniform(kKeys));
     auto expected = model.find(probe);
     EXPECT_EQ(map.count(probe), expected == model.end() ? 0u : 1u);
     if (expected == model.end()) {
@@ -104,7 +107,7 @@ TEST(AttributeMapTest, MatchesStdMapUnderRandomOps) {
       EXPECT_EQ(map.at(probe), expected->second);
       EXPECT_EQ(map.find(probe)->second, expected->second);
     }
-    if (op % 5000 == 4999) {  // end of an erase-heavy phase: drain
+    if (op % (2 * kPhase) == 2 * kPhase - 1) {  // end of an erase-heavy phase
       for (const auto& [name, unused] : Model(model)) {
         EXPECT_EQ(map.erase(name), 1u);
         model.erase(name);
@@ -112,7 +115,7 @@ TEST(AttributeMapTest, MatchesStdMapUnderRandomOps) {
       EXPECT_TRUE(map.empty());
       EXPECT_EQ(map.begin(), map.end());
     }
-    if (op % 250 == 0) {
+    if (op % 500 == 0) {
       ExpectMatches(map, model);
       for (const auto& [copy, copy_model] : copies) {
         ExpectMatches(copy, copy_model);
@@ -124,7 +127,7 @@ TEST(AttributeMapTest, MatchesStdMapUnderRandomOps) {
 
 TEST(AttributeMapTest, EqualityIgnoresChunkLayout) {
   // The same contents reached by different insertion orders (different
-  // chunk boundaries) compare equal; one changed value does not.
+  // leaf and node boundaries) compare equal; one changed value does not.
   AttrMap ascending;
   AttrMap descending;
   for (int i = 0; i < 500; ++i) ascending[Cat("k", i)] = Cat("v", i);
@@ -376,8 +379,8 @@ TEST(StoreTest, CowReadsMatchDeepCopySemantics) {
 }
 
 TEST(StoreTest, MergeWriteSharesUntouchedChunks) {
-  // D5 invariant 1 at chunk level: a one-attribute merge onto a
-  // 2000-attribute row copies only the chunk it touches. Untouched values
+  // D5 invariant 1 inside the map: a one-attribute merge onto a
+  // 2000-attribute row copies only the leaf it touches. Untouched values
   // are the very same objects in both versions, and the old version keeps
   // its bytes after the merge and after GC drops it from the chain.
   MultiVersionStore store;
@@ -404,6 +407,51 @@ TEST(StoreTest, MergeWriteSharesUntouchedChunks) {
   EXPECT_TRUE(store.Read("k", 1).status().IsNotFound());
   EXPECT_EQ(old_a0, "initial-value-0");
   ExpectMatches(*v1->attributes, before);
+}
+
+TEST(StoreTest, MergeWriteCopiesOnlyTheLeavesItTouches) {
+  // A merge of k updates copies at most the leaves its writes land in, at
+  // any row width. The rows are the two the benchmark's log applier
+  // builds: the `paper` row (100 attributes) and the `wide-read` row (2000),
+  // each value with its "#w/" provenance shadow, so an update is two
+  // writes. A value that moved between the versions is one a cloned leaf
+  // holds; the bound is two leaves per update.
+  struct Shape {
+    int width;
+    std::vector<int> updated;
+  };
+  for (const Shape& shape : {Shape{100, {3, 27, 48, 71, 96}},
+                             Shape{2000, {1234}}}) {
+    MultiVersionStore store;
+    AttrMap row;
+    for (int a = 0; a < shape.width; ++a) {
+      row[Cat("a", a)] = "sixteen-byte-val";
+      row[Cat("#w/a", a)] = "provenance";
+    }
+    Model expected = ToModel(row);
+    const Model before = expected;
+    ASSERT_TRUE(store.Write("k", std::move(row), 1).ok());
+    AttrMap updates;
+    for (int a : shape.updated) {
+      updates[Cat("a", a)] = "updated-value-16";
+      updates[Cat("#w/a", a)] = "new-writer";
+    }
+    for (const auto& [name, value] : updates) expected[name] = value;
+    ASSERT_TRUE(store.MergeWrite("k", updates, 2).ok());
+
+    Result<RowVersion> v1 = store.Read("k", 1);
+    Result<RowVersion> v2 = store.Read("k", 2);
+    ASSERT_TRUE(v1.ok() && v2.ok());
+    ExpectMatches(*v1->attributes, before);
+    ExpectMatches(*v2->attributes, expected);
+    size_t moved = 0;
+    for (const auto& [name, value] : *v1->attributes) {
+      if (&v2->attributes->find(name)->second != &value) ++moved;
+    }
+    EXPECT_GE(moved, updates.size()) << "width " << shape.width;
+    EXPECT_LE(moved, 2 * shape.updated.size() * AttrMap::kLeafCapacity)
+        << "width " << shape.width;
+  }
 }
 
 TEST(StoreTest, HasAttrProbesLikeReadAttrView) {
@@ -533,15 +581,18 @@ TEST(StoreTest, ConcurrentWritersKeepVersionOrder) {
 
 TEST(StoreTest, ConcurrentMergeWritesNeverTouchHeldSnapshots) {
   // One thread merge-writes a wide row while another iterates snapshots it
-  // holds; every merged version shares chunks with the held ones, so a
-  // write into a shared chunk would show up as a changed value here (and
-  // as a data race under TSan). MergeWrite's copy-on-write check may let it
-  // write a chunk in place only when the chunk's count is 1. That is safe
-  // under the store's mutex: the base version stays in the chain while
-  // MergeWrite holds the mutex, so every chunk the merged copy inherits
-  // counts at least 2 and is cloned; only a chunk cloned within the same
-  // call, which no other thread has seen, is written in place. A reader
-  // dropping a snapshot only lowers counts, which at worst costs a clone.
+  // holds; every merged version shares leaves and inner nodes with the
+  // held ones, so a write into a shared one would show up as a changed
+  // value here (and as a data race under TSan). The 300-entry row spans
+  // several nodes, so each merge copies a node path. MergeWrite's
+  // copy-on-write check may let it write a node or leaf in place only when
+  // its count is 1. That is safe under the store's mutex: the base version
+  // stays in the chain while MergeWrite holds the mutex, so every node the
+  // merged copy inherits counts at least 2 and is cloned, and every leaf a
+  // cloned node inherits is then held by both nodes and is cloned too;
+  // only what was cloned within the same call, which no other thread has
+  // seen, is written in place. A reader dropping a snapshot only lowers
+  // counts, which at worst costs a clone.
   constexpr int kWidth = 300;
   constexpr Timestamp kMerges = 400;
   MultiVersionStore store;

@@ -263,6 +263,63 @@ TEST_F(LogTest, AllEntriesReturnsEverything) {
   EXPECT_TRUE(all.count(1) && all.count(5));
 }
 
+TEST_F(LogTest, LatestOnlyRowsKeepOneVersion) {
+  // Rows the log reads only at their latest version keep that version
+  // alone (design note D5); the data row keeps one version per applied
+  // position plus the loaded one, which the benchmark's replay reads at 0.
+  constexpr LogPos kEntries = 8;
+  const kvstore::AttributeMap loaded = {{"a", "seed"}, {"b", "seed"}};
+  ASSERT_TRUE(log_.LoadInitialRow("r", loaded).ok());
+  const TxnId cross = MakeTxnId(2, 1);
+  for (LogPos pos = 1; pos <= kEntries; ++pos) {
+    LogEntry e = Entry(MakeTxnId(1, pos), {{"a", std::to_string(pos)}});
+    if (pos == 3) {
+      TxnRecord prepare = MakeTxn(cross, 2, {}, {{"b", "cross"}});
+      prepare.kind = RecordKind::kPrepare;
+      prepare.cross_ts = 7;
+      prepare.participants = {"g", "h"};
+      e.txns.push_back(std::move(prepare));
+    } else if (pos == 5) {
+      TxnRecord decide = MakeTxn(cross, 4, {}, {});
+      decide.kind = RecordKind::kDecide;
+      decide.commit_decision = true;
+      e.txns.push_back(std::move(decide));
+    }
+    ASSERT_TRUE(log_.SetEntry(pos, e).ok());
+    if (pos % 2 == 0) {
+      // A second, different value: rejected, and noted in the `!r1` row.
+      EXPECT_EQ(log_.SetEntry(pos, Entry(MakeTxnId(3, pos), {{"a", "x"}}))
+                    .code(),
+                Status::Code::kCorruption);
+    }
+    if (pos == kEntries / 2) {
+      EXPECT_EQ(log_.ContiguousFrontier(), pos);
+    }
+  }
+  EXPECT_EQ(log_.ContiguousFrontier(), kEntries);
+  ASSERT_TRUE(log_.ApplyThrough(kEntries).ok());
+  EXPECT_EQ(log_.AppliedThrough(), kEntries);
+  EXPECT_EQ(log_.MaxDecided(), kEntries);
+  EXPECT_EQ(log_.SafeReadPos(), kEntries);  // the prepare was decided
+  EXPECT_EQ(log_.RejectedPositions(),
+            (std::vector<LogPos>{2, 4, 6, 8}));
+
+  const std::vector<std::string> latest_only = {
+      "!applied/g", "!logmeta/g", "!r1/g", "!xfront/g", "!xmax/g",
+      "!xpend/g"};
+  for (const std::string& key : latest_only) {
+    EXPECT_TRUE(store_.Contains(key)) << key;
+    EXPECT_EQ(store_.VersionCount(key), 1u) << key;
+  }
+  EXPECT_EQ(store_.VersionCount(log_.DataKey("r")), kEntries + 1);
+  Result<kvstore::RowVersion> initial = store_.Read(log_.DataKey("r"), 0);
+  ASSERT_TRUE(initial.ok());
+  EXPECT_EQ(initial->timestamp, 0u);
+  EXPECT_TRUE(*initial->attributes == loaded);
+  EXPECT_EQ(log_.ReadItem(ItemId{"r", "b"}, 2).value, "seed");
+  EXPECT_EQ(log_.ReadItem(ItemId{"r", "b"}, 3).value, "cross");
+}
+
 TEST_F(LogTest, LogsAreIsolatedPerGroup) {
   WriteAheadLog other(&store_, "h");
   ASSERT_TRUE(log_.SetEntry(1, Entry(MakeTxnId(1, 1), {{"a", "g"}})).ok());
