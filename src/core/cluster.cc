@@ -16,10 +16,10 @@ Cluster::Cluster(ClusterConfig config)
   network_ = std::make_unique<txn::Network>(&simulator_, config_.RttMatrix(),
                                             net_options);
   const int d = config_.num_datacenters();
-  stores_.reserve(d);
+  datacenters_.reserve(d);
   services_.reserve(d);
   for (DcId dc = 0; dc < d; ++dc) {
-    stores_.push_back(std::make_unique<kvstore::MultiVersionStore>());
+    datacenters_.push_back(std::make_unique<txn::DatacenterState>());
     services_.emplace_back();
     RestartService(dc);
   }
@@ -27,30 +27,24 @@ Cluster::Cluster(ClusterConfig config)
 
 void Cluster::RestartService(DcId dc) {
   // The recovery daemon (D10) survives a restart like the rest of the
-  // service's durable responsibilities: capture its state (and the group
-  // names, which live only in the in-memory group map) before retiring the
-  // old process, then re-discover pending prepares from the durable WAL
-  // side tables on the new one.
+  // service's durable responsibilities: capture its state before retiring
+  // the old process, then re-discover pending prepares from the
+  // datacenter's group logs on the new one.
   bool daemon_was_running = false;
   txn::RecoveryDaemonOptions daemon_options;
-  std::vector<std::string> known_groups;
   if (services_[dc] != nullptr) {
     daemon_was_running = services_[dc]->recovery_daemon_running();
-    if (daemon_was_running) {
-      daemon_options = services_[dc]->recovery_daemon_options();
-    }
-    known_groups = services_[dc]->KnownGroups();
+    daemon_options = services_[dc]->recovery_daemon_options();
     services_[dc]->StopRecoveryDaemon();  // queued timers become no-ops
     retired_services_.push_back(std::move(services_[dc]));
   }
   services_[dc] = std::make_unique<txn::TransactionService>(
-      dc, network_.get(), stores_[dc].get(), NextSeed());
+      dc, network_.get(), datacenters_[dc].get(), NextSeed());
   txn::TransactionService* service = services_[dc].get();
   network_->RegisterEndpoint(
       dc, [service](DcId from, const txn::ServiceRequest* request) {
         return service->Handle(from, request);
       });
-  for (const std::string& group : known_groups) service->GroupLog(group);
   if (daemon_was_running) service->StartRecoveryDaemon(daemon_options);
 }
 

@@ -1,6 +1,7 @@
-// Cluster: owns the simulator, the network, and one key-value store +
-// Transaction Service per datacenter; creates Transaction Clients. This is
-// the top-level object examples and benches instantiate (paper Figure 1).
+// Cluster: owns the simulator, the network, and per datacenter its durable
+// state (key-value store, group logs and acceptors) and its Transaction
+// Service; creates Transaction Clients. This is the top-level object
+// examples and benches instantiate (paper Figure 1).
 #pragma once
 
 #include <map>
@@ -34,7 +35,9 @@ class Cluster {
 
   sim::Simulator* simulator() { return &simulator_; }
   txn::Network* network() { return network_.get(); }
-  kvstore::MultiVersionStore* store(DcId dc) { return stores_[dc].get(); }
+  kvstore::MultiVersionStore* store(DcId dc) {
+    return &datacenters_[dc]->store;
+  }
   txn::TransactionService* service(DcId dc) { return services_[dc].get(); }
 
   /// Creates a Transaction Client homed at `dc` (which must be a valid
@@ -71,12 +74,12 @@ class Cluster {
   }
 
   /// Restarts the Transaction Service at `dc`: the replacement serves all
-  /// new requests against the same (durable) key-value store, so it
-  /// recovers the group logs and acceptor state, while requests already in
-  /// flight complete against the retired instance (a restart loses nothing
-  /// but in-flight work — services are stateless, see txn/service.h). A
-  /// running recovery daemon moves to the replacement, which adopts the
-  /// pending prepares from the WAL side tables.
+  /// new requests from the datacenter's state (its store, group logs and
+  /// acceptors), which the retired instance keeps serving the requests
+  /// already in flight from (a restart loses nothing but in-flight work —
+  /// services are stateless, see txn/service.h). A running recovery daemon
+  /// moves to the replacement, which adopts the pending prepares the
+  /// group logs list.
   void RestartService(DcId dc);
 
   /// Arms `plan` on this cluster's fault injector: every event fires at
@@ -92,7 +95,7 @@ class Cluster {
   sim::Simulator simulator_;
   Rng seed_rng_;
   std::unique_ptr<txn::Network> network_;
-  std::vector<std::unique_ptr<kvstore::MultiVersionStore>> stores_;
+  std::vector<std::unique_ptr<txn::DatacenterState>> datacenters_;
   std::vector<std::unique_ptr<txn::TransactionService>> services_;
   /// Replaced service instances, kept alive because in-flight handler
   /// coroutines still reference them.

@@ -14,7 +14,7 @@
 // their addresses across versions.
 //
 // A map that fits one leaf keeps its entries in one inline sorted vector
-// instead (deep-copied like std::map), so the narrow bookkeeping rows the WAL
+// instead (deep-copied like std::map), so the narrow rows the WAL's entries
 // and the acceptors write on every step cost no more allocations than a
 // std::map of the same size.
 //

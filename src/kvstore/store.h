@@ -23,9 +23,8 @@
 // collection of the chain. Inside the map, a wide row is a two-level tree
 // of shared inner nodes and leaves (kvstore/attribute_map.h), so a version
 // derived by MergeWrite shares every node and leaf its updates do not touch
-// with the version it was derived from. The WAL keeps one version of each
-// row it reads only at its latest (TruncateVersions after each write); data
-// rows keep every version.
+// with the version it was derived from. Data rows keep every version: reads
+// run at a transaction's read position.
 // All operations are atomic with respect to one another (single mutex; the
 // simulator is single-threaded but the store is independently thread-safe
 // so it can be exercised standalone).

@@ -64,7 +64,7 @@ wal::LogEntry CombineTransactions(const wal::LogEntry& own,
   }
   if (pool.empty() || !policy.enabled) return combined;
 
-  if (static_cast<int>(pool.size()) <= policy.exhaustive_limit) {
+  if (static_cast<int>(pool.size()) <= kExhaustiveLimit) {
     std::vector<wal::TxnRecord> best = combined.txns;
     std::vector<bool> used(pool.size(), false);
     std::vector<wal::TxnRecord> list = combined.txns;
@@ -94,7 +94,7 @@ SelectionDecision EnhancedFindWinningValue(const std::vector<LastVote>& votes,
   // rule, which drives the instance to its decided outcome — after which
   // the client promotes with certainty (see docs/ARCHITECTURE.md, note D1).
   const wal::LogEntry* chosen =
-      ChosenAtOneBallot(votes, d / 2 + 1, [](const LastVote& v) {
+      ChosenAtOneBallot(votes, Quorum(d), [](const LastVote& v) {
         return std::pair(v.ballot, v.value ? &*v.value : nullptr);
       });
   const bool own_in_chosen =
@@ -125,7 +125,7 @@ SelectionDecision EnhancedFindWinningValue(const std::vector<LastVote>& votes,
   int max_votes = 0;
   for (const auto& [fp, count] : tally) max_votes = std::max(max_votes, count);
 
-  if (max_votes + (d - responses_received) <= d / 2) {
+  if (max_votes + (d - responses_received) < Quorum(d)) {
     // No value can have reached a majority: the proposer may choose freely,
     // so it combines every compatible discovered transaction with its own
     // (paper §5 "Combination").

@@ -1,6 +1,7 @@
-// Proposer-side value selection: findWinningVal (Algorithm 2, lines 66-75)
-// for basic Paxos and enhancedFindWinningVal (lines 76-87) for Paxos-CP.
-// Pure functions over the collected last-vote responses, so every branch is
+// Proposer-side rules of Algorithm 2: the quorum, the backoff between
+// rounds, and value selection, findWinningVal (lines 66-75) for basic Paxos
+// and enhancedFindWinningVal (lines 76-87) for Paxos-CP. Value selection is
+// pure functions over the collected last-vote responses, so every branch is
 // unit-testable without a network.
 #pragma once
 
@@ -8,11 +9,21 @@
 #include <optional>
 #include <vector>
 
+#include "common/random.h"
 #include "common/types.h"
 #include "paxos/ballot.h"
 #include "wal/log_entry.h"
 
 namespace paxoscp::paxos {
+
+/// Replies that make a quorum among `d` datacenters: a majority.
+constexpr int Quorum(int d) { return d / 2 + 1; }
+
+/// Algorithm 2's "sleep for random time period" between Paxos rounds,
+/// drawn from `rng`.
+inline TimeMicros RoundBackoff(Rng* rng) {
+  return rng->UniformRange(5 * kMillisecond, 50 * kMillisecond);
+}
 
 /// One acceptor's last-vote response collected during the prepare phase.
 struct LastVote {
@@ -81,12 +92,13 @@ struct SelectionDecision {
 
 struct CombinePolicy {
   bool enabled = true;
-  /// Up to this many candidate transactions the search over subsets and
-  /// orders is exhaustive ("in practice, the number of transactions to
-  /// compare is small, only two or three"); beyond it a greedy single pass
-  /// is used, as the paper prescribes.
-  int exhaustive_limit = 5;
 };
+
+/// Up to this many candidate transactions the combination search over
+/// subsets and orders is exhaustive ("in practice, the number of
+/// transactions to compare is small, only two or three"); beyond it a
+/// greedy single pass is used, as the paper prescribes.
+inline constexpr int kExhaustiveLimit = 5;
 
 /// enhancedFindWinningVal. `responses_received` is the number of successful
 /// prepare responses (|responseSet|); `total_datacenters` is D. `own` must
@@ -99,7 +111,7 @@ SelectionDecision EnhancedFindWinningValue(const std::vector<LastVote>& votes,
 
 /// Builds the longest one-copy-serializable ordered list starting with the
 /// transactions of `own`: candidates are appended (subset search, every
-/// order, exhaustive up to policy.exhaustive_limit, greedy beyond) such that
+/// order, exhaustive up to kExhaustiveLimit, greedy beyond) such that
 /// no transaction in the list reads an item written by any preceding
 /// transaction in the list. Returns the combined entry.
 wal::LogEntry CombineTransactions(const wal::LogEntry& own,

@@ -23,13 +23,11 @@ TransactionClient::TransactionClient(Network* network, DcId home,
   const int d = network_->num_datacenters();
   all_dcs_.resize(d);
   std::iota(all_dcs_.begin(), all_dcs_.end(), 0);
-  majority_ = d / 2 + 1;
+  majority_ = paxos::Quorum(d);
 }
 
 TimeMicros TransactionClient::RandomBackoff(net::DelayStream* stream) {
-  // Algorithm 2: "sleep for random time period" between Paxos rounds.
-  Rng* rng = stream != nullptr ? &stream->rng : &rng_;
-  return rng->UniformRange(5 * kMillisecond, 50 * kMillisecond);
+  return paxos::RoundBackoff(stream != nullptr ? &stream->rng : &rng_);
 }
 
 TimeMicros TransactionClient::RandomBackoffIn(TimeMicros lo, TimeMicros hi) {

@@ -35,39 +35,33 @@ constexpr int kMaxAttempts = 16;
 /// arbitration only avoids the common-case recovery storm.
 constexpr int kEscalateAfter = 4;
 
-std::vector<DcId> AllDatacenters(int d) {
-  std::vector<DcId> all(d);
-  std::iota(all.begin(), all.end(), 0);
-  return all;
-}
-
 }  // namespace
 
+GroupState* DatacenterState::Group(const std::string& group) {
+  return &groups.try_emplace(group, &store, group).first->second;
+}
+
 TransactionService::TransactionService(DcId dc, Network* network,
-                                       kvstore::MultiVersionStore* store,
-                                       uint64_t seed)
-    : dc_(dc), network_(network), store_(store), rng_(seed), seed_(seed) {}
+                                       DatacenterState* state, uint64_t seed)
+    : dc_(dc),
+      network_(network),
+      state_(state),
+      all_dcs_(network->num_datacenters()),
+      rng_(seed),
+      seed_(seed) {
+  std::iota(all_dcs_.begin(), all_dcs_.end(), 0);
+}
 
 // Out of line: recovery_client_ is a unique_ptr to the forward-declared
 // TransactionClient.
 TransactionService::~TransactionService() = default;
 
-TransactionService::GroupState* TransactionService::Group(
-    const std::string& group) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    it = groups_.emplace(group, std::make_unique<GroupState>(store_, group))
-             .first;
-  }
-  return it->second.get();
-}
-
 wal::WriteAheadLog* TransactionService::GroupLog(const std::string& group) {
-  return &Group(group)->log;
+  return &state_->Group(group)->log;
 }
 
 paxos::Acceptor* TransactionService::GroupAcceptor(const std::string& group) {
-  return &Group(group)->acceptor;
+  return &state_->Group(group)->acceptor;
 }
 
 sim::Coro<ServiceResponse> TransactionService::Handle(
@@ -99,7 +93,7 @@ sim::Coro<ServiceResponse> TransactionService::Handle(
 sim::Coro<ServiceResponse> TransactionService::HandleBegin(
     const BeginRequest* request) {
   co_await sim::SleepFor(network_->simulator(), model_.begin);
-  GroupState* gs = Group(request->group);
+  GroupState* gs = state_->Group(request->group);
   BeginResponse response;
   if (request->cross) {
     // Cross-group begin (D8): the read position must be covered by the
@@ -137,7 +131,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleBegin(
 sim::Coro<ServiceResponse> TransactionService::HandleRead(
     const ReadRequest* request) {
   co_await sim::SleepFor(network_->simulator(), model_.read);
-  GroupState* gs = Group(request->group);
+  GroupState* gs = state_->Group(request->group);
   ReadResponse response;
   response.status = co_await CatchUp(gs, request->read_pos);
   if (response.status.ok()) {
@@ -152,7 +146,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleReadRow(
   // One full-row read costs one storage operation, like an item read (in
   // the paper's HBase testbed both fetch one row).
   co_await sim::SleepFor(network_->simulator(), model_.read);
-  GroupState* gs = Group(request->group);
+  GroupState* gs = state_->Group(request->group);
   ReadRowResponse response;
   response.status = co_await CatchUp(gs, request->read_pos);
   if (response.status.ok()) {
@@ -165,7 +159,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleReadRow(
 sim::Coro<ServiceResponse> TransactionService::HandlePrepare(
     const PrepareRequest* request) {
   co_await sim::SleepFor(network_->simulator(), model_.prepare);
-  GroupState* gs = Group(request->group);
+  GroupState* gs = state_->Group(request->group);
   PrepareResponse response;
   response.result = gs->acceptor.OnPrepare(request->pos, request->ballot);
   co_return ServiceResponse(std::move(response));
@@ -174,7 +168,7 @@ sim::Coro<ServiceResponse> TransactionService::HandlePrepare(
 sim::Coro<ServiceResponse> TransactionService::HandleAccept(
     const AcceptRequest* request) {
   co_await sim::SleepFor(network_->simulator(), model_.accept);
-  GroupState* gs = Group(request->group);
+  GroupState* gs = state_->Group(request->group);
   AcceptResponse response;
   response.result =
       gs->acceptor.OnAccept(request->pos, request->ballot, request->value);
@@ -184,7 +178,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleAccept(
 sim::Coro<ServiceResponse> TransactionService::HandleApply(
     const ApplyRequest* request) {
   co_await sim::SleepFor(network_->simulator(), model_.apply);
-  GroupState* gs = Group(request->group);
+  GroupState* gs = state_->Group(request->group);
   const Status s =
       gs->acceptor.OnApply(request->pos, request->ballot, request->value);
   if (s.ok()) {
@@ -200,7 +194,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleApply(
 sim::Coro<ServiceResponse> TransactionService::HandleClaimLeader(
     const ClaimLeaderRequest* request) {
   co_await sim::SleepFor(network_->simulator(), model_.claim);
-  GroupState* gs = Group(request->group);
+  GroupState* gs = state_->Group(request->group);
   ClaimLeaderResponse response;
   response.granted = gs->acceptor.TryClaimLeadership(request->pos);
   if (!response.granted) {
@@ -221,7 +215,7 @@ sim::Coro<ServiceResponse> TransactionService::HandleClaimLeader(
 sim::Coro<ServiceResponse> TransactionService::HandleQueryCross(
     const QueryCrossRequest* request) {
   co_await sim::SleepFor(network_->simulator(), model_.begin);
-  GroupState* gs = Group(request->group);
+  GroupState* gs = state_->Group(request->group);
   QueryCrossResponse response;
   const wal::PrepareInfo prep = gs->log.PrepareFor(request->txn);
   if (prep.known) {
@@ -250,7 +244,7 @@ void TransactionService::NoteEntryLanded(const std::string& group) {
 }
 
 void TransactionService::SyncPins(const std::string& group) {
-  GroupState* gs = Group(group);
+  GroupState* gs = state_->Group(group);
   const TimeMicros now = network_->simulator()->Now();
   // Daemon off, this schedules no event and consumes no RNG, so daemon-off
   // runs stay bit-identical. Pending prepares are rare and short-lived; the
@@ -275,10 +269,11 @@ void TransactionService::SyncPins(const std::string& group) {
 }
 
 void TransactionService::WatchForHole(const std::string& group) {
-  // The running check comes first: ContiguousFrontier writes a marker, so
-  // daemon-off runs must never reach it from here.
+  // The running check comes first: ContiguousFrontier reads entries and
+  // advances the log's frontier, so daemon-off runs must never reach it
+  // from here.
   if (!recovery_running_ || hole_timed_.count(group) > 0) return;
-  GroupState* gs = Group(group);
+  GroupState* gs = state_->Group(group);
   const LogPos hole = gs->log.ContiguousFrontier() + 1;
   if (hole > gs->log.MaxDecided() ||
       holes_abandoned_.count({group, hole}) > 0) {
@@ -402,7 +397,7 @@ sim::Task TransactionService::DriveRecovery(std::string group, TxnId id,
     // replica's own log may still miss the decide *entry* (the instance
     // apply broadcast is fire-and-forget): learn forward until the local
     // pending entry clears, bounded by the decided frontier.
-    GroupState* gs = Group(group);
+    GroupState* gs = state_->Group(group);
     for (int step = 0; step < kMaxCatchUpSteps; ++step) {
       if (pin_open_.count(key) == 0) break;
       const LogPos to_learn =
@@ -441,11 +436,11 @@ void TransactionService::StartRecoveryDaemon(
   hole_timed_.clear();
   holes_abandoned_.clear();
   // Adopt pending prepares that predate the daemon (start-of-run, or a
-  // daemon transferred across a service restart re-reading the durable WAL
-  // side tables): open their pins and arm fresh timers.
+  // daemon transferred across a service restart re-reading the group logs'
+  // pending sets): open their pins and arm fresh timers.
   const TimeMicros now = network_->simulator()->Now();
-  for (auto& [group, gs] : groups_) {
-    for (const wal::PendingPrepare& p : gs->log.PendingPrepares()) {
+  for (auto& [group, gs] : state_->groups) {
+    for (const wal::PendingPrepare& p : gs.log.PendingPrepares()) {
       // Keeps an earlier open time if present.
       pin_open_.emplace(PendingKey{group, p.txn}, now);
       ArmRecoveryTimer(group, p.txn, 0,
@@ -459,16 +454,6 @@ void TransactionService::StopRecoveryDaemon() {
   recovery_running_ = false;
   ++recovery_generation_;
   hole_timed_.clear();
-}
-
-std::vector<std::string> TransactionService::KnownGroups() const {
-  std::vector<std::string> names;
-  names.reserve(groups_.size());
-  for (const auto& [name, gs] : groups_) {
-    (void)gs;
-    names.push_back(name);
-  }
-  return names;
 }
 
 TimeMicros TransactionService::MaxSafeReadPosPin(TimeMicros now) const {
@@ -515,12 +500,10 @@ sim::Coro<Status> TransactionService::CatchUp(GroupState* gs, LogPos target) {
 
 sim::Coro<Status> TransactionService::LearnEntry(std::string group,
                                                  LogPos pos) {
-  GroupState* gs = Group(group);
+  GroupState* gs = state_->Group(group);
   if (gs->log.HasEntry(pos)) co_return Status::OK();
   ++learn_instances_;
-  const int d = network_->num_datacenters();
-  const int majority = d / 2 + 1;
-  const std::vector<DcId> all = AllDatacenters(d);
+  const int majority = paxos::Quorum(network_->num_datacenters());
   sim::Simulator* sim = network_->simulator();
 
   paxos::Ballot ballot =
@@ -530,7 +513,7 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
     // Prepare phase: discover the decided value or the highest vote.
     const ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
     BroadcastResult presults =
-        co_await network_->Broadcast(dc_, all, prepare_request, nullptr,
+        co_await network_->Broadcast(dc_, all_dcs_, prepare_request, nullptr,
                                      PrepareSettle(majority));
     paxos::Ballot max_seen = ballot;
     PrepareTally prepares = TallyPrepares(&presults, &max_seen);
@@ -552,22 +535,21 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
       const ServiceRequest accept_request =
           AcceptRequest{group, pos, ballot, *winning};
       BroadcastResult aresults =
-          co_await network_->Broadcast(dc_, all, accept_request, nullptr,
+          co_await network_->Broadcast(dc_, all_dcs_, accept_request, nullptr,
                                        AcceptSettle(majority));
       if (TallyAccepts(aresults, &max_seen) >= majority) {
         // Decided: propagate the outcome one-way (nobody reads an answer,
         // D15) and record it.
         const ServiceRequest apply_request =
             ApplyRequest{group, pos, ballot, *winning};
-        network_->Multicast(dc_, all, apply_request,
+        network_->Multicast(dc_, all_dcs_, apply_request,
                             Network::Answering::kNone);
         Status applied = gs->acceptor.OnApply(pos, ballot, *winning);
         if (applied.ok()) NoteEntryLanded(group);
         co_return applied;
       }
     }
-    co_await sim::SleepFor(
-        sim, rng_.UniformRange(5 * kMillisecond, 50 * kMillisecond));
+    co_await sim::SleepFor(sim, paxos::RoundBackoff(&rng_));
     ballot = paxos::NextBallot(max_seen, dc_);
   }
   co_return Status::Unavailable("could not learn log position " +

@@ -7,8 +7,10 @@
 // to learn the winning value", paper §4.1).
 //
 // Service processes are stateless: all durable state lives in the
-// key-value store (acceptor rows, the replicated log, data rows), so a
-// Simulate[d] restart loses nothing but in-flight requests.
+// datacenter's DatacenterState (the key-value store with the acceptor rows,
+// the replicated log and the data rows, and each group's log object, which
+// keeps what it derives from its entries), so a Simulate[d] restart loses
+// nothing but in-flight requests.
 #pragma once
 
 #include <map>
@@ -40,10 +42,10 @@ class TransactionClient;
 /// seed, txn id), never drawn from an RNG stream, so a seeded run with the
 /// daemon on replays bit-identically.
 struct RecoveryDaemonOptions {
-  /// Delay between a pending prepare appearing in the WAL side table and
-  /// the first recovery consideration — a live coordinator gets this long
-  /// to decide on its own before any replica interferes (the runner's
-  /// RunnerConfig::recovery_timer sets it).
+  /// Delay between a pending prepare appearing in its group log's pending
+  /// set and the first recovery consideration — a live coordinator gets
+  /// this long to decide on its own before any replica interferes (the
+  /// runner's RunnerConfig::recovery_timer sets it).
   TimeMicros base_delay = 1 * kSecond;
   /// Options of the daemon's internal recovery client (protocol is forced
   /// to Paxos-CP, crash faults are stripped).
@@ -66,14 +68,33 @@ struct ServiceTimeModel {
   TimeMicros claim = 5 * kMillisecond;
 };
 
+/// A transaction group's replicated log and the acceptor over it.
+struct GroupState {
+  GroupState(kvstore::MultiVersionStore* store, const std::string& group)
+      : log(store, group), acceptor(store, &log) {}
+  wal::WriteAheadLog log;
+  paxos::Acceptor acceptor;
+};
+
+/// One datacenter's durable state: its key-value store and each group's
+/// log and acceptor. The cluster owns one per datacenter, and every service
+/// process of the datacenter, live or retired, serves from it.
+struct DatacenterState {
+  /// `group`'s log and acceptor, created on first use.
+  GroupState* Group(const std::string& group);
+
+  kvstore::MultiVersionStore store;
+  /// Map nodes never move, so a group's log and acceptor stay put.
+  std::map<std::string, GroupState> groups;
+};
+
 class TransactionService {
  public:
-  TransactionService(DcId dc, Network* network,
-                     kvstore::MultiVersionStore* store, uint64_t seed);
+  TransactionService(DcId dc, Network* network, DatacenterState* state,
+                     uint64_t seed);
   ~TransactionService();
 
   DcId dc() const { return dc_; }
-  kvstore::MultiVersionStore* store() const { return store_; }
 
   /// Network entry point: returns the handler coroutine of the request's
   /// type, which produces the matching ServiceResponse. Registered as the
@@ -101,12 +122,12 @@ class TransactionService {
   // -- Service-side 2PC recovery daemon (D10) -------------------------------
 
   /// Arms a seed-derived deterministic timer whenever a pending prepare
-  /// appears in a group's WAL side table; on expiry, a single deterministic
+  /// appears in a group log's pending set; on expiry, a single deterministic
   /// arbiter per group (the lowest live datacenter) drives the shared
   /// recovery core (txn/recovery.h) while the other replicas watch with
   /// backoff — re-arbitrating when the arbiter goes down, and escalating to
   /// drive themselves after kEscalateAfter deferrals. Also adopts pending
-  /// prepares already in the side tables (daemon transfer across a service
+  /// prepares already in the pending sets (daemon transfer across a service
   /// restart), and learns the holes below a group's MaxDecided, where a
   /// pending prepare would otherwise stay out of sight.
   void StartRecoveryDaemon(const RecoveryDaemonOptions& options);
@@ -117,10 +138,6 @@ class TransactionService {
   const RecoveryDaemonOptions& recovery_daemon_options() const {
     return recovery_options_;
   }
-
-  /// Names of the groups this replica has state for (used by the cluster to
-  /// rebuild a restarted service's group map before re-starting its daemon).
-  std::vector<std::string> KnownGroups() const;
 
   /// Recovery accounting.
   uint64_t recoveries_started() const { return recoveries_started_; }
@@ -137,16 +154,6 @@ class TransactionService {
   TimeMicros MaxSafeReadPosPin(TimeMicros now) const;
 
  private:
-  struct GroupState {
-    explicit GroupState(kvstore::MultiVersionStore* store,
-                        const std::string& group)
-        : log(store, group), acceptor(store, &log) {}
-    wal::WriteAheadLog log;
-    paxos::Acceptor acceptor;
-  };
-
-  GroupState* Group(const std::string& group);
-
   // Sub-handlers take a pointer to the request the network holds for the
   // handler's run: coroutine parameters must be neither references nor
   // by-value aggregates (lifetime hazards; see client.h).
@@ -179,7 +186,7 @@ class TransactionService {
   /// Called after every successful acceptor OnApply: syncs the group's pins
   /// (SyncPins) and, when the daemon runs, watches for a hole.
   void NoteEntryLanded(const std::string& group);
-  /// Syncs the SafeReadPos pin table with the group's WAL side table: opens
+  /// Syncs the SafeReadPos pin table with the group log's pending set: opens
   /// a pin for each pending prepare it lists that has none, arming that
   /// prepare's recovery timer when the daemon runs, and closes each of the
   /// group's pins whose prepare it no longer lists. Pure bookkeeping unless
@@ -219,14 +226,15 @@ class TransactionService {
 
   DcId dc_;
   Network* network_;
-  kvstore::MultiVersionStore* store_;
+  DatacenterState* state_;
+  /// Every datacenter, the recipients of a learning instance's rounds.
+  std::vector<DcId> all_dcs_;
   /// The calibrated defaults.
   ServiceTimeModel model_;
   Rng rng_;
   /// Construction seed, kept for hash-derived recovery jitter (which must
   /// not consume the rng_ stream: arming a timer may not perturb replay).
   uint64_t seed_;
-  std::map<std::string, std::unique_ptr<GroupState>> groups_;
 
   uint64_t learn_instances_ = 0;
   uint64_t reads_served_ = 0;

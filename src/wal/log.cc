@@ -1,8 +1,8 @@
 #include "wal/log.h"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
-#include <cstdlib>
 
 #include "common/coding.h"
 
@@ -11,10 +11,10 @@ namespace paxoscp::wal {
 namespace {
 
 constexpr char kEntryAttr[] = "entry";
-constexpr char kMaxDecidedAttr[] = "max_decided";
-constexpr char kAppliedAttr[] = "pos";
 /// Prefix for shadow provenance attributes in data rows.
 constexpr char kProvenancePrefix[] = "#w/";
+constexpr sim::race::AccessKind kRead = sim::race::AccessKind::kRead;
+constexpr sim::race::AccessKind kWrite = sim::race::AccessKind::kWrite;
 
 std::string EncodeProvenance(TxnId writer, LogPos pos) {
   std::string out;
@@ -25,18 +25,6 @@ std::string EncodeProvenance(TxnId writer, LogPos pos) {
 
 bool DecodeProvenance(std::string_view in, TxnId* writer, LogPos* pos) {
   return GetFixed64(&in, writer) && GetVarint64(&in, pos) && in.empty();
-}
-
-/// Writes `row` as the new latest version of `key` and drops the versions
-/// below it. The log writes this way every row it only ever reads at its
-/// latest version (`!applied`, `!logmeta`, `!xpend`, `!xmax`, `!xfront`,
-/// `!r1`), so each keeps one version; data rows, read at a transaction's
-/// read position, keep all of theirs (design note D5).
-Status WriteLatestOnly(kvstore::MultiVersionStore* store, std::string_view key,
-                       kvstore::AttributeMap row) {
-  PAXOSCP_RETURN_IF_ERROR(store->Write(key, std::move(row)));
-  (void)store->TruncateVersions(key, kLatestTimestamp);
-  return Status::OK();
 }
 
 /// Parses a decimal LogPos straight from a borrowed view (no temporary
@@ -83,18 +71,23 @@ WriteAheadLog::WriteAheadLog(kvstore::MultiVersionStore* store,
 std::string WriteAheadLog::EntryKey(LogPos pos) const {
   return JoinKey("!log/", group_, pos);
 }
-std::string WriteAheadLog::MetaKey() const { return "!logmeta/" + group_; }
-std::string WriteAheadLog::AppliedKey() const { return "!applied/" + group_; }
-std::string WriteAheadLog::PrepareKey(TxnId id) const {
-  return "!xprep/" + group_ + "/" + std::to_string(id);
+
+void WriteAheadLog::Touch(sim::race::AccessKind kind,
+                          std::string_view row) const {
+  if (sim::race::Active()) {
+    sim::race::Record(kind, {"kv", store_->instance_id(), row,
+                             std::string_view(group_)});
+  }
 }
-std::string WriteAheadLog::PendingKey() const { return "!xpend/" + group_; }
-std::string WriteAheadLog::DecisionKey(TxnId id) const {
-  return "!xdec/" + group_ + "/" + std::to_string(id);
+
+void WriteAheadLog::Touch(sim::race::AccessKind kind, std::string_view row,
+                          TxnId id) const {
+  if (sim::race::Active()) {
+    sim::race::Record(kind, {"kv", store_->instance_id(), row,
+                             std::string_view(group_), id});
+  }
 }
-std::string WriteAheadLog::CrossMaxKey() const { return "!xmax/" + group_; }
-std::string WriteAheadLog::FrontierKey() const { return "!xfront/" + group_; }
-std::string WriteAheadLog::RejectedKey() const { return "!r1/" + group_; }
+
 std::string WriteAheadLog::DataKey(const std::string& row) const {
   std::string key;
   key.reserve(2 + group_.size() + 1 + row.size());
@@ -111,13 +104,12 @@ Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
   if (kvstore::AttrView existing;
       store_->HasAttr(EntryKey(pos), kEntryAttr, &existing)) {
     if (existing.value != encoded) {
-      // The log keeps its first value, so replicas still agree; the side
-      // row is what tells the checker a second value was decided.
-      Result<kvstore::RowVersion> row = store_->Read(RejectedKey());
-      kvstore::AttributeMap rejected =
-          row.ok() ? *row->attributes : kvstore::AttributeMap{};
-      rejected[PadPos(pos)] = "1";
-      (void)WriteLatestOnly(store_, RejectedKey(), std::move(rejected));
+      // The log keeps its first value, so replicas still agree; the
+      // rejected position is what tells the checker a second value was
+      // decided.
+      Touch(kRead, "!r1");
+      Touch(kWrite, "!r1");
+      rejected_.insert(pos);
       return Status::Corruption(
           "R1 violation: conflicting values decided for " + group_ + "[" +
           std::to_string(pos) + "]");
@@ -126,7 +118,10 @@ Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
   }
   PAXOSCP_RETURN_IF_ERROR(
       store_->Write(EntryKey(pos), {{kEntryAttr, encoded}}));
-  BumpMaxDecided(pos);
+  if (pos > MaxDecided()) {
+    Touch(kWrite, "!logmeta");
+    max_decided_ = pos;
+  }
   if (entry.HasCrossRecords()) NoteCrossRecords(pos, entry);
   return Status::OK();
 }
@@ -134,37 +129,34 @@ Status WriteAheadLog::SetEntry(LogPos pos, const LogEntry& entry) {
 void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
   for (const TxnRecord& t : entry.txns) {
     if (t.kind == RecordKind::kPrepare) {
-      std::string groups_encoded;
-      for (const std::string& g : t.participants) {
-        PutLengthPrefixed(&groups_encoded, g);
-      }
-      (void)store_->Write(PrepareKey(t.id),
-                          {{"pos", std::to_string(pos)},
-                           {"groups", std::move(groups_encoded)}});
+      Touch(kWrite, "!xprep", t.id);
+      prepares_[t.id] = PrepareInfo{true, pos, t.participants};
       // Commit-order watermark: max cross_ts over all prepares seen.
       if (t.cross_ts > MaxCrossTs()) {
-        (void)WriteLatestOnly(store_, CrossMaxKey(),
-                              {{"ts", std::to_string(t.cross_ts)}});
+        Touch(kWrite, "!xmax");
+        max_cross_ts_ = t.cross_ts;
       }
       // Pending until a decide is learned. Decides may be learned before
       // their prepare (out-of-order learning): then the prepare is born
       // decided and never enters the pending set.
       if (!DecisionFor(t.id).known) {
-        Result<kvstore::RowVersion> row = store_->Read(PendingKey());
-        kvstore::AttributeMap pending =
-            row.ok() ? *row->attributes : kvstore::AttributeMap{};
-        pending[PadPos(pos) + "/" + std::to_string(t.id)] = "1";
-        (void)WriteLatestOnly(store_, PendingKey(), std::move(pending));
+        Touch(kRead, "!xpend");
+        Touch(kWrite, "!xpend");
+        pending_.emplace(std::pair(pos, std::to_string(t.id)), t.id);
       }
     } else if (t.kind == RecordKind::kDecide) {
-      CrossDecision existing = DecisionFor(t.id);
+      const CrossDecision existing = DecisionFor(t.id);
       if (!existing.known || pos < existing.pos) {
-        (void)store_->Write(DecisionKey(t.id),
-                            {{"d", t.commit_decision ? "c" : "a"},
-                             {"pos", std::to_string(pos)}});
+        Touch(kWrite, "!xdec", t.id);
+        decisions_[t.id] = CrossDecision{true, t.commit_decision, pos};
       }
-      PrepareInfo prep = PrepareFor(t.id);
-      if (prep.known) ClearPending(prep.pos, t.id);
+      Touch(kRead, "!xprep", t.id);
+      if (auto prep = prepares_.find(t.id); prep != prepares_.end()) {
+        Touch(kRead, "!xpend");
+        if (pending_.erase({prep->second.pos, std::to_string(t.id)}) > 0) {
+          Touch(kWrite, "!xpend");
+        }
+      }
     }
   }
   // A prepare arriving after its decide (handled above via the born-decided
@@ -173,90 +165,46 @@ void WriteAheadLog::NoteCrossRecords(LogPos pos, const LogEntry& entry) {
   // the prepare's position is decided).
 }
 
-void WriteAheadLog::ClearPending(LogPos pos, TxnId id) {
-  Result<kvstore::RowVersion> row = store_->Read(PendingKey());
-  if (!row.ok()) return;
-  kvstore::AttributeMap pending = *row->attributes;
-  if (pending.erase(PadPos(pos) + "/" + std::to_string(id)) == 0) return;
-  (void)WriteLatestOnly(store_, PendingKey(), std::move(pending));
-}
-
 std::vector<PendingPrepare> WriteAheadLog::PendingPrepares() const {
+  Touch(kRead, "!xpend");
   std::vector<PendingPrepare> out;
-  Result<kvstore::RowVersion> row = store_->Read(PendingKey());
-  if (!row.ok()) return out;
-  for (const auto& [name, unused] : *row->attributes) {
-    (void)unused;
-    const size_t slash = name.find('/');
-    if (slash == std::string::npos) continue;
-    PendingPrepare p;
-    p.pos = ParsePos(std::string_view(name).substr(0, slash));
-    p.txn = std::strtoull(name.c_str() + slash + 1, nullptr, 10);
-    out.push_back(std::move(p));
+  out.reserve(pending_.size());
+  for (const auto& [key, id] : pending_) {
+    out.push_back(PendingPrepare{key.first, id});
   }
   return out;
 }
 
 CrossDecision WriteAheadLog::DecisionFor(TxnId id) const {
-  CrossDecision out;
-  Result<kvstore::RowVersion> row = store_->Read(DecisionKey(id));
-  if (!row.ok()) return out;
-  const kvstore::AttributeMap& attrs = *row->attributes;
-  auto d = attrs.find("d");
-  auto pos = attrs.find("pos");
-  if (d == attrs.end() || pos == attrs.end()) return out;
-  out.known = true;
-  out.commit = d->second == "c";
-  out.pos = ParsePos(pos->second);
-  return out;
+  Touch(kRead, "!xdec", id);
+  auto it = decisions_.find(id);
+  return it == decisions_.end() ? CrossDecision{} : it->second;
 }
 
 PrepareInfo WriteAheadLog::PrepareFor(TxnId id) const {
-  PrepareInfo out;
-  Result<kvstore::RowVersion> row = store_->Read(PrepareKey(id));
-  if (!row.ok()) return out;
-  const kvstore::AttributeMap& attrs = *row->attributes;
-  auto pos = attrs.find("pos");
-  auto groups = attrs.find("groups");
-  if (pos == attrs.end() || groups == attrs.end()) return out;
-  out.known = true;
-  out.pos = ParsePos(pos->second);
-  std::string_view encoded = groups->second;
-  std::string_view g;
-  while (GetLengthPrefixed(&encoded, &g)) out.participants.emplace_back(g);
-  return out;
+  Touch(kRead, "!xprep", id);
+  auto it = prepares_.find(id);
+  return it == prepares_.end() ? PrepareInfo{} : it->second;
 }
 
 uint64_t WriteAheadLog::MaxCrossTs() const {
-  Result<kvstore::AttrView> ts = store_->ReadAttrView(CrossMaxKey(), "ts");
-  return ts.ok() ? ParsePos(ts->value) : 0;
+  Touch(kRead, "!xmax");
+  return max_cross_ts_;
 }
 
 LogPos WriteAheadLog::SafeReadPos() const {
-  // One store read: the whole pending set lives in one row whose
-  // attribute order is prepare-position order (this runs on every begin).
   LogPos pos = MaxDecided();
-  Result<kvstore::RowVersion> row = store_->Read(PendingKey());
-  if (!row.ok() || row->attributes->empty()) return pos;
-  const std::string& oldest = row->attributes->begin()->first;
-  const LogPos pending =
-      ParsePos(std::string_view(oldest).substr(0, oldest.find('/')));
-  if (pending > 0 && pending - 1 < pos) pos = pending - 1;
+  Touch(kRead, "!xpend");
+  if (!pending_.empty()) pos = std::min(pos, pending_.begin()->first.first - 1);
   return pos;
 }
 
 LogPos WriteAheadLog::ContiguousFrontier() {
-  LogPos frontier = 0;
-  Result<kvstore::AttrView> stored =
-      store_->ReadAttrView(FrontierKey(), "pos");
-  if (stored.ok()) frontier = ParsePos(stored->value);
-  const LogPos start = frontier;
-  while (HasEntry(frontier + 1)) ++frontier;
-  if (frontier != start) {
-    (void)WriteLatestOnly(store_, FrontierKey(),
-                          {{"pos", std::to_string(frontier)}});
-  }
-  return frontier;
+  Touch(kRead, "!xfront");
+  const LogPos start = frontier_;
+  while (HasEntry(frontier_ + 1)) ++frontier_;
+  if (frontier_ != start) Touch(kWrite, "!xfront");
+  return frontier_;
 }
 
 Result<LogEntry> WriteAheadLog::GetEntry(LogPos pos) const {
@@ -280,40 +228,18 @@ LogPos WriteAheadLog::FirstMissing(LogPos from, LogPos to) const {
 }
 
 LogPos WriteAheadLog::MaxDecided() const {
-  Result<kvstore::AttrView> v = store_->ReadAttrView(MetaKey(), kMaxDecidedAttr);
-  if (!v.ok()) return 0;
-  return ParsePos(v->value);
-}
-
-void WriteAheadLog::BumpMaxDecided(LogPos pos) {
-  // Retry loop around CheckAndWrite mirrors Algorithm 1's update pattern;
-  // in the single-threaded simulation it succeeds on the first try. Like
-  // WriteLatestOnly, a success keeps only the latest version.
-  const std::string key = MetaKey();
-  for (;;) {
-    Result<std::string> cur = store_->ReadAttr(key, kMaxDecidedAttr);
-    const std::string cur_str = cur.ok() ? *cur : "";
-    const LogPos cur_pos = cur.ok() ? ParsePos(*cur) : 0;
-    if (pos <= cur_pos) return;
-    Status s = store_->CheckAndWrite(key, kMaxDecidedAttr, cur_str,
-                                     {{kMaxDecidedAttr, std::to_string(pos)}});
-    if (s.ok()) {
-      (void)store_->TruncateVersions(key, kLatestTimestamp);
-      return;
-    }
-  }
+  Touch(kRead, "!logmeta");
+  return max_decided_;
 }
 
 LogPos WriteAheadLog::AppliedThrough() const {
-  Result<kvstore::AttrView> v = store_->ReadAttrView(AppliedKey(), kAppliedAttr);
-  if (!v.ok()) return 0;
-  return ParsePos(v->value);
+  Touch(kRead, "!applied");
+  return applied_;
 }
 
 Status WriteAheadLog::ApplyThrough(LogPos target, LogPos* first_missing,
                                    TxnId* undecided) {
-  const LogPos applied = AppliedThrough();
-  for (LogPos pos = applied + 1; pos <= target; ++pos) {
+  for (LogPos pos = AppliedThrough() + 1; pos <= target; ++pos) {
     Result<LogEntry> entry = GetEntry(pos);
     if (!entry.ok()) {
       if (first_missing != nullptr) *first_missing = pos;
@@ -361,10 +287,10 @@ Status WriteAheadLog::ApplyThrough(LogPos target, LogPos* first_missing,
       // earlier, partially-completed pass; skipping keeps apply idempotent.
       if (!s.ok() && !s.IsConflict()) return s;
     }
-    // Persist the watermark after each position so recovery never re-reads
-    // more than one applied entry.
-    PAXOSCP_RETURN_IF_ERROR(WriteLatestOnly(
-        store_, AppliedKey(), {{kAppliedAttr, std::to_string(pos)}}));
+    // Advance the watermark after each position, so a later pass never
+    // re-reads more than one applied entry.
+    Touch(kWrite, "!applied");
+    applied_ = pos;
   }
   return Status::OK();
 }
@@ -416,14 +342,8 @@ Status WriteAheadLog::LoadInitialRow(const std::string& row,
 }
 
 std::vector<LogPos> WriteAheadLog::RejectedPositions() const {
-  std::vector<LogPos> out;
-  Result<kvstore::RowVersion> row = store_->Read(RejectedKey());
-  if (!row.ok()) return out;
-  for (const auto& [padded, unused] : *row->attributes) {
-    (void)unused;
-    out.push_back(ParsePos(padded));
-  }
-  return out;
+  Touch(kRead, "!r1");
+  return {rejected_.begin(), rejected_.end()};
 }
 
 std::map<LogPos, LogEntry> WriteAheadLog::AllEntries() const {

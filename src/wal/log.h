@@ -1,5 +1,13 @@
-// Per-datacenter replicated write-ahead log, stored inside the local
-// multi-version key-value store (as Megastore stores its log in Bigtable).
+// Per-datacenter replicated write-ahead log (paper §3.2). Its entries live
+// in the local multi-version key-value store, as Megastore keeps its log in
+// Bigtable; what the log derives from them (the highest decided position,
+// the applied watermark, the contiguous frontier, the cross-group indexes,
+// the rejected second values) it keeps in members of its own.
+//
+// A log is created once per datacenter and group, by the datacenter's state
+// (txn/service.h), which outlives every service process of the datacenter:
+// the members are exactly as durable as the store's rows. A log is used
+// from the simulator thread only.
 //
 // The log provides:
 //   * SetEntry / GetEntry — decided values per position, idempotent, with a
@@ -11,16 +19,23 @@
 //     stamping each write with its commit log position and recording
 //     per-attribute provenance so reads can report which transaction's
 //     write they observed.
+//
+// Every read and write of a member is recorded on a race-detector cell
+// named like a row of the store ("kv/<store>/!xpend/<group>", design note
+// D12), so same-time conflicts on it are reported as on any stored row.
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
 #include "kvstore/store.h"
+#include "sim/race_hooks.h"
 #include "wal/log_entry.h"
 
 namespace paxoscp::wal {
@@ -63,6 +78,8 @@ struct PrepareInfo {
 class WriteAheadLog {
  public:
   WriteAheadLog(kvstore::MultiVersionStore* store, std::string group);
+  WriteAheadLog(const WriteAheadLog&) = delete;
+  WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   const std::string& group() const { return group_; }
 
@@ -91,13 +108,15 @@ class WriteAheadLog {
   /// Identical to MaxDecided() when no cross-group prepare is pending.
   LogPos SafeReadPos() const;
 
-  /// Highest L such that every position 1..L has a local entry (advances
-  /// and persists a marker; cross-group begins use this so the ordering
-  /// marker provably covers the whole prefix a transaction reads under).
+  /// Highest L such that every position 1..L has a local entry (scans on
+  /// from the last result and keeps the new one; cross-group begins use
+  /// this so the ordering marker provably covers the whole prefix a
+  /// transaction reads under).
   LogPos ContiguousFrontier();
 
   /// Prepared-but-undecided cross-group transactions known to this
-  /// replica, ascending by prepare position.
+  /// replica, ascending by prepare position, then by the id's decimal
+  /// digits.
   std::vector<PendingPrepare> PendingPrepares() const;
 
   /// Lowest-position decide record seen for cross transaction `id`.
@@ -149,8 +168,8 @@ class WriteAheadLog {
   std::map<LogPos, LogEntry> AllEntries() const;
 
   /// Positions where SetEntry rejected a second, different decided value,
-  /// ascending. Durable (a side row in the store, written only on that
-  /// path), so a service restart does not hide them from the checker.
+  /// ascending. Kept by the log, which outlives service processes, so a
+  /// service restart does not hide them from the checker.
   std::vector<LogPos> RejectedPositions() const;
 
   /// Key of a data row in the underlying store (exposed for tests).
@@ -158,33 +177,31 @@ class WriteAheadLog {
 
  private:
   std::string EntryKey(LogPos pos) const;
-  std::string MetaKey() const;
-  std::string AppliedKey() const;
-  std::string PrepareKey(TxnId id) const;
-  /// Single row holding the whole pending set: one attribute per
-  /// prepared-but-undecided transaction, named "<padded pos>/<id>" so the
-  /// map's attribute order is prepare-position order. One key per group
-  /// keeps SafeReadPos O(1) in store lookups — it runs on EVERY begin.
-  std::string PendingKey() const;
-  std::string DecisionKey(TxnId id) const;
-  std::string CrossMaxKey() const;
-  std::string FrontierKey() const;
-  /// Row of rejected second values: one attribute per position, named by
-  /// its padded position so attribute order is position order.
-  std::string RejectedKey() const;
 
-  void BumpMaxDecided(LogPos pos);
+  /// Records a `kind` access on the race-detector cell of one member:
+  /// "kv/<store>/<row>/<group>", plus "/<id>" for the per-transaction
+  /// indexes (`row` is "!logmeta", "!xpend", ...).
+  void Touch(sim::race::AccessKind kind, std::string_view row) const;
+  void Touch(sim::race::AccessKind kind, std::string_view row,
+             TxnId id) const;
 
-  /// Maintains the cross-group side tables (prepare index, pending set,
-  /// decision markers, commit-order watermark) for a newly stored entry.
+  /// Maintains the cross-group indexes (prepares, pending set, decisions,
+  /// commit-order watermark) for a newly stored entry.
   void NoteCrossRecords(LogPos pos, const LogEntry& entry);
-
-  /// Removes `id` from the pending set of prepare position `pos` (no-op if
-  /// absent).
-  void ClearPending(LogPos pos, TxnId id);
 
   kvstore::MultiVersionStore* store_;
   std::string group_;
+  LogPos max_decided_ = 0;
+  LogPos applied_ = 0;
+  /// Last ContiguousFrontier result.
+  LogPos frontier_ = 0;
+  uint64_t max_cross_ts_ = 0;
+  /// The pending set in PendingPrepares' order: keyed by prepare position
+  /// and the id's decimal digits.
+  std::map<std::pair<LogPos, std::string>, TxnId> pending_;
+  std::map<TxnId, PrepareInfo> prepares_;
+  std::map<TxnId, CrossDecision> decisions_;
+  std::set<LogPos> rejected_;
 };
 
 /// Zero-padded decimal rendering of a log position so lexicographic key

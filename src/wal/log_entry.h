@@ -148,8 +148,8 @@ struct LogEntry {
   /// this entry (the paper's promotion conflict test).
   bool WritesItemReadBy(const TxnRecord& t) const;
 
-  /// True if any record is a cross-group prepare/decide (the WAL keeps
-  /// side tables for those entries).
+  /// True if any record is a cross-group prepare/decide (the WAL indexes
+  /// those entries).
   bool HasCrossRecords() const;
 
   /// First decide record for `id` in list order, nullptr if none.

@@ -14,6 +14,14 @@
 //   PAXOSCP_CHAOS_SEEDS      number of (seed, plan) runs     (default 25)
 //   PAXOSCP_CHAOS_SEED_BASE  first seed of the sweep         (default 1000)
 //   PAXOSCP_CHAOS_REPLAY     replay exactly this seed, verbosely
+//   PAXOSCP_CHAOS_GOLDEN     file of the sweeps' expected summary lines
+//                            (tests/golden/<registration>.txt)
+//
+// Each sweep's summary line must equal its line in the golden file, so a
+// change that moves any total shows as a diff. A change meant to move them
+// rewrites the lines with PAXOSCP_CHAOS_GOLDEN_UPDATE=1 (for both
+// registrations: PAXOSCP_CHAOS_GOLDEN_UPDATE=1 ctest -R '^chaos_test') and
+// says why in CHANGES.md.
 //
 // On any violation the harness writes chaos_failure_seed<seed>.txt (seed,
 // cluster, protocol, fault plan, checker report) into the working directory
@@ -22,12 +30,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/checker.h"
 #include "core/cluster.h"
@@ -42,6 +52,48 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
   return std::strtoull(value, nullptr, 10);
+}
+
+/// Prints a sweep's summary line and compares it with the line of the same
+/// sweep (the text up to the first ':') in the PAXOSCP_CHAOS_GOLDEN file,
+/// or writes it there under PAXOSCP_CHAOS_GOLDEN_UPDATE=1. Nothing is
+/// compared when no golden is named (a direct run) or one seed is replayed.
+__attribute__((format(printf, 2, 3))) void ReportSweep(bool replay,
+                                                       const char* format,
+                                                       ...) {
+  char buffer[512];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buffer, sizeof(buffer), format, args);
+  va_end(args);
+  const std::string line = buffer;
+  std::printf("%s\n", line.c_str());
+  const char* path = std::getenv("PAXOSCP_CHAOS_GOLDEN");
+  if (replay || path == nullptr || *path == '\0') return;
+  const std::string sweep = line.substr(0, line.find(':') + 1);
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string l; std::getline(in, l);) lines.push_back(l);
+  auto it = std::find_if(lines.begin(), lines.end(), [&](const auto& l) {
+    return l.compare(0, sweep.size(), sweep) == 0;
+  });
+  if (EnvOr("PAXOSCP_CHAOS_GOLDEN_UPDATE", 0) != 0) {
+    if (it == lines.end()) {
+      lines.push_back(line);
+    } else {
+      *it = line;
+    }
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& l : lines) out << l << "\n";
+    return;
+  }
+  if (it == lines.end() || *it != line) {
+    ADD_FAILURE() << "sweep totals differ from " << path << ":\n-"
+                  << (it == lines.end() ? "(no line for this sweep)" : *it)
+                  << "\n+" << line << "\nif the change is meant to move "
+                  << "them: PAXOSCP_CHAOS_GOLDEN_UPDATE=1 ctest -R "
+                  << "'^chaos_test'";
+  }
 }
 
 struct ChaosResult {
@@ -251,9 +303,10 @@ TEST(ChaosSweepTest, RandomFaultPlansPreserveSerializability) {
   // The sweep must actually exercise faults and still make progress.
   EXPECT_GT(plans_with_faults, 0);
   EXPECT_GT(total_committed, 0);
-  std::printf(
+  ReportSweep(
+      replay != 0,
       "chaos sweep: %llu runs (seeds %llu..%llu), %d with faults, "
-      "%d commits, %d unavailable, unknown outcomes: %d in log / %d absent\n",
+      "%d commits, %d unavailable, unknown outcomes: %d in log / %d absent",
       static_cast<unsigned long long>(count),
       static_cast<unsigned long long>(replay != 0 ? replay : base),
       static_cast<unsigned long long>(replay != 0 ? replay
@@ -320,9 +373,10 @@ TEST(ChaosSweepTest, CrossGroupPlansPreserveGlobalSerializability) {
     EXPECT_GT(cross_unknown, 0)
         << "no coordinator crash between prepare and decide was exercised";
   }
-  std::printf(
+  ReportSweep(
+      replay != 0,
       "cross chaos sweep: %llu runs, %d with faults, %d cross commits, "
-      "%d coordinator crashes recovered\n",
+      "%d coordinator crashes recovered",
       static_cast<unsigned long long>(count), plans_with_faults,
       cross_committed, cross_unknown);
 }
@@ -404,10 +458,11 @@ TEST(ChaosSweepTest, DaemonAloneHealsPendingPrepares) {
     EXPECT_EQ(first.pending_after, second.pending_after);
     EXPECT_EQ(first.stats.quiesce_pending, second.stats.quiesce_pending);
   }
-  std::printf(
+  ReportSweep(
+      replay != 0,
       "daemon chaos sweep: %llu runs, %d with faults (%d with delivery "
       "faults), %d cross commits, %llu recoveries decided (%llu forced "
-      "aborts), %llu abandoned, %d barrier give-ups (all at begins)\n",
+      "aborts), %llu abandoned, %d barrier give-ups (all at begins)",
       static_cast<unsigned long long>(count), plans_with_faults,
       delivery_fault_plans, cross_committed,
       static_cast<unsigned long long>(recoveries_decided),

@@ -1,7 +1,7 @@
 // Cross-group transactions (design note D8): 2PC over the per-group
 // Paxos-CP logs. Covers the wire format (prepare and decide records
-// round-trip; every entry starts with its winner), the WAL side tables
-// (pending prepares hold SafeReadPos and the applied watermark), the
+// round-trip; every entry starts with its winner), the WAL's cross-group
+// indexes (pending prepares hold SafeReadPos and the applied watermark), the
 // commit path (atomic multi-group transfer, conflict aborts, the shared
 // commit order, Commit's return at the commit point and the next begin's
 // wait for the decides' apply acknowledgements),
@@ -102,7 +102,7 @@ TEST(CrossLogEntryTest, PrepareAndDecideRecordsRoundTrip) {
   EXPECT_EQ(entry.FindDecide(prepare.id), nullptr);
 }
 
-// --------------------------------------------------------- WAL side tables
+// ---------------------------------------------------------- WAL cross indexes
 
 TEST(CrossWalTest, PendingPrepareHoldsSafeReadPosAndWatermark) {
   kvstore::MultiVersionStore store;

@@ -346,8 +346,8 @@ TEST(StoreTest, CowReadsMatchDeepCopySemantics) {
     const std::string value = Cat("value-", rng.Uniform(1000));
     ++ts;
     if (kind == 0) {
-      // Whole-row write of a mutated copy of the latest snapshot (the WAL's
-      // side-table pattern): the copy shares chunks with the snapshot.
+      // Whole-row write of a mutated copy of the latest snapshot (a
+      // read-modify-write): the copy shares chunks with the snapshot.
       const std::string gone = Cat("a", rng.Uniform(250));
       AttrMap row = *store.Read("k")->attributes;
       row[attr] = value;

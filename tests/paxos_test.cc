@@ -288,7 +288,6 @@ TEST(CombineTest, GreedyBeyondExhaustiveLimit) {
         EntryFor(MakeTxnId(1, 100 + i), {"x"}, {item}).txns[0]);
   }
   CombinePolicy policy;
-  policy.exhaustive_limit = 4;  // force the greedy path
   wal::LogEntry combined = CombineTransactions(own, candidates, policy);
   EXPECT_EQ(combined.txns.size(), 11u);  // all compatible
 }

@@ -289,9 +289,8 @@ TEST(RaceDetectorTest, KvStoreCellNamesCarryInstanceAndKey) {
 }
 
 TEST(RaceDetectorTest, WalConflictIsReportedOnceOnItsStoreRow) {
-  // The WAL is a view over store rows and records nothing of its own: a
-  // same-time write and read of one log position surface once, on the
-  // store row that holds the entry.
+  // A log entry lives in a store row: a same-time write and read of one
+  // log position surface once, on the store row that holds the entry.
   Simulator sim;
   RaceDetector det;
   sim.AttachRaceDetector(&det);
@@ -315,6 +314,43 @@ TEST(RaceDetectorTest, WalConflictIsReportedOnceOnItsStoreRow) {
                         "/!log/g/000000000001");
   EXPECT_EQ(r.mask_first, RaceDetector::kReadBit | RaceDetector::kWriteBit);
   EXPECT_EQ(r.mask_second, RaceDetector::kReadBit);
+}
+
+TEST(RaceDetectorTest, WalBookkeepingIsReportedOnItsCells) {
+  // The log's bookkeeping (the highest decided position, the pending set)
+  // has cells of its own: landing a cross prepare beside a same-time
+  // SafeReadPos surfaces on exactly those two, the landing side writing.
+  Simulator sim;
+  RaceDetector det;
+  sim.AttachRaceDetector(&det);
+  kvstore::MultiVersionStore store;
+  wal::WriteAheadLog log(&store, "g");
+  wal::LogEntry entry;
+  wal::TxnRecord& prepare = entry.txns.emplace_back();
+  prepare.id = MakeTxnId(1, 1);
+  prepare.kind = wal::RecordKind::kPrepare;
+  prepare.cross_ts = 3;
+  prepare.participants = {"g", "h"};
+  sim.ScheduleAt(4, [&log, &entry] {
+    ASSERT_TRUE(log.SetEntry(1, entry).ok());
+  }, "set-entry");
+  sim.ScheduleAt(4, [&log] { (void)log.SafeReadPos(); }, "safe-read-pos");
+  sim.Run();
+  det.Finalize();
+  std::string all;
+  for (const RaceDetector::Report& rep : det.reports()) {
+    all += rep.Describe() + "\n";
+  }
+  ASSERT_EQ(det.reports().size(), 2u) << all;
+  const std::string prefix = "kv/" + std::to_string(store.instance_id());
+  EXPECT_EQ(det.reports()[0].cell, prefix + "/!logmeta/g");
+  EXPECT_EQ(det.reports()[1].cell, prefix + "/!xpend/g");
+  for (const RaceDetector::Report& r : det.reports()) {
+    EXPECT_EQ(r.tag_first, "set-entry");
+    EXPECT_EQ(r.tag_second, "safe-read-pos");
+    EXPECT_NE(r.mask_first & RaceDetector::kWriteBit, 0) << r.Describe();
+    EXPECT_EQ(r.mask_second, RaceDetector::kReadBit);
+  }
 }
 
 /// Reports on `net/rng...` cells when two unrelated events at t = 5 each

@@ -2,7 +2,12 @@
 // the R1 guard, apply-to-data-rows, snapshot reads with provenance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "common/coding.h"
+#include "common/random.h"
 #include "kvstore/store.h"
 #include "wal/log.h"
 #include "wal/log_entry.h"
@@ -264,8 +269,8 @@ TEST_F(LogTest, AllEntriesReturnsEverything) {
 }
 
 TEST_F(LogTest, LatestOnlyRowsKeepOneVersion) {
-  // Rows the log reads only at their latest version keep that version
-  // alone (design note D5); the data row keeps one version per applied
+  // What the log reads only at its latest it keeps itself, not in store
+  // rows (design note D5); the data row keeps one version per applied
   // position plus the loaded one, which the benchmark's replay reads at 0.
   constexpr LogPos kEntries = 8;
   const kvstore::AttributeMap loaded = {{"a", "seed"}, {"b", "seed"}};
@@ -287,7 +292,7 @@ TEST_F(LogTest, LatestOnlyRowsKeepOneVersion) {
     }
     ASSERT_TRUE(log_.SetEntry(pos, e).ok());
     if (pos % 2 == 0) {
-      // A second, different value: rejected, and noted in the `!r1` row.
+      // A second, different value: rejected, and noted by the log.
       EXPECT_EQ(log_.SetEntry(pos, Entry(MakeTxnId(3, pos), {{"a", "x"}}))
                     .code(),
                 Status::Code::kCorruption);
@@ -304,13 +309,13 @@ TEST_F(LogTest, LatestOnlyRowsKeepOneVersion) {
   EXPECT_EQ(log_.RejectedPositions(),
             (std::vector<LogPos>{2, 4, 6, 8}));
 
-  const std::vector<std::string> latest_only = {
-      "!applied/g", "!logmeta/g", "!r1/g", "!xfront/g", "!xmax/g",
-      "!xpend/g"};
-  for (const std::string& key : latest_only) {
-    EXPECT_TRUE(store_.Contains(key)) << key;
-    EXPECT_EQ(store_.VersionCount(key), 1u) << key;
+  // The store holds only the entries and the data row.
+  std::vector<std::string> keys;
+  for (LogPos pos = 1; pos <= kEntries; ++pos) {
+    keys.push_back("!log/g/" + PadPos(pos));
   }
+  keys.push_back(log_.DataKey("r"));
+  EXPECT_EQ(store_.KeysWithPrefix(""), keys);
   EXPECT_EQ(store_.VersionCount(log_.DataKey("r")), kEntries + 1);
   Result<kvstore::RowVersion> initial = store_.Read(log_.DataKey("r"), 0);
   ASSERT_TRUE(initial.ok());
@@ -318,6 +323,159 @@ TEST_F(LogTest, LatestOnlyRowsKeepOneVersion) {
   EXPECT_TRUE(*initial->attributes == loaded);
   EXPECT_EQ(log_.ReadItem(ItemId{"r", "b"}, 2).value, "seed");
   EXPECT_EQ(log_.ReadItem(ItemId{"r", "b"}, 3).value, "cross");
+}
+
+/// A cross record of `kind` for `id` (prepares name groups g and h).
+TxnRecord CrossRecord(TxnId id, RecordKind kind, uint64_t cross_ts = 0,
+                      bool commit = false) {
+  TxnRecord t = MakeTxn(id, 0, {}, {});
+  t.kind = kind;
+  t.cross_ts = cross_ts;
+  t.commit_decision = commit;
+  if (kind == RecordKind::kPrepare) {
+    t.participants = {"g", "h"};
+    t.writes.push_back(WriteRecord{{"r", "x"}, std::to_string(id)});
+  }
+  return t;
+}
+
+/// What the log's bookkeeping must read, recomputed from the decided
+/// entries and the positions a second value was sent to.
+struct Bookkeeping {
+  LogPos max_decided = 0;
+  LogPos frontier = 0;
+  uint64_t max_cross_ts = 0;
+  std::vector<PendingPrepare> pending;
+  LogPos safe_read_pos = 0;
+  std::map<TxnId, CrossDecision> decisions;
+  std::map<TxnId, PrepareInfo> prepares;
+  std::vector<LogPos> rejected;
+};
+
+Bookkeeping Recompute(const std::map<LogPos, LogEntry>& entries,
+                      const std::set<LogPos>& rejected) {
+  Bookkeeping out;
+  for (const auto& [pos, entry] : entries) {
+    out.max_decided = pos;
+    if (pos == out.frontier + 1) out.frontier = pos;
+    for (const TxnRecord& t : entry.txns) {
+      if (t.kind == RecordKind::kPrepare) {
+        out.max_cross_ts = std::max(out.max_cross_ts, t.cross_ts);
+        out.prepares[t.id] = PrepareInfo{true, pos, t.participants};
+      } else if (t.kind == RecordKind::kDecide) {
+        // Ascending positions: the first decide seen is the lowest.
+        out.decisions.try_emplace(t.id,
+                                  CrossDecision{true, t.commit_decision, pos});
+      }
+    }
+  }
+  // Listed by prepare position, then by the id's decimal digits.
+  std::vector<std::pair<std::pair<LogPos, std::string>, TxnId>> pending;
+  for (const auto& [id, prep] : out.prepares) {
+    if (out.decisions.count(id) == 0) {
+      pending.push_back({{prep.pos, std::to_string(id)}, id});
+    }
+  }
+  std::sort(pending.begin(), pending.end());
+  for (const auto& [key, id] : pending) {
+    out.pending.push_back(PendingPrepare{key.first, id});
+  }
+  out.safe_read_pos = out.max_decided;
+  if (!out.pending.empty()) {
+    out.safe_read_pos =
+        std::min(out.safe_read_pos, out.pending.front().pos - 1);
+  }
+  out.rejected.assign(rejected.begin(), rejected.end());
+  return out;
+}
+
+TEST_F(LogTest, BookkeepingMatchesTheEntriesInEveryLandingOrder) {
+  // Twelve positions: data, a prepare combined with data, two prepares
+  // sharing one entry (ids 10 and 9, listed "10" before "9"), a decide at
+  // a lower position than its prepare, and a transaction decided at two
+  // positions, abort below commit, where the lower decide wins.
+  const TxnId p1 = MakeTxnId(1, 100), p3 = MakeTxnId(2, 300);
+  const TxnId p2a = MakeTxnId(0, 10), p2b = MakeTxnId(0, 9);
+  std::map<LogPos, LogEntry> positions;
+  for (LogPos pos : {1, 2, 4, 6, 10}) {
+    positions[pos] = Entry(MakeTxnId(1, pos), {{"a", std::to_string(pos)}});
+  }
+  positions[2].txns.push_back(CrossRecord(p1, RecordKind::kPrepare, 5));
+  positions[3].txns = {CrossRecord(p3, RecordKind::kDecide, 0, false)};
+  positions[5].txns = {CrossRecord(p2a, RecordKind::kPrepare, 8),
+                       CrossRecord(p2b, RecordKind::kPrepare, 6)};
+  positions[7].txns = {CrossRecord(p1, RecordKind::kDecide, 0, true)};
+  positions[8].txns = {CrossRecord(p3, RecordKind::kPrepare, 3)};
+  positions[9].txns = {CrossRecord(p2a, RecordKind::kDecide, 0, false)};
+  positions[11].txns = {CrossRecord(p2a, RecordKind::kDecide, 0, true)};
+  positions[12].txns = {CrossRecord(p2b, RecordKind::kDecide, 0, true)};
+  ASSERT_EQ(positions.size(), 12u);
+  const std::vector<LogPos> seconds = {4, 8};  // sent a second value
+  const std::vector<TxnId> ids = {p1, p2a, p2b, p3, MakeTxnId(3, 1)};
+
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    kvstore::MultiVersionStore store;
+    WriteAheadLog log(&store, "g");
+    Rng rng(seed);
+    // A landing order: a shuffle of the positions, each second value at a
+    // random point after its position's first one (0 marks a second).
+    std::vector<LogPos> order;
+    for (const auto& [pos, entry] : positions) order.push_back(pos);
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.Uniform(i)]);
+    }
+    std::vector<std::pair<LogPos, bool>> sends;
+    for (LogPos pos : order) sends.push_back({pos, false});
+    for (LogPos pos : seconds) {
+      size_t first = 0;
+      while (sends[first].first != pos || sends[first].second) ++first;
+      const size_t at = first + 1 + rng.Uniform(sends.size() - first);
+      sends.insert(sends.begin() + static_cast<std::ptrdiff_t>(at),
+                   {pos, true});
+    }
+
+    std::set<LogPos> rejected;
+    for (const auto& [pos, second] : sends) {
+      if (second) {
+        LogEntry other = Entry(MakeTxnId(3, pos), {{"a", "second"}});
+        EXPECT_EQ(log.SetEntry(pos, other).code(), Status::Code::kCorruption);
+        rejected.insert(pos);
+      } else {
+        ASSERT_TRUE(log.SetEntry(pos, positions[pos]).ok());
+      }
+      const Bookkeeping want = Recompute(log.AllEntries(), rejected);
+      EXPECT_EQ(log.MaxDecided(), want.max_decided);
+      EXPECT_EQ(log.ContiguousFrontier(), want.frontier);
+      EXPECT_EQ(log.MaxCrossTs(), want.max_cross_ts);
+      const std::vector<PendingPrepare> pending = log.PendingPrepares();
+      ASSERT_EQ(pending.size(), want.pending.size());
+      for (size_t i = 0; i < pending.size(); ++i) {
+        EXPECT_EQ(pending[i].pos, want.pending[i].pos) << i;
+        EXPECT_EQ(pending[i].txn, want.pending[i].txn) << i;
+      }
+      EXPECT_EQ(log.SafeReadPos(), want.safe_read_pos);
+      for (TxnId id : ids) {
+        const CrossDecision d = log.DecisionFor(id);
+        const CrossDecision wd =
+            want.decisions.count(id) ? want.decisions.at(id) : CrossDecision{};
+        EXPECT_EQ(d.known, wd.known) << id;
+        EXPECT_EQ(d.commit, wd.commit) << id;
+        EXPECT_EQ(d.pos, wd.pos) << id;
+        const PrepareInfo p = log.PrepareFor(id);
+        const PrepareInfo wp =
+            want.prepares.count(id) ? want.prepares.at(id) : PrepareInfo{};
+        EXPECT_EQ(p.known, wp.known) << id;
+        EXPECT_EQ(p.pos, wp.pos) << id;
+        EXPECT_EQ(p.participants, wp.participants) << id;
+      }
+      EXPECT_EQ(log.RejectedPositions(), want.rejected);
+    }
+    EXPECT_EQ(log.MaxDecided(), 12u);
+    EXPECT_TRUE(log.PendingPrepares().empty());
+    EXPECT_EQ(log.DecisionFor(p2a).pos, 9u);
+    EXPECT_FALSE(log.DecisionFor(p2a).commit);
+  }
 }
 
 TEST_F(LogTest, LogsAreIsolatedPerGroup) {
